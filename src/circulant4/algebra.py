@@ -31,6 +31,11 @@ __all__ = [
 # column (i+1) mod 4.
 Q_MATRIX = np.roll(np.eye(4, dtype=np.int64), -1, axis=0)
 
+# Circulant offset table: g_ij is generator CIRCULANT_INDEX[i, j] of (A, B, C),
+# selected by the offset (j - i) mod 4 -> A, B, C, B.
+_IDX = np.arange(4)
+CIRCULANT_INDEX = np.array([0, 1, 2, 1])[(_IDX[None, :] - _IDX[:, None]) % 4]
+
 
 class CirculantCoeffs(NamedTuple):
     """Metric generators (A, B, C) at a point; first row of g is (A, B, C, B)."""
@@ -62,11 +67,15 @@ def apply_q(x, k: int = 1) -> np.ndarray:
     return np.roll(v, -(k % 4))
 
 
+def q_orbit(x) -> np.ndarray:
+    """The 4x4 matrix with rows x, qx, q^2 x, q^3 x."""
+    v = as_vector4(x)
+    return v[(_IDX[:, None] + _IDX[None, :]) % 4]
+
+
 def metric_matrix(c: CirculantCoeffs) -> np.ndarray:
     """Assemble the symmetric circulant metric with first row (A, B, C, B)."""
-    a, b, cc = c
-    row = [a, b, cc, b]
-    return np.array([[row[(j - i) % 4] for j in range(4)] for i in range(4)])
+    return np.asarray(c)[CIRCULANT_INDEX]
 
 
 def metric_det_closed(c: CirculantCoeffs) -> float:
@@ -118,6 +127,4 @@ def qbase_predicate(x) -> bool:
 
 def det_qorbit(x) -> float:
     """Determinant of the 4x4 matrix with rows x, qx, q^2 x, q^3 x."""
-    v = as_vector4(x)
-    rows = np.stack([np.roll(v, -k) for k in range(4)])
-    return float(np.linalg.det(rows))
+    return float(np.linalg.det(q_orbit(x)))

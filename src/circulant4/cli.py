@@ -8,7 +8,7 @@ Subcommands:
   frame constructions (spectral and closed-form audit).
 * ``pyramid``    the tetrahedron report for (coeffs, seed).
 * ``curvature``  per-point connection/curvature residuals and q-section
-  curvatures for a configured family.
+  curvatures for a configured family, regrouped from the verify records.
 * ``verify``     the full batch pipeline from a JSON config.
 
 Exit codes: 0 pass, 1 verification failure, 2 config error.
@@ -38,8 +38,6 @@ from .algebra import (
     qbase_polynomial,
     qbase_predicate,
 )
-from .curvature import nabla_q_residual, q_section_curvatures, riemann, symmetry_residuals
-from .fields import parallel_residual
 from .frames import closed_form_frame, spectral_frame, verify_frame
 from .pyramid import pyramid_report
 from .reporting import ConfigError, RunConfig, report_json, report_to_csv, run_verify
@@ -133,50 +131,36 @@ def _cmd_pyramid(args) -> int:
         raise ConfigError("--seed-vector v1,v2,v3,v4 is required")
     seed = _parse_tuple(args.seed_vector, 4, "--seed-vector")
     rep = pyramid_report(c, seed)
-    _emit({
-        "coeffs": {"A": c.a, "B": c.b, "C": c.c},
-        "seed": seed,
-        "cos_alpha": rep.cos_alpha,
-        "cos_beta": rep.cos_beta,
-        "edge_sq_long": rep.edge_sq_long,
-        "edge_sq_short": rep.edge_sq_short,
-        "cos_gamma": rep.cos_gamma,
-        "cos_delta": rep.cos_delta,
-        "angle_sum_residual": rep.angle_sum_residual,
-    }, args.out)
+    _emit({"coeffs": {"A": c.a, "B": c.b, "C": c.c}, "seed": seed, **dataclasses.asdict(rep)}, args.out)
     return 0
 
 
+# Record keys that `curvature` prints per point and per seed section.
+_CURVATURE_POINT_KEYS = ("point", "parallel_residual", "nabla_q_residual", "symmetry_residuals")
+_CURVATURE_SECTION_KEYS = ("seed", "mu", "equality_residual", "zero_residual")
+
+
 def _cmd_curvature(args) -> int:
+    """Point-level residuals and q-sections, regrouped from the verify records."""
     if args.config is None:
         raise ConfigError("--config PATH is required (supplies the coefficient family)")
     config = RunConfig.from_file(args.config)
-    family = config.family
     if args.mode:
         mode = "finite_difference" if args.mode == "fd" else args.mode
-        family = dataclasses.replace(family, derivative_mode=mode)
-    points = [np.array(_parse_tuple(args.point, 4, "--point"))] if args.point else list(config.points)
-    seeds = [np.array(_parse_tuple(args.seed_vector, 4, "--seed-vector"))] if args.seed_vector else list(config.seeds)
-    out = []
-    for p in points:
-        ct = riemann(family, p)
-        entry = {
-            "point": [float(v) for v in p],
-            "parallel_residual": parallel_residual(family, p),
-            "nabla_q_residual": nabla_q_residual(family, p),
-            "symmetry_residuals": symmetry_residuals(ct.r),
-            "sections": [],
-        }
-        for s in seeds:
-            rep = q_section_curvatures(family, p, s)
-            entry["sections"].append({
-                "seed": [float(v) for v in s],
-                "mu": rep.mu.tolist(),
-                "equality_residual": rep.equality_residual,
-                "zero_residual": rep.zero_residual,
-            })
-        out.append(entry)
-    _emit({"family": {"name": family.family, "params": list(family.params)}, "points": out}, args.out)
+        config.family = dataclasses.replace(config.family, derivative_mode=mode)
+    if args.point:
+        config.points = np.array([_parse_tuple(args.point, 4, "--point")])
+    if args.seed_vector:
+        config.seeds = np.array([_parse_tuple(args.seed_vector, 4, "--seed-vector")])
+    config.output_path = None  # the regrouping below is the output, not the verify report
+    points = []
+    for rec in run_verify(config)["records"]:
+        if rec["seed_index"] == 0:
+            points.append({k: rec[k] for k in _CURVATURE_POINT_KEYS})
+            points[-1]["sections"] = []
+        points[-1]["sections"].append({k: rec[k] for k in _CURVATURE_SECTION_KEYS})
+    family = config.family
+    _emit({"family": {"name": family.family, "params": list(family.params)}, "points": points}, args.out)
     return 0
 
 

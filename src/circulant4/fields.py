@@ -35,7 +35,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .algebra import CirculantCoeffs
+from .algebra import CirculantCoeffs, apply_q, as_vector4
 
 __all__ = [
     "FieldFamilySpec",
@@ -45,10 +45,7 @@ __all__ = [
     "coeffs_at",
     "eval_jet",
     "parallel_residual",
-    "FAMILY_NAMES",
 ]
-
-FAMILY_NAMES = ("constant", "s_wave", "control", "custom")
 
 ONES = np.ones(4)
 # The two coordinate differences whose span the index shift negates.
@@ -105,6 +102,20 @@ class FieldJet:
     value: CirculantCoeffs
     grads: np.ndarray
     hessians: np.ndarray
+
+    def parallel_residual(self) -> float:
+        """Max residual of the gradient form of the parallelism condition.
+
+        The condition equivalent to a covariantly constant affinor is
+        d_i A = d_{i+2} C and d_i B = (d_{i+1} C + d_{i+3} C)/2 (indices mod 4,
+        same shift convention as the vector action; derived by solving
+        nabla q = 0 for the gradients of A and B).  The residual is the max
+        absolute value over the eight scalar equations.
+        """
+        grad_a, grad_b, grad_c = self.grads
+        res_a = grad_a - apply_q(grad_c, 2)
+        res_b = grad_b - 0.5 * (apply_q(grad_c, 1) + apply_q(grad_c, 3))
+        return float(max(np.max(np.abs(res_a)), np.max(np.abs(res_b))))
 
 
 def _check_chain(bounds, context: str) -> None:
@@ -163,18 +174,9 @@ def make_custom_family(value_fn, grad_fn, hess_fn) -> FieldFamilySpec:
     )
 
 
-def _point(p) -> np.ndarray:
-    v = np.asarray(p, dtype=float)
-    if v.shape != (4,):
-        raise ValueError(f"chart point needs 4 coordinates, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("chart point coordinates must be finite")
-    return v
-
-
 def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
     """Field values (A, B, C) at a chart point (no admissibility check)."""
-    v = _point(p)
+    v = as_vector4(p)
     if spec.family == "constant":
         return CirculantCoeffs(*spec.params)
     if spec.family == "s_wave":
@@ -266,7 +268,7 @@ def eval_jet(spec: FieldFamilySpec, p) -> FieldJet:
     Raises if the value at p breaks the admissibility chain, naming the
     violated inequality.
     """
-    v = _point(p)
+    v = as_vector4(p)
     value = coeffs_at(spec, v)
     a, b, c = value
     if not b > 0:
@@ -285,16 +287,5 @@ def eval_jet(spec: FieldFamilySpec, p) -> FieldJet:
 
 
 def parallel_residual(spec: FieldFamilySpec, p) -> float:
-    """Max residual of the gradient form of the parallelism condition.
-
-    The condition equivalent to a covariantly constant affinor is
-    d_i A = d_{i+2} C and d_i B = (d_{i+1} C + d_{i+3} C)/2 (indices mod 4,
-    same shift convention as the vector action; derived by solving
-    nabla q = 0 for the gradients of A and B).  The residual is the max
-    absolute value over the eight scalar equations.
-    """
-    jet = eval_jet(spec, p)
-    grad_a, grad_b, grad_c = jet.grads
-    res_a = grad_a - np.roll(grad_c, -2)
-    res_b = grad_b - 0.5 * (np.roll(grad_c, -1) + np.roll(grad_c, -3))
-    return float(max(np.max(np.abs(res_a)), np.max(np.abs(res_b))))
+    """Gradient-form parallelism residual at a chart point (see FieldJet.parallel_residual)."""
+    return eval_jet(spec, p).parallel_residual()

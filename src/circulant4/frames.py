@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import CirculantCoeffs, apply_q, as_vector4, is_admissible, metric_matrix
+from .algebra import CirculantCoeffs, is_admissible, metric_matrix, q_orbit
 
 __all__ = [
     "QFrame",
@@ -67,8 +67,7 @@ class ClosedFormFrameReport:
 
 def verify_frame(c: CirculantCoeffs, seed) -> FrameResidual:
     """Gram matrix of {seed, q seed, q^2 seed, q^3 seed} under g(c)."""
-    v = as_vector4(seed)
-    orbit = np.stack([apply_q(v, k) for k in range(4)])
+    orbit = q_orbit(seed)
     gram = orbit @ metric_matrix(c) @ orbit.T
     return FrameResidual(gram=gram, max_deviation=float(np.max(np.abs(gram - np.eye(4)))))
 
@@ -94,8 +93,7 @@ def spectral_frame(c: CirculantCoeffs) -> QFrame:
         + beta * np.array([1.0, -1.0, 1.0, -1.0])
         + s * np.array([1.0, 0.0, -1.0, 0.0])
     )
-    orbit = np.stack([apply_q(seed, k) for k in range(4)])
-    return QFrame(seed=seed, vectors=orbit, coeffs=c)
+    return QFrame(seed=seed, vectors=q_orbit(seed), coeffs=c)
 
 
 def closed_form_frame(c: CirculantCoeffs, tol: float = 1e-9) -> ClosedFormFrameReport:

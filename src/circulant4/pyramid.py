@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import CirculantCoeffs, as_vector4, inner, qbase_predicate
+from .algebra import CirculantCoeffs, apply_q, as_vector4, inner, qbase_predicate
 
 __all__ = ["PyramidReport", "pyramid_report"]
 
@@ -44,8 +42,8 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
     norm_sq = inner(c, x, x)
     if norm_sq <= 0.0:
         raise ValueError("seed has non-positive squared length under g")
-    cos_alpha = inner(c, x, np.roll(x, -1)) / norm_sq
-    cos_beta = inner(c, x, np.roll(x, -2)) / norm_sq
+    cos_alpha = inner(c, x, apply_q(x, 1)) / norm_sq
+    cos_beta = inner(c, x, apply_q(x, 2)) / norm_sq
     if cos_alpha >= 1.0 - 1e-12:
         raise ValueError("degenerate apex: qx is parallel to x (cos alpha = 1)")
     edge_sq_long = 2.0 * norm_sq * (1.0 - cos_alpha)

@@ -24,16 +24,9 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .curvature import (
-    identity_suite,
-    metric_derivatives,
-    nabla_q_residual,
-    q_section_curvatures,
-    random_qbase_seeds,
-    riemann_core,
-    symmetry_residuals,
-)
-from .fields import FieldFamilySpec, eval_jet, make_family, parallel_residual
+from .algebra import qbase_predicate
+from .curvature import PointGeometry, point_geometry, random_qbase_seeds, symmetry_residuals
+from .fields import FieldFamilySpec, make_family
 from .frames import spectral_frame, verify_frame
 
 __all__ = ["ConfigError", "RunConfig", "run_verify", "report_to_csv", "report_json"]
@@ -120,6 +113,8 @@ class RunConfig:
                 n = int(seeds.split(":", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad seed count in {seeds!r}") from exc
+            if n < 1:
+                raise ConfigError(f"seeds: {seeds!r} must draw at least one seed")
             if self.rng_seed is None:
                 raise ConfigError("random seeds require an explicit 'rng_seed' for reproducibility")
             rng = np.random.default_rng(self.rng_seed)
@@ -127,6 +122,9 @@ class RunConfig:
         arr = np.asarray(seeds, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ConfigError("'seeds' must be a list of 4-vectors")
+        for i, seed in enumerate(arr):
+            if not (np.all(np.isfinite(seed)) and qbase_predicate(seed)):
+                raise ConfigError(f"seeds[{i}] = {seed.tolist()} is not finite or does not generate a q-base")
         return arr
 
     @classmethod
@@ -141,35 +139,33 @@ class RunConfig:
         return cls(raw)
 
 
-def _point_record(family: FieldFamilySpec, point: np.ndarray, frame_tol: float) -> Dict[str, Any]:
-    jet = eval_jet(family, point)
-    g, dg, ddg = metric_derivatives(jet)
-    r = riemann_core(g, dg, ddg)
-    frame = spectral_frame(jet.value)
+def _point_record(geo: PointGeometry, frame_tol: float) -> Dict[str, Any]:
+    c = geo.jet.value
+    frame = spectral_frame(c)
     return {
-        "coeffs": {"A": jet.value.a, "B": jet.value.b, "C": jet.value.c},
-        "parallel_residual": parallel_residual(family, point),
-        "nabla_q_residual": nabla_q_residual(family, point),
-        "symmetry_residuals": symmetry_residuals(r),
-        "frame_residual": verify_frame(jet.value, frame.seed).max_deviation,
-        "frame_tolerance": frame_tol * (1.0 + jet.value.a),
+        "coeffs": {"A": c.a, "B": c.b, "C": c.c},
+        "parallel_residual": geo.jet.parallel_residual(),
+        "nabla_q_residual": geo.nabla_q_residual(),
+        "symmetry_residuals": symmetry_residuals(geo.r),
+        "frame_residual": verify_frame(c, frame.seed).max_deviation,
+        "frame_tolerance": frame_tol * (1.0 + c.a),
     }
 
 
 def run_verify(config: RunConfig) -> Dict[str, Any]:
     """Run the full verification pipeline and assemble the report.
 
-    The per-point physics is independent across points and seeds; records
-    are assembled in deterministic order.  If an output path is configured
-    the report is also written there.
+    Each point's geometry is computed once and shared by its point record
+    and all of its seeds; records are assembled in deterministic order.  If
+    an output path is configured the report is also written there.
     """
     tol = config.tolerances
     records: List[Dict[str, Any]] = []
     for pi, point in enumerate(config.points):
-        base = _point_record(config.family, point, tol["frame_tol"])
+        geo = point_geometry(config.family, point)
+        base = _point_record(geo, tol["frame_tol"])
         for si, seed in enumerate(config.seeds):
-            sect = q_section_curvatures(config.family, point, seed)
-            identities = identity_suite(config.family, point, seed)
+            sect, identities = geo.seed_checks(seed)
             records.append({
                 "point_index": pi,
                 "seed_index": si,

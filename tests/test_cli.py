@@ -120,3 +120,13 @@ class TestVerify:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("point_index,seed_index")
         assert len(lines) == 1 + 2 * 2
+
+
+class TestSeedValidationExitCode:
+    @pytest.mark.parametrize("seeds", ["random:0", [[1.0, 1.0, 1.0, 1.0]]])
+    def test_bad_seeds_exit_2_before_any_work(self, tmp_path, capsys, seeds):
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, seeds=seeds)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: seeds" in capsys.readouterr().err
+        assert not out.exists()

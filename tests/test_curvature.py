@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circulant4 import (
     christoffel,
+    coeffs_at,
     identity_suite,
     make_family,
+    metric_matrix,
     nabla_q_residual,
     q_invariance_residual,
     q_section_curvatures,
+    qbase_polynomial,
     riemann,
     sectional,
 )
@@ -248,3 +253,67 @@ class TestPipelineImplication:
             rep = q_section_curvatures(spec, p, seed)
             assert rep.equality_residual <= 10 * tol
             assert rep.zero_residual <= 10 * tol
+
+
+# Oracle for the seed-level path: the identity suite written out as direct
+# contractions of the Riemann tensor with q-iterates of the seed, each
+# entry being lhs - rhs (or the value of a zero claim).
+ORACLE_IDENTITIES = {
+    "a_diag_q3": lambda rr: rr(0, 1, 0, 1) - rr(0, 3, 0, 3),
+    "a_diag_q2": lambda rr: rr(0, 2, 0, 2),
+    "b_mixed_1": lambda rr: rr(0, 1, 0, 2),
+    "b_mixed_2": lambda rr: rr(0, 2, 1, 2),
+    "b_mixed_3": lambda rr: rr(0, 3, 2, 0),
+    "b_mixed_4": lambda rr: rr(0, 3, 1, 3),
+    "c_chain_1": lambda rr: -rr(0, 1, 0, 3) - rr(0, 1, 1, 2),
+    "c_chain_2": lambda rr: rr(0, 1, 1, 2) - rr(0, 1, 2, 3),
+    "c_chain_3": lambda rr: rr(0, 1, 2, 3) - rr(0, 1, 0, 1),
+    "d_mixed_1": lambda rr: rr(0, 2, 1, 3),
+    "d_mixed_2": lambda rr: rr(0, 2, 2, 3),
+    "d_mixed_3": lambda rr: rr(1, 2, 1, 3),
+    "e_chain_1": lambda rr: -rr(0, 3, 1, 2) + rr(0, 3, 2, 3),
+    "e_chain_2": lambda rr: -rr(0, 3, 2, 3) - rr(1, 2, 2, 3),
+    "e_chain_3": lambda rr: rr(1, 2, 2, 3) - rr(0, 1, 0, 1),
+    "e_zero": lambda rr: rr(1, 3, 2, 3),
+    "f_diag_zero": lambda rr: rr(1, 3, 1, 3),
+    "f_diag_1": lambda rr: rr(1, 2, 1, 2) - rr(2, 3, 2, 3),
+    "f_diag_2": lambda rr: rr(2, 3, 2, 3) - rr(0, 1, 0, 1),
+}
+ORACLE_SECTIONS = [(0, 1), (0, 2), (3, 0), (1, 2), (1, 3), (2, 3)]
+
+_coord = st.floats(-2.0, 2.0, allow_nan=False)
+_seed_coord = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def _close(value, expected):
+    return abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+class TestOrbitBasisAgainstDirectContraction:
+    @pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL)])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.tuples(_coord, _coord, _coord, _coord),
+        x=st.tuples(_seed_coord, _seed_coord, _seed_coord, _seed_coord).filter(
+            lambda x: abs(qbase_polynomial(x)) >= 1e-3
+        ),
+    )
+    def test_mu_and_identities_match_einsum(self, name, params, p, x):
+        spec = make_family(name, params)
+        r = riemann(spec, p).r
+        g = metric_matrix(coeffs_at(spec, p))
+        v = [np.roll(np.asarray(x, dtype=float), -k) for k in range(4)]
+
+        def rr(a, b, c, d):
+            return float(np.einsum("ijkl,i,j,k,l->", r, v[a], v[b], v[c], v[d]))
+
+        rep = q_section_curvatures(spec, p, x)
+        for mu, (a, b) in zip(rep.mu, ORACLE_SECTIONS):
+            denom = (v[a] @ g @ v[a]) * (v[b] @ g @ v[b]) - (v[a] @ g @ v[b]) ** 2
+            assert _close(mu, rr(a, b, a, b) / denom)
+
+        res = identity_suite(spec, p, x)
+        norm = max(1.0, abs(rr(0, 1, 0, 1)))
+        assert list(res) == list(ORACLE_IDENTITIES)
+        for key, claim in ORACLE_IDENTITIES.items():
+            assert _close(res[key], abs(claim(rr)) / norm)

@@ -112,3 +112,33 @@ class TestRunVerify:
         lines = report_to_csv(report).strip().splitlines()
         assert len(lines) == 1 + 2 * 3  # header + points x seeds
         assert lines[0].startswith("point_index,seed_index")
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seeds", ["random:0", "random:-3"])
+    def test_empty_random_seed_count_rejected(self, seeds):
+        with pytest.raises(ConfigError, match="seeds"):
+            RunConfig(base_config(seeds=seeds))
+
+    def test_non_qbase_seed_rejected_at_parse_time(self):
+        with pytest.raises(ConfigError, match=r"seeds\[1\]"):
+            RunConfig(base_config(seeds=[[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]))
+
+
+class TestOneGeometryPassPerPoint:
+    def test_run_verify_evaluates_each_jet_once(self, monkeypatch):
+        from circulant4 import curvature, fields, reporting
+
+        calls = []
+        original = fields.eval_jet
+
+        def counting(spec, p):
+            calls.append(tuple(p))
+            return original(spec, p)
+
+        for module in (fields, curvature, reporting):
+            if hasattr(module, "eval_jet"):
+                monkeypatch.setattr(module, "eval_jet", counting)
+        config = RunConfig(base_config())
+        run_verify(config)
+        assert len(calls) == len(config.points) == len(set(calls))
