@@ -35,6 +35,9 @@ Q_MATRIX = np.roll(np.eye(4, dtype=np.int64), -1, axis=0)
 # selected by the offset (j - i) mod 4 -> A, B, C, B.
 _IDX = np.arange(4)
 CIRCULANT_INDEX = np.array([0, 1, 2, 1])[(_IDX[None, :] - _IDX[:, None]) % 4]
+# Shift table: x[..., ORBIT_INDEX[k]] is q^k x, and x[..., ORBIT_INDEX] stacks
+# the q-orbit rows x, qx, q^2 x, q^3 x.
+ORBIT_INDEX = (_IDX[:, None] + _IDX[None, :]) % 4
 
 
 class CirculantCoeffs(NamedTuple):
@@ -63,14 +66,19 @@ def apply_q(x, k: int = 1) -> np.ndarray:
 
     Exact (a pure reindexing, no arithmetic); k is reduced mod 4.
     """
-    v = as_vector4(x)
-    return np.roll(v, -(k % 4))
+    return as_vector4(x)[ORBIT_INDEX[k % 4]]
 
 
 def q_orbit(x) -> np.ndarray:
     """The 4x4 matrix with rows x, qx, q^2 x, q^3 x."""
-    v = as_vector4(x)
-    return v[(_IDX[:, None] + _IDX[None, :]) % 4]
+    return as_vector4(x)[ORBIT_INDEX]
+
+
+def orbit_gram(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gram matrices gram[..., a, b] = g(q^a x, q^b x) for generators c (..., 3) and
+    vectors x (..., 4) whose leading axes broadcast; no validation."""
+    v = x[..., ORBIT_INDEX]
+    return v @ c[..., CIRCULANT_INDEX] @ np.swapaxes(v, -1, -2)
 
 
 def metric_matrix(c: CirculantCoeffs) -> np.ndarray:
@@ -115,8 +123,12 @@ def qbase_polynomial(x) -> float:
     x1 + x2 t + x3 t^2 + x4 t^3 at the fourth roots of unity (the pair at
     +-i contributing the squared modulus).
     """
-    v = as_vector4(x)
-    x1, x2, x3, x4 = v
+    return qbase_polynomials(as_vector4(x))
+
+
+def qbase_polynomials(xs: np.ndarray) -> np.ndarray:
+    """qbase_polynomial of each vector of a stack (..., 4); no validation."""
+    x1, x2, x3, x4 = np.moveaxis(xs, -1, 0)
     return ((x1 - x3) ** 2 + (x2 - x4) ** 2) * (x1 - x2 + x3 - x4) * (x1 + x2 + x3 + x4)
 
 

@@ -6,13 +6,15 @@ The core routines work on raw arrays (g, dg, ddg) where
     dg[a, i, j]    = d_a g_ij,
     ddg[a, b, i, j] = d_a d_b g_ij,
 
-so they can be exercised against arbitrary metrics in tests.
-``point_geometry`` is the one pass from a chart point to its field jet,
-metric, Christoffel symbols and Riemann tensor; every entry of g is one of
-A, B, C, selected by the circulant offset (j - i) mod 4.  The public
-functions taking a coefficient-field spec and a chart point are views
-over that pass.  Seed-level quantities read off R in the q-orbit basis
-(x, qx, q^2 x, q^3 x), computed once per seed.
+so they can be exercised against arbitrary metrics in tests; inside a
+``PointGeometry`` every array gains a leading axis over a block of points.
+``PointGeometry.from_jets`` is the one pass from the field jets of a block
+to metric, Christoffel symbols and Riemann tensor; every entry of g is one
+of A, B, C, selected by the circulant offset (j - i) mod 4, and g^{-1} is
+circulant in closed form.  ``point_geometry`` and the public functions
+taking a coefficient-field spec and a chart point are views over a block
+of one.  Seed-level quantities read off R in the q-orbit basis
+(x, qx, q^2 x, q^3 x), one projection per point for all seeds.
 
 Sign convention: the (0,4) tensor is oriented so that the sectional
 curvature R(x,y,x,y) / (g(x,x)g(y,y) - g(x,y)^2) of a round sphere is
@@ -30,13 +32,14 @@ import numpy as np
 
 from .algebra import (
     CIRCULANT_INDEX,
-    Q_MATRIX,
+    ORBIT_INDEX,
+    CirculantCoeffs,
     apply_q,
     as_vector4,
-    metric_matrix,
-    q_orbit,
+    metric_eigenvalues,
+    orbit_gram,
     qbase_polynomial,
-    qbase_predicate,
+    qbase_polynomials,
 )
 from .fields import FieldFamilySpec, FieldJet, eval_jet
 
@@ -95,48 +98,66 @@ def _signed_components(codes) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
     return signs, tuple(index.T)
 
 
-_IDENTITY_NAMES = [name for name, _, _ in _IDENTITIES]
+IDENTITY_NAMES = [name for name, _, _ in _IDENTITIES]
 _IDENTITY_LHS = _signed_components([lhs for _, lhs, _ in _IDENTITIES])
 _IDENTITY_RHS = _signed_components([rhs for _, _, rhs in _IDENTITIES])
+SYMMETRY_NAMES = ["antisym_first_pair", "antisym_last_pair", "pair_symmetry", "first_bianchi"]
+# The components rv[a, b, c, d] that seed_checks reads: the six section
+# numerators, then both sides of the identity table.  Only their index
+# pairs (a, b) and (c, d) are projected.
+_READ = np.concatenate([[_SECTION_A, _SECTION_B, _SECTION_A, _SECTION_B], _IDENTITY_LHS[1], _IDENTITY_RHS[1]], axis=1)
+_ROWS, _ROW_OF = np.unique(4 * _READ[0] + _READ[1], return_inverse=True)
+_COLS, _COL_OF = np.unique(4 * _READ[2] + _READ[3], return_inverse=True)
+
+
+def _metric_arrays(coeffs: np.ndarray, grads: np.ndarray, hessians: np.ndarray):
+    """(g, dg, ddg) from jets (..., 3), (..., 3, 4), (..., 3, 4, 4); leading axes kept."""
+    g = coeffs[..., CIRCULANT_INDEX]
+    dg = np.moveaxis(grads[..., CIRCULANT_INDEX, :], -1, -3)
+    ddg = np.moveaxis(hessians[..., CIRCULANT_INDEX, :, :], (-2, -1), (-4, -3))
+    return g, dg, ddg
 
 
 def metric_derivatives(jet: FieldJet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble (g, dg, ddg) arrays from a coefficient-field jet."""
-    g = metric_matrix(jet.value)
-    dg = jet.grads[CIRCULANT_INDEX].transpose(2, 0, 1)
-    ddg = jet.hessians[CIRCULANT_INDEX].transpose(2, 3, 0, 1)
-    return g, dg, ddg
+    return _metric_arrays(np.array(jet.value, dtype=float), jet.grads, jet.hessians)
 
 
-def _connection(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Christoffel symbols gamma[k, i, j] and the (0,4) curvature r[i, j, k, l].
+def _circulant_inverse(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse metrics (..., 4, 4) of generators (..., 3): the circulant matrices whose
+    generators are the inverse DFT of the reciprocal eigenvalues of g (Gray,
+    Toeplitz and Circulant Matrices: A Review, 2006)."""
+    m0, m2, m1, _ = 1.0 / metric_eigenvalues(CirculantCoeffs(*np.moveaxis(coeffs, -1, 0)))
+    return (np.stack([m0 + m2 + 2 * m1, m0 - m2, m0 + m2 - 2 * m1], axis=-1) / 4)[..., CIRCULANT_INDEX]
+
+
+def _connection(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray, ginv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Christoffel symbols gamma[..., k, i, j] and the (0,4) curvature r[..., i, j, k, l].
 
     Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); its derivative
-    d_a Gamma^k_ij differentiates both g^{kl} and the bracket.
+    d_a Gamma^k_ij differentiates both g^{kl} and the bracket.  Leading axes
+    of all arguments are a block of points.
     """
-    ginv = np.linalg.inv(g)
-    bracket = np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
-    dginv = -np.einsum("km,amn,nl->akl", ginv, dg, ginv)
-    dbracket = (
-        np.einsum("aijl->alij", ddg) + np.einsum("ajil->alij", ddg) - ddg
-    )
+    bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
+    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
+    dbracket = np.einsum("...aijl->...alij", ddg) + np.einsum("...ajil->...alij", ddg) - ddg
     dgamma = 0.5 * (
-        np.einsum("akl,lij->akij", dginv, bracket)
-        + np.einsum("kl,alij->akij", ginv, dbracket)
+        np.einsum("...akl,...lij->...akij", dginv, bracket)
+        + np.einsum("...kl,...alij->...akij", ginv, dbracket)
     )
     upper = (
-        np.einsum("jmik->ijkm", dgamma)
-        - np.einsum("imjk->ijkm", dgamma)
-        + np.einsum("mjn,nik->ijkm", gamma, gamma)
-        - np.einsum("min,njk->ijkm", gamma, gamma)
+        np.einsum("...jmik->...ijkm", dgamma)
+        - np.einsum("...imjk->...ijkm", dgamma)
+        + np.einsum("...mjn,...nik->...ijkm", gamma, gamma)
+        - np.einsum("...min,...njk->...ijkm", gamma, gamma)
     )
-    return gamma, np.einsum("lm,ijkm->ijkl", g, upper)
+    return gamma, np.einsum("...lm,...ijkm->...ijkl", g, upper)
 
 
 def riemann_core(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """(0,4) curvature r[i, j, k, l], sphere-positive orientation."""
-    return _connection(g, dg, ddg)[1]
+    """(0,4) curvature r[i, j, k, l] of an arbitrary metric, sphere-positive orientation."""
+    return _connection(g, dg, ddg, np.linalg.inv(g))[1]
 
 
 @dataclass(frozen=True)
@@ -152,7 +173,8 @@ class SectionalReport:
 
     Order: {x,qx}, {x,q2x}, {q3x,x}, {qx,q2x}, {qx,q3x}, {q2x,q3x}.
     equality_residual is the max pairwise spread of mu1, mu3, mu4, mu6;
-    zero_residual is max(|mu2|, |mu5|).
+    zero_residual is max(|mu2|, |mu5|).  From PointGeometry.seed_checks
+    every field carries leading (point, seed) axes.
     """
 
     mu: np.ndarray
@@ -163,109 +185,123 @@ class SectionalReport:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Field jet, metric g, Christoffel symbols gamma[k, i, j] and (0,4)
-    Riemann tensor r[i, j, k, l] at one chart point."""
+    """Geometry at a block of N chart points, each array with a leading N axis:
+    field values coeffs[n] = (A, B, C), their gradients grads[n] (3, 4),
+    metric g[n], Christoffel symbols gamma[n, k, i, j] and (0,4) Riemann
+    tensor r[n, i, j, k, l]."""
 
-    jet: FieldJet
+    coeffs: np.ndarray
+    grads: np.ndarray
     g: np.ndarray
     gamma: np.ndarray
     r: np.ndarray
 
-    def nabla_q_residual(self) -> float:
-        """Max component of the covariant derivative of the affinor.
+    @classmethod
+    def from_jets(cls, jets: Sequence[FieldJet]) -> "PointGeometry":
+        """Metric, connection and curvature of the field jets of N points, in one pass."""
+        coeffs = np.array([jet.value for jet in jets], dtype=float)
+        grads = np.stack([jet.grads for jet in jets])
+        g, dg, ddg = _metric_arrays(coeffs, grads, np.stack([jet.hessians for jet in jets]))
+        gamma, r = _connection(g, dg, ddg, _circulant_inverse(coeffs))
+        return cls(coeffs=coeffs, grads=grads, g=g, gamma=gamma, r=r)
+
+    def nabla_q_residual(self) -> np.ndarray:
+        """(N,) max component of the covariant derivative of the affinor.
 
         (nabla_i q)_j^k = Gamma^k_im q_j^m - Gamma^m_ij q_m^k; the affinor has
-        constant components, so there is no partial-derivative term.
+        constant components, so there is no partial-derivative term.  With
+        q_j^m = 1 exactly for m = j+1 (mod 4) this is
+        Gamma^k_{i,j+1} - Gamma^{k-1}_{ij}.
         """
-        q = Q_MATRIX.astype(float)
-        term1 = np.einsum("kim,jm->ijk", self.gamma, q)
-        term2 = np.einsum("mij,mk->ijk", self.gamma, q)
-        return float(np.max(np.abs(term1 - term2)))
+        diff = self.gamma[..., ORBIT_INDEX[1]] - self.gamma[:, ORBIT_INDEX[3]]
+        return np.max(np.abs(diff), axis=(1, 2, 3))
 
-    def seed_checks(self, x) -> Tuple[SectionalReport, Dict[str, float]]:
-        """q-section curvatures and identity residuals of a q-base seed x.
+    def symmetry_residuals(self) -> np.ndarray:
+        """(N, 4) Riemann symmetry residuals, columns in SYMMETRY_NAMES order."""
+        return _symmetry_table(self.r)
 
-        Both read off rv[a, b, c, d] = R(q^a x, q^b x, q^c x, q^d x) and the
-        Gram matrix gram[a, b] = g(q^a x, q^b x) of the orbit V.  Viewing r
-        as a 16x16 matrix over index pairs, rv = (V (x) V) r (V (x) V)^T.
-        Identity residuals are |lhs - rhs| (or |lhs| for a zero claim)
-        normalized by max(1, |rho|).
+    def seed_checks(self, seeds) -> Tuple[SectionalReport, np.ndarray]:
+        """q-section curvatures and identity residuals of q-base seeds (S, 4).
+
+        Both read off rv[n, s, a, b, c, d] = R(q^a x, q^b x, q^c x, q^d x) at
+        point n for seed x = seeds[s], and the Gram matrices
+        gram[n, s, a, b] = g(q^a x, q^b x).  Viewing r as a 16x16 matrix
+        over index pairs, rv = (V (x) V) r (V (x) V)^T for the orbit basis V
+        of a seed, of which only the rows and columns read are formed.  The
+        report's fields are (N, S, ...) arrays; identity residuals
+        (N, S, 19), in IDENTITY_NAMES order, are |lhs - rhs| (or |lhs| for
+        a zero claim) normalized by max(1, |rho|).
         """
-        x = as_vector4(x)
-        if not qbase_predicate(x):
+        seeds = np.asarray(seeds, dtype=float)
+        if not np.all(qbase_polynomials(seeds) != 0.0):
             raise ValueError("seed vector does not generate a q-base (independence polynomial is zero)")
-        v = q_orbit(x)
-        vv = np.kron(v, v)
-        rv = (vv @ self.r.reshape(16, 16) @ vv.T).reshape(4, 4, 4, 4)
-        gram = v @ self.g @ v.T
+        gram = orbit_gram(self.coeffs[:, None], seeds)
+        v = seeds[:, ORBIT_INDEX]
+        vv = (v[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
+        rv = vv[:, _ROWS] @ self.r.reshape(-1, 1, 16, 16) @ np.swapaxes(vv[:, _COLS], -1, -2)
+        numerators, lhs, rhs = np.split(rv[..., _ROW_OF, _COL_OF], [6, 6 + len(IDENTITY_NAMES)], axis=-1)
 
         a, b = _SECTION_A, _SECTION_B
-        denoms = gram[a, a] * gram[b, b] - gram[a, b] ** 2
-        mu = rv[a, b, a, b] / denoms
-        equal_group = mu[[0, 2, 3, 5]]
+        denoms = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
+        mu = numerators / denoms
+        equal_group = mu[..., [0, 2, 3, 5]]
         sections = SectionalReport(
-            mu=mu,
-            denominators=denoms,
-            equality_residual=float(np.max(equal_group) - np.min(equal_group)),
-            zero_residual=float(max(abs(mu[1]), abs(mu[4]))),
+            mu, denoms, np.ptp(equal_group, axis=-1), np.maximum(np.abs(mu[..., 1]), np.abs(mu[..., 4]))
         )
-
-        (lhs_sign, lhs), (rhs_sign, rhs) = _IDENTITY_LHS, _IDENTITY_RHS
-        norm = max(1.0, abs(float(rv[0, 1, 0, 1])))
-        residuals = np.abs(lhs_sign * rv[lhs] - rhs_sign * rv[rhs]) / norm
-        return sections, dict(zip(_IDENTITY_NAMES, residuals.tolist()))
+        norm = np.maximum(1.0, np.abs(numerators[..., :1]))  # rho = R(x, qx, x, qx)
+        residuals = np.abs(_IDENTITY_LHS[0] * lhs - _IDENTITY_RHS[0] * rhs) / norm
+        return sections, residuals
 
 
 def point_geometry(spec: FieldFamilySpec, p) -> PointGeometry:
-    """Jet, metric, connection and curvature of g at a chart point, in one pass."""
-    jet = eval_jet(spec, p)
-    g, dg, ddg = metric_derivatives(jet)
-    gamma, r = _connection(g, dg, ddg)
-    return PointGeometry(jet=jet, g=g, gamma=gamma, r=r)
+    """Jet, metric, connection and curvature of g at a chart point, as a block of one."""
+    return PointGeometry.from_jets([eval_jet(spec, p)])
+
+
+def _symmetry_table(r: np.ndarray) -> np.ndarray:
+    """Max residuals (N, 4) of the classical symmetries of tensors r (N, 4, 4, 4, 4)."""
+    t = r.transpose
+    terms = (r + t(0, 2, 1, 3, 4), r + t(0, 1, 2, 4, 3), r - t(0, 3, 4, 1, 2), r + t(0, 2, 3, 1, 4) + t(0, 3, 1, 2, 4))
+    return np.stack([np.max(np.abs(term), axis=(1, 2, 3, 4)) for term in terms], axis=1)
 
 
 def symmetry_residuals(r: np.ndarray) -> Dict[str, float]:
     """Max residuals of the four classical Riemann symmetries."""
-    return {
-        "antisym_first_pair": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
-        "antisym_last_pair": float(np.max(np.abs(r + r.transpose(0, 1, 3, 2)))),
-        "pair_symmetry": float(np.max(np.abs(r - r.transpose(2, 3, 0, 1)))),
-        "first_bianchi": float(
-            np.max(np.abs(r + r.transpose(1, 2, 0, 3) + r.transpose(2, 0, 1, 3)))
-        ),
-    }
+    return dict(zip(SYMMETRY_NAMES, _symmetry_table(r[None])[0].tolist()))
 
 
 def christoffel(spec: FieldFamilySpec, p) -> np.ndarray:
     """Christoffel symbols Gamma[k, i, j] of g at a chart point."""
-    return point_geometry(spec, p).gamma
+    return point_geometry(spec, p).gamma[0]
 
 
 def nabla_q_residual(spec: FieldFamilySpec, p) -> float:
     """Max component of nabla q at a chart point (see PointGeometry.nabla_q_residual)."""
-    return point_geometry(spec, p).nabla_q_residual()
+    return float(point_geometry(spec, p).nabla_q_residual()[0])
 
 
 def riemann(spec: FieldFamilySpec, p) -> CurvatureTensor:
     """(0,4) Riemann tensor of g at a chart point."""
-    return CurvatureTensor(r=point_geometry(spec, p).r)
+    return CurvatureTensor(r=point_geometry(spec, p).r[0])
 
 
 def sectional(spec: FieldFamilySpec, p, x, y, denom_tol: float = 1e-12) -> float:
     """Sectional curvature of the 2-section spanned by x and y."""
     geo = point_geometry(spec, p)
+    g = geo.g[0]
     x = as_vector4(x)
     y = as_vector4(y)
-    gxx, gyy, gxy = x @ geo.g @ x, y @ geo.g @ y, x @ geo.g @ y
+    gxx, gyy, gxy = x @ g @ x, y @ g @ y, x @ g @ y
     denom = float(gxx * gyy - gxy**2)
     if denom <= denom_tol * max(1.0, abs(float(gxx * gyy))):
         raise ValueError(f"degenerate 2-section: Gram determinant {denom} below tolerance")
-    return float(np.einsum("ijkl,i,j,k,l->", geo.r, x, y, x, y)) / denom
+    return float(np.einsum("ijkl,i,j,k,l->", geo.r[0], x, y, x, y)) / denom
 
 
 def q_section_curvatures(spec: FieldFamilySpec, p, x) -> SectionalReport:
     """Sectional curvatures of the six sections spanned by q-iterates of x."""
-    return point_geometry(spec, p).seed_checks(x)[0]
+    s, _ = point_geometry(spec, p).seed_checks(as_vector4(x)[None])
+    return SectionalReport(s.mu[0, 0], s.denominators[0, 0], float(s.equality_residual[0, 0]), float(s.zero_residual[0, 0]))
 
 
 def identity_suite(spec: FieldFamilySpec, p, x) -> Dict[str, float]:
@@ -278,13 +314,14 @@ def identity_suite(spec: FieldFamilySpec, p, x) -> Dict[str, float]:
     is |LHS - RHS| (or |value| for a zero claim) normalized by
     max(1, |R(x,qx,x,qx)|).
     """
-    return point_geometry(spec, p).seed_checks(x)[1]
+    _, residuals = point_geometry(spec, p).seed_checks(as_vector4(x)[None])
+    return dict(zip(IDENTITY_NAMES, residuals[0, 0].tolist()))
 
 
 def q_invariance_residual(spec: FieldFamilySpec, p, vectors: Sequence) -> float:
     """Max normalized |R(x,y,q^k z,q^k u) - R(x,y,z,u)| over k = 1, 2, 3."""
     x, y, z, u = (as_vector4(v) for v in vectors)
-    r = point_geometry(spec, p).r
+    r = point_geometry(spec, p).r[0]
     base = float(np.einsum("ijkl,i,j,k,l->", r, x, y, z, u))
     norm = max(1.0, abs(base))
     worst = 0.0

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .algebra import CirculantCoeffs, apply_q, as_vector4
+from .algebra import ORBIT_INDEX, CirculantCoeffs, as_vector4
 
 __all__ = [
     "FieldFamilySpec",
@@ -44,20 +44,29 @@ __all__ = [
     "make_custom_family",
     "coeffs_at",
     "eval_jet",
+    "gradient_residual",
     "parallel_residual",
 ]
 
-ONES = np.ones(4)
 # The two coordinate differences whose span the index shift negates.
 V_DIFF = np.array([1.0, 0.0, -1.0, 0.0])
 W_DIFF = np.array([0.0, 1.0, 0.0, -1.0])
+# Fixed step of the second differences (the gradient step is spec.fd_step).
+FD_HESSIAN_STEP = 1e-4
+_E, _DIAG = np.eye(4), np.arange(4)
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
+# Finite-difference stencil rows: 0 and (+-1/2, +-1) e_i in units of the
+# gradient step; then H (+-e_i) and H (+-e_i +-e_j), i < j, for the Hessians.
+_GRAD_STENCIL = np.concatenate([np.zeros((1, 4)), 0.5 * _E, -0.5 * _E, _E, -_E])
+_EI, _EJ = _E[_PAIR_I], _E[_PAIR_J]
+_HESSIAN_STENCIL = FD_HESSIAN_STEP * np.concatenate([_E, -_E, _EI + _EJ, _EI - _EJ, _EJ - _EI, -_EI - _EJ])
 
 
-def _wave_rt(v: np.ndarray) -> Tuple[float, float]:
-    return float(v @ V_DIFF), float(v @ W_DIFF)
+def _wave_rt(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    return v @ V_DIFF, v @ W_DIFF
 
 
-def _wave_f(eps: float, r: float, t: float) -> float:
+def _wave_f(eps: float, r, t):
     return eps * (np.sin(r) + np.sin(t) / 2.0 + np.sin(r + t) / 3.0)
 
 
@@ -104,18 +113,24 @@ class FieldJet:
     hessians: np.ndarray
 
     def parallel_residual(self) -> float:
-        """Max residual of the gradient form of the parallelism condition.
+        """Max residual of the gradient form of the parallelism condition (see gradient_residual)."""
+        return float(gradient_residual(self.grads))
 
-        The condition equivalent to a covariantly constant affinor is
-        d_i A = d_{i+2} C and d_i B = (d_{i+1} C + d_{i+3} C)/2 (indices mod 4,
-        same shift convention as the vector action; derived by solving
-        nabla q = 0 for the gradients of A and B).  The residual is the max
-        absolute value over the eight scalar equations.
-        """
-        grad_a, grad_b, grad_c = self.grads
-        res_a = grad_a - apply_q(grad_c, 2)
-        res_b = grad_b - 0.5 * (apply_q(grad_c, 1) + apply_q(grad_c, 3))
-        return float(max(np.max(np.abs(res_a)), np.max(np.abs(res_b))))
+
+def gradient_residual(grads: np.ndarray) -> np.ndarray:
+    """Max residual of the gradient form of the parallelism condition.
+
+    The condition equivalent to a covariantly constant affinor is
+    d_i A = d_{i+2} C and d_i B = (d_{i+1} C + d_{i+3} C)/2 (indices mod 4,
+    same shift convention as the vector action; derived by solving
+    nabla q = 0 for the gradients of A and B).  For gradients (..., 3, 4)
+    the residual is the max absolute value over the eight scalar equations,
+    one per leading index.
+    """
+    grad_a, grad_b, grad_c = np.moveaxis(grads, -2, 0)
+    res_a = grad_a - grad_c[..., ORBIT_INDEX[2]]
+    res_b = grad_b - 0.5 * (grad_c[..., ORBIT_INDEX[1]] + grad_c[..., ORBIT_INDEX[3]])
+    return np.maximum(np.max(np.abs(res_a), axis=-1), np.max(np.abs(res_b), axis=-1))
 
 
 def _check_chain(bounds, context: str) -> None:
@@ -174,92 +189,63 @@ def make_custom_family(value_fn, grad_fn, hess_fn) -> FieldFamilySpec:
     )
 
 
-def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
-    """Field values (A, B, C) at a chart point (no admissibility check)."""
-    v = as_vector4(p)
+def _values(spec: FieldFamilySpec, pts: np.ndarray) -> np.ndarray:
+    """Field values (..., 3) of (A, B, C) at chart points (..., 4)."""
+    shape = pts.shape[:-1]
     if spec.family == "constant":
-        return CirculantCoeffs(*spec.params)
+        return np.broadcast_to(np.array(spec.params), shape + (3,))
     if spec.family == "s_wave":
         c0, eps, a0, b0 = spec.params
-        f = _wave_f(eps, *_wave_rt(v))
-        return CirculantCoeffs(a0 - f, b0, c0 + f)
+        f = _wave_f(eps, *_wave_rt(pts))
+        return np.stack([a0 - f, np.full(shape, b0), c0 + f], axis=-1)
     if spec.family == "control":
         a0, kappa, b0, c0 = spec.params
-        return CirculantCoeffs(a0 + kappa * np.sin(v[0]), b0, c0)
-    return CirculantCoeffs(*spec.value_fn(v))
+        return np.stack([a0 + kappa * np.sin(pts[..., 0]), np.full(shape, b0), np.full(shape, c0)], axis=-1)
+    return np.asarray(spec.value_fn(pts), dtype=float)  # custom: single points only
 
 
-def _analytic_grads(spec: FieldFamilySpec, v: np.ndarray) -> np.ndarray:
-    if spec.family == "constant":
-        return np.zeros((3, 4))
+def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
+    """Field values (A, B, C) at a chart point (no admissibility check)."""
+    return CirculantCoeffs(*_values(spec, as_vector4(p)).tolist())
+
+
+def _analytic_derivatives(spec: FieldFamilySpec, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    if spec.family == "custom":
+        return np.asarray(spec.grad_fn(v), dtype=float), np.asarray(spec.hess_fn(v), dtype=float)
+    grads = np.zeros((3, 4))
+    hessians = np.zeros((3, 4, 4))
     if spec.family == "s_wave":
-        c0, eps, a0, b0 = spec.params
-        df = _wave_df(eps, *_wave_rt(v))
-        return np.stack([-df, np.zeros(4), df])
-    if spec.family == "control":
+        _, eps, _, _ = spec.params
+        r, t = _wave_rt(v)
+        grads[2] = _wave_df(eps, r, t)
+        grads[0] = -grads[2]
+        hessians[2] = _wave_ddf(eps, r, t)
+        hessians[0] = -hessians[2]
+    elif spec.family == "control":
         _, kappa, _, _ = spec.params
-        g = np.zeros((3, 4))
-        g[0, 0] = kappa * np.cos(v[0])
-        return g
-    return np.asarray(spec.grad_fn(v), dtype=float)
+        grads[0, 0] = kappa * np.cos(v[0])
+        hessians[0, 0, 0] = -kappa * np.sin(v[0])
+    return grads, hessians
 
 
-def _analytic_hessians(spec: FieldFamilySpec, v: np.ndarray) -> np.ndarray:
-    if spec.family == "constant":
-        return np.zeros((3, 4, 4))
-    if spec.family == "s_wave":
-        c0, eps, a0, b0 = spec.params
-        ddf = _wave_ddf(eps, *_wave_rt(v))
-        return np.stack([-ddf, np.zeros((4, 4)), ddf])
-    if spec.family == "control":
-        _, kappa, _, _ = spec.params
-        h = np.zeros((3, 4, 4))
-        h[0, 0, 0] = -kappa * np.sin(v[0])
-        return h
-    return np.asarray(spec.hess_fn(v), dtype=float)
-
-
-def _fd_grads(spec: FieldFamilySpec, v: np.ndarray) -> np.ndarray:
-    """Central differences with one Richardson extrapolation level."""
-
-    def central(h):
-        cols = []
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = h
-            fp = np.array(coeffs_at(spec, v + e))
-            fm = np.array(coeffs_at(spec, v - e))
-            cols.append((fp - fm) / (2 * h))
-        return np.stack(cols, axis=1)  # (3, 4)
-
-    h = spec.fd_step
-    return (4.0 * central(h / 2) - central(h)) / 3.0
-
-
-def _fd_hessians(spec: FieldFamilySpec, v: np.ndarray) -> np.ndarray:
-    """Nested central second differences; symmetrized."""
-    h = 1e-4
-    hess = np.zeros((3, 4, 4))
-    f0 = np.array(coeffs_at(spec, v))
-    for i in range(4):
-        ei = np.zeros(4)
-        ei[i] = h
-        for j in range(i, 4):
-            ej = np.zeros(4)
-            ej[j] = h
-            if i == j:
-                fp = np.array(coeffs_at(spec, v + ei))
-                fm = np.array(coeffs_at(spec, v - ei))
-                d2 = (fp - 2 * f0 + fm) / h**2
-            else:
-                fpp = np.array(coeffs_at(spec, v + ei + ej))
-                fpm = np.array(coeffs_at(spec, v + ei - ej))
-                fmp = np.array(coeffs_at(spec, v - ei + ej))
-                fmm = np.array(coeffs_at(spec, v - ei - ej))
-                d2 = (fpp - fpm - fmp + fmm) / (4 * h**2)
-            hess[:, i, j] = d2
-            hess[:, j, i] = d2
-    return hess
+def _fd_derivatives(spec: FieldFamilySpec, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Central differences with one Richardson level for the gradients (step
+    spec.fd_step) and nested central second differences for the Hessians
+    (step FD_HESSIAN_STEP), all read off one evaluation of the stencil."""
+    h, k = spec.fd_step, FD_HESSIAN_STEP
+    f = _values(spec, v + np.concatenate([h * _GRAD_STENCIL, _HESSIAN_STENCIL]))
+    half_p, half_m, full_p, full_m = f[1:17].reshape(4, 4, 3)
+    hp, hm = f[17:25].reshape(2, 4, 3)
+    pp, pm, mp, mm = f[25:].reshape(4, 6, 3)
+    central_half = (half_p - half_m) / (2 * (h / 2))
+    central_full = (full_p - full_m) / (2 * h)
+    grads = ((4.0 * central_half - central_full) / 3.0).T
+    hessians = np.empty((3, 4, 4))
+    hessians[:, _DIAG, _DIAG] = ((hp - 2 * f[0] + hm) / k**2).T
+    off = ((pp - pm - mp + mm) / (4 * k**2)).T
+    hessians[:, _PAIR_I, _PAIR_J] = off
+    hessians[:, _PAIR_J, _PAIR_I] = off
+    return grads, hessians
 
 
 def eval_jet(spec: FieldFamilySpec, p) -> FieldJet:
@@ -278,14 +264,12 @@ def eval_jet(spec: FieldFamilySpec, p) -> FieldJet:
     if not c < a:
         raise ValueError(f"inadmissible at {v.tolist()}: C = {c}, A = {a} (need C < A)")
     if spec.derivative_mode == "analytic":
-        grads = _analytic_grads(spec, v)
-        hessians = _analytic_hessians(spec, v)
+        grads, hessians = _analytic_derivatives(spec, v)
     else:
-        grads = _fd_grads(spec, v)
-        hessians = _fd_hessians(spec, v)
+        grads, hessians = _fd_derivatives(spec, v)
     return FieldJet(value=value, grads=grads, hessians=hessians)
 
 
 def parallel_residual(spec: FieldFamilySpec, p) -> float:
-    """Gradient-form parallelism residual at a chart point (see FieldJet.parallel_residual)."""
+    """Gradient-form parallelism residual at a chart point (see gradient_residual)."""
     return eval_jet(spec, p).parallel_residual()

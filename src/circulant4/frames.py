@@ -18,17 +18,17 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import CirculantCoeffs, is_admissible, metric_matrix, q_orbit
+from .algebra import CirculantCoeffs, as_vector4, is_admissible, orbit_gram, q_orbit
 
 __all__ = [
     "QFrame",
     "FrameResidual",
     "ClosedFormFrameReport",
     "spectral_frame",
+    "spectral_frame_residuals",
     "closed_form_frame",
     "verify_frame",
 ]
-
 
 @dataclass(frozen=True)
 class QFrame:
@@ -67,9 +67,30 @@ class ClosedFormFrameReport:
 
 def verify_frame(c: CirculantCoeffs, seed) -> FrameResidual:
     """Gram matrix of {seed, q seed, q^2 seed, q^3 seed} under g(c)."""
-    orbit = q_orbit(seed)
-    gram = orbit @ metric_matrix(c) @ orbit.T
+    gram = orbit_gram(np.array(c, dtype=float), as_vector4(seed))
     return FrameResidual(gram=gram, max_deviation=float(np.max(np.abs(gram - np.eye(4)))))
+
+
+def _spectral_seeds(coeffs: np.ndarray) -> np.ndarray:
+    """spectral_frame seeds (..., 4) of generator rows (..., 3); no admissibility check."""
+    a, b, cc = np.moveaxis(coeffs, -1, 0)
+    lam0 = 4.0 * (a + cc + 2.0 * b)
+    lam2 = 4.0 * (a + cc - 2.0 * b)
+    alpha = 1.0 / (2.0 * np.sqrt(lam0))
+    beta = 1.0 / (2.0 * np.sqrt(lam2))
+    s = 1.0 / (2.0 * np.sqrt(a - cc))
+    return (
+        alpha[..., None] * np.array([1.0, 1.0, 1.0, 1.0])
+        + beta[..., None] * np.array([1.0, -1.0, 1.0, -1.0])
+        + s[..., None] * np.array([1.0, 0.0, -1.0, 0.0])
+    )
+
+
+def spectral_frame_residuals(coeffs: np.ndarray) -> np.ndarray:
+    """Max Gram deviation from the identity of the spectral frame of each
+    admissible generator row (..., 3), as verify_frame(c, spectral_frame(c).seed)."""
+    gram = orbit_gram(coeffs, _spectral_seeds(coeffs))
+    return np.max(np.abs(gram - np.eye(4)), axis=(-2, -1))
 
 
 def spectral_frame(c: CirculantCoeffs) -> QFrame:
@@ -82,17 +103,7 @@ def spectral_frame(c: CirculantCoeffs) -> QFrame:
     c = CirculantCoeffs(*c)
     if not is_admissible(c):
         raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A")
-    a, b, cc = c
-    lam0 = 4.0 * (a + cc + 2.0 * b)
-    lam2 = 4.0 * (a + cc - 2.0 * b)
-    alpha = 1.0 / (2.0 * math.sqrt(lam0))
-    beta = 1.0 / (2.0 * math.sqrt(lam2))
-    s = 1.0 / (2.0 * math.sqrt(a - cc))
-    seed = (
-        alpha * np.array([1.0, 1.0, 1.0, 1.0])
-        + beta * np.array([1.0, -1.0, 1.0, -1.0])
-        + s * np.array([1.0, 0.0, -1.0, 0.0])
-    )
+    seed = _spectral_seeds(np.array(c, dtype=float))
     return QFrame(seed=seed, vectors=q_orbit(seed), coeffs=c)
 
 

@@ -25,13 +25,14 @@ import numpy as np
 
 from . import __version__
 from .algebra import qbase_predicate
-from .curvature import PointGeometry, point_geometry, random_qbase_seeds, symmetry_residuals
-from .fields import FieldFamilySpec, make_family
-from .frames import spectral_frame, verify_frame
+from .curvature import IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
+from .fields import FieldFamilySpec, eval_jet, gradient_residual, make_family
+from .frames import spectral_frame_residuals
 
 __all__ = ["ConfigError", "RunConfig", "run_verify", "report_to_csv", "report_json"]
 
 DEFAULT_TOLERANCES = {"frame_tol": 1e-12, "curvature_tol": 1e-9, "section_tol": 1e-6}
+_CONFIG_KEYS = ("family", "points", "grid", "seeds", "rng_seed", "tolerances", "derivative_mode", "output")
 
 
 class ConfigError(ValueError):
@@ -50,6 +51,9 @@ class RunConfig:
     def __init__(self, raw: Dict[str, Any]):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        unknown = [key for key in raw if key not in _CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r} (known: {', '.join(_CONFIG_KEYS)})")
         self.raw = raw
         fam = raw.get("family")
         if not isinstance(fam, dict) or "name" not in fam or "params" not in fam:
@@ -66,12 +70,15 @@ class RunConfig:
         self.rng_seed: Optional[int] = raw.get("rng_seed")
         self.seeds = self._parse_seeds(raw)
 
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(raw.get("tolerances", {}))
-        for name, value in tol.items():
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance {name!r} must be a positive number, got {value!r}")
-        self.tolerances = tol
+        given = raw.get("tolerances", {})
+        if not isinstance(given, dict):
+            raise ConfigError("'tolerances' must be an object")
+        for name, value in given.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance 'tolerances.{name}' (known: {', '.join(DEFAULT_TOLERANCES)})")
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0):
+                raise ConfigError(f"tolerance 'tolerances.{name}' must be a positive number, got {value!r}")
+        self.tolerances = {**DEFAULT_TOLERANCES, **given}
 
         out = raw.get("output", {})
         self.output_format = out.get("format", "json")
@@ -85,6 +92,9 @@ class RunConfig:
             pts = np.asarray(raw["points"], dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 4:
                 raise ConfigError("'points' must be a list of 4-coordinate lists")
+            bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
+            if bad.size:
+                raise ConfigError(f"points[{bad[0]}] = {pts[bad[0]].tolist()} is not finite")
             return pts
         if "grid" in raw:
             grid = raw["grid"]
@@ -92,10 +102,13 @@ class RunConfig:
                 lo = [float(v) for v in grid["min"]]
                 hi = [float(v) for v in grid["max"]]
                 count = [int(v) for v in grid["count"]]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError("'grid' needs per-axis 'min', 'max', 'count'") from exc
             if not (len(lo) == len(hi) == len(count) == 4):
                 raise ConfigError("'grid' min/max/count must each have 4 entries")
+            for key, bounds in (("min", lo), ("max", hi)):
+                if not np.all(np.isfinite(bounds)):
+                    raise ConfigError(f"grid.{key} = {bounds} is not finite")
             if any(n < 1 for n in count):
                 raise ConfigError("'grid' counts must be >= 1")
             axes = [np.linspace(lo[i], hi[i], count[i]) for i in range(4)]
@@ -139,44 +152,58 @@ class RunConfig:
         return cls(raw)
 
 
-def _point_record(geo: PointGeometry, frame_tol: float) -> Dict[str, Any]:
-    c = geo.jet.value
-    frame = spectral_frame(c)
-    return {
-        "coeffs": {"A": c.a, "B": c.b, "C": c.c},
-        "parallel_residual": geo.jet.parallel_residual(),
-        "nabla_q_residual": geo.nabla_q_residual(),
-        "symmetry_residuals": symmetry_residuals(geo.r),
-        "frame_residual": verify_frame(c, frame.seed).max_deviation,
-        "frame_tolerance": frame_tol * (1.0 + c.a),
-    }
+# Points per geometry block: at most 64, and at most 4096 (point, seed)
+# pairs, so the orbit projections of a block (about 1 kB per pair) stay
+# within a few MB however many seeds a config draws, with few numpy calls.
+_BLOCK_POINTS, _BLOCK_PAIRS = 64, 4096
+
+
+def _point_records(geo: PointGeometry, frame_tol: float) -> List[Dict[str, Any]]:
+    """Point-level record fields for each point of a geometry block."""
+    rows = zip(geo.coeffs.tolist(), gradient_residual(geo.grads).tolist(), geo.nabla_q_residual().tolist(),
+               geo.symmetry_residuals().tolist(), spectral_frame_residuals(geo.coeffs).tolist())
+    return [{
+        "coeffs": {"A": a, "B": b, "C": c},
+        "parallel_residual": parallel,
+        "nabla_q_residual": nabla_q,
+        "symmetry_residuals": dict(zip(SYMMETRY_NAMES, symmetry)),
+        "frame_residual": frame,
+        "frame_tolerance": frame_tol * (1.0 + a),
+    } for (a, b, c), parallel, nabla_q, symmetry, frame in rows]
 
 
 def run_verify(config: RunConfig) -> Dict[str, Any]:
     """Run the full verification pipeline and assemble the report.
 
-    Each point's geometry is computed once and shared by its point record
-    and all of its seeds; records are assembled in deterministic order.  If
-    an output path is configured the report is also written there.
+    Points are evaluated in blocks: each point's jet is computed once, and
+    the block's connection, curvature and all seed-level checks are array
+    operations shared by its point records and all of their seeds.  Records
+    are assembled in deterministic (point, seed) order.  If an output path
+    is configured the report is also written there.
     """
     tol = config.tolerances
+    seeds = config.seeds.tolist()
     records: List[Dict[str, Any]] = []
-    for pi, point in enumerate(config.points):
-        geo = point_geometry(config.family, point)
-        base = _point_record(geo, tol["frame_tol"])
-        for si, seed in enumerate(config.seeds):
-            sect, identities = geo.seed_checks(seed)
-            records.append({
-                "point_index": pi,
-                "seed_index": si,
-                "point": [float(v) for v in point],
-                "seed": [float(v) for v in seed],
-                **base,
-                "mu": [float(m) for m in sect.mu],
-                "equality_residual": sect.equality_residual,
-                "zero_residual": sect.zero_residual,
-                "identity_residuals": identities,
-            })
+    size = max(1, min(_BLOCK_POINTS, _BLOCK_PAIRS // len(seeds)))
+    for start in range(0, len(config.points), size):
+        block = config.points[start:start + size]
+        geo = PointGeometry.from_jets([eval_jet(config.family, p) for p in block])
+        sections, identities = geo.seed_checks(config.seeds)
+        per_point = zip(block.tolist(), _point_records(geo, tol["frame_tol"]), sections.mu.tolist(),
+                        sections.equality_residual.tolist(), sections.zero_residual.tolist(), identities.tolist())
+        for pi, (point, base, mu, equality, zero, identity) in enumerate(per_point, start):
+            for si, seed in enumerate(seeds):
+                records.append({
+                    "point_index": pi,
+                    "seed_index": si,
+                    "point": point,
+                    "seed": seed,
+                    **base,
+                    "mu": mu[si],
+                    "equality_residual": equality[si],
+                    "zero_residual": zero[si],
+                    "identity_residuals": dict(zip(IDENTITY_NAMES, identity[si])),
+                })
 
     max_parallel = max(r["parallel_residual"] for r in records)
     max_nabla_q = max(r["nabla_q_residual"] for r in records)

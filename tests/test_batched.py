@@ -1,0 +1,253 @@
+"""The block pass over points and seeds against per-point evaluation."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circulant4 import (
+    RunConfig,
+    identity_suite,
+    make_custom_family,
+    make_family,
+    metric_eigenvalues,
+    metric_matrix,
+    nabla_q_residual,
+    parallel_residual,
+    q_section_curvatures,
+    qbase_polynomial,
+    riemann,
+    run_verify,
+    spectral_frame,
+    verify_frame,
+)
+from circulant4.curvature import (
+    IDENTITY_NAMES,
+    SYMMETRY_NAMES,
+    PointGeometry,
+    _circulant_inverse,
+    symmetry_residuals,
+)
+from circulant4.fields import coeffs_at, eval_jet, gradient_residual
+from circulant4.frames import spectral_frame_residuals
+from circulant4 import reporting
+from circulant4.reporting import _BLOCK_POINTS
+from conftest import random_admissible
+
+S_WAVE = (2.0, 0.1, 3.0, 1.0)
+CONTROL = (3.0, 0.1, 1.0, 2.0)
+
+_coord = st.floats(-2.0, 2.0, allow_nan=False)
+_point = st.tuples(_coord, _coord, _coord, _coord)
+_seed_coord = st.floats(-1.0, 1.0, allow_nan=False)
+_seed = st.tuples(_seed_coord, _seed_coord, _seed_coord, _seed_coord).filter(
+    lambda x: abs(qbase_polynomial(x)) >= 1e-3
+)
+
+
+def _close(value, expected, rel=1e-13):
+    return np.all(np.abs(np.asarray(value) - expected) <= rel * np.maximum(1.0, np.abs(expected)))
+
+
+def _scalar_record(spec, point, seed):
+    """The per-(point, seed) values of a verify record, from the scalar API."""
+    c = coeffs_at(spec, point)
+    sections = q_section_curvatures(spec, point, seed)
+    return {
+        "coeffs": list(c),
+        "parallel_residual": parallel_residual(spec, point),
+        "nabla_q_residual": nabla_q_residual(spec, point),
+        "symmetry_residuals": list(symmetry_residuals(riemann(spec, point).r).values()),
+        "frame_residual": verify_frame(c, spectral_frame(c).seed).max_deviation,
+        "mu": list(sections.mu),
+        "equality_residual": sections.equality_residual,
+        "zero_residual": sections.zero_residual,
+        "identity_residuals": list(identity_suite(spec, point, seed).values()),
+    }
+
+
+class TestBlockAgainstScalar:
+    @pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL)])
+    @settings(max_examples=25, deadline=None)
+    @given(points=st.lists(_point, min_size=1, max_size=5), seeds=st.lists(_seed, min_size=1, max_size=3))
+    def test_block_matches_per_point_views(self, name, params, points, seeds):
+        spec = make_family(name, params)
+        geo = PointGeometry.from_jets([eval_jet(spec, p) for p in points])
+        sections, identities = geo.seed_checks(seeds)
+        symmetry = geo.symmetry_residuals()
+        frame = spectral_frame_residuals(geo.coeffs)
+        assert sections.mu.shape == (len(points), len(seeds), 6)
+        assert identities.shape == (len(points), len(seeds), len(IDENTITY_NAMES))
+        for n, p in enumerate(points):
+            for s, x in enumerate(seeds):
+                expected = _scalar_record(spec, p, x)
+                assert _close(geo.coeffs[n], expected["coeffs"])
+                assert _close(gradient_residual(geo.grads)[n], expected["parallel_residual"])
+                assert _close(geo.nabla_q_residual()[n], expected["nabla_q_residual"])
+                assert _close(symmetry[n], expected["symmetry_residuals"])
+                assert _close(frame[n], expected["frame_residual"])
+                assert _close(sections.mu[n, s], expected["mu"])
+                assert _close(sections.equality_residual[n, s], expected["equality_residual"])
+                assert _close(sections.zero_residual[n, s], expected["zero_residual"])
+                assert _close(identities[n, s], expected["identity_residuals"])
+
+    @pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL)])
+    def test_run_verify_across_a_block_boundary(self, name, params):
+        # 67 points: one full block and a partial one, so records 128..133
+        # (points 64..66) come from the second block.
+        rng = np.random.default_rng(71)
+        n_points = _BLOCK_POINTS + 3
+        cfg = {
+            "family": {"name": name, "params": list(params)},
+            "points": rng.uniform(-2, 2, size=(n_points, 4)).tolist(),
+            "seeds": "random:2",
+            "rng_seed": 72,
+        }
+        config = RunConfig(cfg)
+        records = run_verify(config)["records"]
+        assert [(r["point_index"], r["seed_index"]) for r in records] == [
+            (i, j) for i in range(n_points) for j in range(2)
+        ]
+        for r in records[2 * (_BLOCK_POINTS - 2):]:
+            expected = _scalar_record(config.family, r["point"], r["seed"])
+            assert r["point"] == cfg["points"][r["point_index"]]
+            assert _close([r["coeffs"][k] for k in "ABC"], expected["coeffs"])
+            assert list(r["symmetry_residuals"]) == SYMMETRY_NAMES
+            assert list(r["identity_residuals"]) == IDENTITY_NAMES
+            for key in ("parallel_residual", "nabla_q_residual", "frame_residual", "mu",
+                        "equality_residual", "zero_residual"):
+                assert _close(r[key], expected[key]), key
+            assert _close(list(r["symmetry_residuals"].values()), expected["symmetry_residuals"])
+            assert _close(list(r["identity_residuals"].values()), expected["identity_residuals"])
+
+    def test_block_shrinks_with_the_seed_count(self, monkeypatch):
+        # With at most 6 (point, seed) pairs per block, 3 seeds give blocks
+        # of 2 points; the records must not depend on the blocking.
+        cfg = {
+            "family": {"name": "s_wave", "params": list(S_WAVE)},
+            "points": np.random.default_rng(76).uniform(-2, 2, size=(7, 4)).tolist(),
+            "seeds": "random:3",
+            "rng_seed": 77,
+        }
+        whole = run_verify(RunConfig(cfg))["records"]
+        blocks = []
+        original = PointGeometry.from_jets.__func__
+
+        def counting(cls, jets):
+            blocks.append(len(jets))
+            return original(cls, jets)
+
+        monkeypatch.setattr(reporting, "_BLOCK_PAIRS", 6)
+        monkeypatch.setattr(PointGeometry, "from_jets", classmethod(counting))
+        split = run_verify(RunConfig(cfg))["records"]
+        assert blocks == [2, 2, 2, 1]
+        assert [list(r) for r in split] == [list(r) for r in whole]
+        for a, b in zip(split, whole):
+            assert _close(a["mu"], b["mu"]) and _close(list(a["identity_residuals"].values()),
+                                                      list(b["identity_residuals"].values()))
+
+
+def _loop_fd_jet(spec, v):
+    """Reference: the finite-difference jet as one scalar coeffs_at call per stencil point."""
+    v = np.asarray(v, dtype=float)
+
+    def f(p):
+        return np.array(coeffs_at(spec, p))
+
+    def central(h):
+        cols = []
+        for i in range(4):
+            e = np.zeros(4)
+            e[i] = h
+            cols.append((f(v + e) - f(v - e)) / (2 * h))
+        return np.stack(cols, axis=1)
+
+    h = spec.fd_step
+    grads = (4.0 * central(h / 2) - central(h)) / 3.0
+    k = 1e-4
+    hess = np.zeros((3, 4, 4))
+    f0 = f(v)
+    for i in range(4):
+        ei = np.zeros(4)
+        ei[i] = k
+        for j in range(i, 4):
+            ej = np.zeros(4)
+            ej[j] = k
+            if i == j:
+                d2 = (f(v + ei) - 2 * f0 + f(v - ei)) / k**2
+            else:
+                d2 = (f(v + ei + ej) - f(v + ei - ej) - f(v - ei + ej) + f(v - ei - ej)) / (4 * k**2)
+            hess[:, i, j] = d2
+            hess[:, j, i] = d2
+    return grads, hess
+
+
+class TestFiniteDifferenceJet:
+    @pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL)])
+    @pytest.mark.parametrize("fd_step", [1e-5, 3e-4])
+    def test_bit_identical_to_scalar_stencil_loop(self, name, params, fd_step):
+        spec = make_family(name, params, derivative_mode="finite_difference", fd_step=fd_step)
+        rng = np.random.default_rng(73)
+        for p in list(rng.uniform(-3, 3, size=(200, 4))) + [np.zeros(4), np.array([-0.0, 1.0, -0.0, 2.5])]:
+            jet = eval_jet(spec, p)
+            grads, hess = _loop_fd_jet(spec, p)
+            assert np.array_equal(jet.grads, grads)
+            assert np.array_equal(jet.hessians, hess)
+
+
+def _exact_inverse(g):
+    """Gauss-Jordan inverse in exact rational arithmetic."""
+    n = len(g)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    return np.array([[float(x) for x in row[n:]] for row in m])
+
+
+class TestCirculantInverse:
+    def test_matches_lu_inverse(self):
+        # np.linalg.inv is accurate to about eps * cond(g), so the
+        # tolerance scales with the condition number.
+        rng = np.random.default_rng(74)
+        coeffs = [random_admissible(rng) for _ in range(2000)]
+        ours = _circulant_inverse(np.array(coeffs))
+        for c, inv in zip(coeffs, ours):
+            lam = metric_eigenvalues(c)
+            lu = np.linalg.inv(metric_matrix(c))
+            assert np.max(np.abs(inv - lu)) <= 1e-14 * (lam.max() / lam.min()) * np.max(np.abs(lu))
+
+    def test_matches_exact_rational_inverse(self):
+        rng = np.random.default_rng(75)
+        for _ in range(100):
+            c = random_admissible(rng)
+            exact = _exact_inverse(metric_matrix(c).tolist())
+            ours = _circulant_inverse(np.array(c))
+            assert np.max(np.abs(ours - exact)) <= 1e-15 * np.max(np.abs(exact))
+
+
+class TestInadmissiblePointInBlock:
+    def test_error_names_the_offending_point(self):
+        # A = 3 - x1 breaks C < A from x1 = 1 on; the sixth of ten points is the first there.
+        spec = make_custom_family(
+            lambda p: (3.0 - p[0], 1.0, 2.0),
+            lambda p: np.zeros((3, 4)),
+            lambda p: np.zeros((3, 4, 4)),
+        )
+        points = [[0.1 * i, 0.0, 0.0, 0.0] for i in range(5)] + [[1.5, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]
+        points += [[0.0, 0.1 * i, 0.0, 0.0] for i in range(3)]
+        config = RunConfig({
+            "family": {"name": "constant", "params": [3.0, 1.0, 2.0]},
+            "points": points,
+            "seeds": [[1.0, 0.0, 0.0, 0.0]],
+        })
+        config.family = spec
+        with pytest.raises(ValueError) as info:
+            run_verify(config)
+        assert str(info.value) == "inadmissible at [1.5, 0.0, 0.0, 0.0]: C = 2.0, A = 1.5 (need C < A)"

@@ -130,3 +130,29 @@ class TestSeedValidationExitCode:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         assert "config error: seeds" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParseTimeValidationExitCode:
+    @pytest.mark.parametrize("overrides,field", [
+        ({"points": [[0.0, 0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0, 0.0]]}, "points[1]"),
+        ({"tolerances": {"section_tol": True}}, "tolerances.section_tol"),
+        ({"tolerances": {"sectoin_tol": 1e-9}}, "tolerances.sectoin_tol"),
+        ({"tolernces": {"section_tol": 1e-9}}, "tolernces"),
+    ])
+    def test_bad_config_exits_2_before_any_work(self, tmp_path, capsys, overrides, field):
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not out.exists()
+
+    def test_non_finite_grid_exits_2(self, tmp_path, capsys):
+        grid = {"min": [float("-inf"), 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 1, 1, 1]}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]},
+            "grid": grid, "seeds": "random:1", "rng_seed": 7,
+        }))
+        assert main(["verify", "--config", str(path)]) == 2
+        assert "grid.min" in capsys.readouterr().err

@@ -142,3 +142,49 @@ class TestOneGeometryPassPerPoint:
         config = RunConfig(base_config())
         run_verify(config)
         assert len(calls) == len(config.points) == len(set(calls))
+
+
+class TestParseTimeValidation:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_point_rejected(self, bad):
+        points = [[0.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.0, bad, 0.0, 0.0]]
+        with pytest.raises(ConfigError, match=r"points\[2\]"):
+            RunConfig(base_config(points=points))
+
+    @pytest.mark.parametrize("key", ["min", "max"])
+    def test_non_finite_grid_bound_rejected(self, key):
+        cfg = base_config()
+        del cfg["points"]
+        cfg["grid"] = {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 2, 1, 1]}
+        cfg["grid"][key][1] = float("inf")
+        with pytest.raises(ConfigError, match=rf"grid\.{key}"):
+            RunConfig(cfg)
+
+    def test_boolean_tolerance_rejected(self):
+        with pytest.raises(ConfigError, match=r"tolerances\.section_tol"):
+            RunConfig(base_config(tolerances={"section_tol": True}))
+
+    def test_unknown_tolerance_rejected(self):
+        with pytest.raises(ConfigError, match=r"tolerances\.sectoin_tol"):
+            RunConfig(base_config(tolerances={"sectoin_tol": 1e-9}))
+
+    def test_unknown_top_level_key_rejected(self):
+        cfg = base_config()
+        cfg["tolernces"] = {"section_tol": 1e-9}
+        with pytest.raises(ConfigError, match="tolernces"):
+            RunConfig(cfg)
+
+    def test_every_documented_key_accepted(self):
+        cfg = base_config(
+            tolerances={"frame_tol": 1e-12, "curvature_tol": 1e-9, "section_tol": 1e-6},
+            output={"format": "json"},
+        )
+        config = RunConfig(cfg)
+        assert config.tolerances["section_tol"] == 1e-6
+
+    def test_infinite_grid_count_rejected(self):
+        cfg = base_config()
+        del cfg["points"]
+        cfg["grid"] = {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 2, 1, float("inf")]}
+        with pytest.raises(ConfigError, match="grid"):
+            RunConfig(cfg)
