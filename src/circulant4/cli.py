@@ -149,9 +149,13 @@ def _cmd_curvature(args) -> int:
         mode = "finite_difference" if args.mode == "fd" else args.mode
         config.family = dataclasses.replace(config.family, derivative_mode=mode)
     if args.point:
-        config.points = np.array([_parse_tuple(args.point, 4, "--point")])
+        point = np.array(_parse_tuple(args.point, 4, "--point"))
+        RunConfig.check_point(point, "--point")
+        config.points = point[None]
     if args.seed_vector:
-        config.seeds = np.array([_parse_tuple(args.seed_vector, 4, "--seed-vector")])
+        seed = np.array(_parse_tuple(args.seed_vector, 4, "--seed-vector"))
+        RunConfig.check_seed(seed, "--seed-vector")
+        config.seeds = seed[None]
     config.output_path = None  # the regrouping below is the output, not the verify report
     points = []
     for rec in run_verify(config)["records"]:

@@ -15,11 +15,9 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -51,13 +49,12 @@ class RunConfig:
     def __init__(self, raw: Dict[str, Any]):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = [key for key in raw if key not in _CONFIG_KEYS]
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r} (known: {', '.join(_CONFIG_KEYS)})")
+        _check_keys(raw, _CONFIG_KEYS)
         self.raw = raw
         fam = raw.get("family")
         if not isinstance(fam, dict) or "name" not in fam or "params" not in fam:
             raise ConfigError("config field 'family' must be {\"name\": ..., \"params\": [...]}")
+        _check_keys(fam, ("name", "params"), "family.")
         mode = raw.get("derivative_mode", "analytic")
         if mode == "fd":
             mode = "finite_difference"
@@ -73,28 +70,45 @@ class RunConfig:
         given = raw.get("tolerances", {})
         if not isinstance(given, dict):
             raise ConfigError("'tolerances' must be an object")
+        _check_keys(given, tuple(DEFAULT_TOLERANCES), "tolerances.")
         for name, value in given.items():
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance 'tolerances.{name}' (known: {', '.join(DEFAULT_TOLERANCES)})")
             if isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0):
                 raise ConfigError(f"tolerance 'tolerances.{name}' must be a positive number, got {value!r}")
         self.tolerances = {**DEFAULT_TOLERANCES, **given}
 
         out = raw.get("output", {})
+        if not isinstance(out, dict):
+            raise ConfigError(f"'output' must be an object {{\"format\": ..., \"path\": ...}}, got {out!r}")
+        _check_keys(out, ("format", "path"), "output.")
         self.output_format = out.get("format", "json")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"output.format must be 'json' or 'csv', got {self.output_format!r}")
         self.output_path = out.get("path")
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ConfigError(f"output.path must be a file path string, got {self.output_path!r}")
 
     @staticmethod
-    def _parse_points(raw: Dict[str, Any]) -> np.ndarray:
+    def check_point(point: np.ndarray, field: str) -> None:
+        """Raise ConfigError naming ``field`` unless every coordinate of the chart point is finite."""
+        if not np.all(np.isfinite(point)):
+            raise ConfigError(f"{field} = {point.tolist()} is not finite")
+
+    @staticmethod
+    def check_seed(seed: np.ndarray, field: str) -> None:
+        """Raise ConfigError naming ``field`` unless the seed is finite and generates a q-base."""
+        if not (np.all(np.isfinite(seed)) and qbase_predicate(seed)):
+            raise ConfigError(f"{field} = {seed.tolist()} is not finite or does not generate a q-base")
+
+    @classmethod
+    def _parse_points(cls, raw: Dict[str, Any]) -> np.ndarray:
+        if "points" in raw and "grid" in raw:
+            raise ConfigError("config has both 'points' and 'grid'; give exactly one")
         if "points" in raw:
             pts = np.asarray(raw["points"], dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 4:
                 raise ConfigError("'points' must be a list of 4-coordinate lists")
-            bad = np.flatnonzero(~np.all(np.isfinite(pts), axis=1))
-            if bad.size:
-                raise ConfigError(f"points[{bad[0]}] = {pts[bad[0]].tolist()} is not finite")
+            for i, point in enumerate(pts):
+                cls.check_point(point, f"points[{i}]")
             return pts
         if "grid" in raw:
             grid = raw["grid"]
@@ -136,8 +150,7 @@ class RunConfig:
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ConfigError("'seeds' must be a list of 4-vectors")
         for i, seed in enumerate(arr):
-            if not (np.all(np.isfinite(seed)) and qbase_predicate(seed)):
-                raise ConfigError(f"seeds[{i}] = {seed.tolist()} is not finite or does not generate a q-base")
+            self.check_seed(seed, f"seeds[{i}]")
         return arr
 
     @classmethod
@@ -150,6 +163,13 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
         return cls(raw)
+
+
+def _check_keys(section: Dict[str, Any], known: tuple, prefix: str = "") -> None:
+    """Raise ConfigError naming the first key of a config section that is not ``known``."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown config key '{prefix}{key}' (known: {', '.join(known)})")
 
 
 # Points per geometry block: at most 64, and at most 4096 (point, seed)
@@ -255,32 +275,155 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
 
 
 def report_json(report: Dict[str, Any]) -> str:
-    """Canonical JSON serialization (byte-stable for identical runs)."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON serialization (byte-stable for identical runs).
+
+    The text is exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
+    The report around ``records`` goes through ``json.dumps``; each record
+    fills a template that ``json.dumps`` lays out once per key shape (see
+    ``_record_texts``), which avoids the stdlib's pure-Python encoder that
+    ``indent`` forces on every leaf.
+    """
+    records = report.get("records")
+    if not (isinstance(records, (list, tuple)) and records):
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    outer = json.dumps({**report, "records": []}, sort_keys=True, indent=2)
+    body = _RECORD_SEPARATOR.join(_record_texts(records))
+    # Only the top-level key sits after a newline and exactly two spaces,
+    # and JSON strings hold no raw newline, so this spot is unique.
+    head, tail = outer.split('\n  "records": []', 1)
+    return f'{head}\n  "records": [{_RECORD_INDENT}{body}\n  ]{tail}\n'
+
+
+# Layout of the records list at nesting depth 2 under indent=2.
+_RECORD_INDENT = "\n    "
+_RECORD_SEPARATOR = "," + _RECORD_INDENT
+# How json.encoder spells the floats whose repr is not JSON.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# A leaf of a template's skeleton; json.dumps writes it as "\u0000".
+_SLOT = "\x00"
+_SLOT_TEXT = json.dumps(_SLOT)
+
+
+def _leaf_text(value: Any) -> str:
+    """The text json.encoder writes for a number, bool or None leaf, with a
+    non-finite float still spelled as its repr; TypeError for other leaves."""
+    if isinstance(value, float):  # np.float64 too: json.encoder uses float.__repr__
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"not a number, bool or None: {type(value).__name__}")
+
+
+def _flatten(value: Any, texts: List[str]) -> Any:
+    """Key shape of a JSON value.  Appends the text of each of its leaves to
+    ``texts`` in the order ``json.dumps(sort_keys=True)`` writes them."""
+    if isinstance(value, dict):
+        keys = tuple(sorted(value))
+        return dict, keys, _flatten_each([value[k] for k in keys], texts)
+    if isinstance(value, (list, tuple)):
+        return list, _flatten_each(value, texts)
+    texts.append(_leaf_text(value))
+    return None
+
+
+def _flatten_each(values: Any, texts: List[str]) -> tuple:
+    """Shapes of a container's items; see ``_flatten``."""
+    try:
+        # The common case, all floats, in one pass: float.__repr__ raises
+        # TypeError on anything else, before ``texts`` is extended.
+        texts.extend(list(map(float.__repr__, values)))
+        return (None,) * len(values)
+    except TypeError:
+        return tuple([_flatten(v, texts) for v in values])
+
+
+def _skeleton(shape: Any) -> Any:
+    """A value of the given key shape whose every leaf is ``_SLOT``.
+
+    Raises TypeError on a key that is not a ``str``: shapes compare keys by
+    value, and 1, 1.0 and True are equal keys that json.dumps spells
+    differently.
+    """
+    if shape is None:
+        return _SLOT
+    if shape[0] is not dict:
+        return list(map(_skeleton, shape[1]))
+    if not all(type(key) is str for key in shape[1]):
+        raise TypeError("a key that is not a str")
+    return dict(zip(shape[1], map(_skeleton, shape[2])))
+
+
+def _record_texts(records: Any) -> Iterator[str]:
+    """Each record's text as ``json.dumps(record, sort_keys=True, indent=2)``
+    writes it at depth 2 of the report, filled into one template per key shape."""
+    templates: Dict[Any, Optional[str]] = {}
+    for record in records:
+        texts: List[str] = []
+        try:
+            shape = _flatten(record, texts)
+        except TypeError:  # a leaf that is not a number, bool or None, or keys that do not sort
+            yield _dumps_at_depth_2(record)
+            continue
+        if shape not in templates:
+            templates[shape] = _template(shape, len(texts))
+        template = templates[shape]
+        if template is None:
+            yield _dumps_at_depth_2(record)
+            continue
+        if not _NON_FINITE.keys().isdisjoint(texts):
+            texts = [_NON_FINITE.get(text, text) for text in texts]
+        yield template % tuple(texts)
+
+
+def _template(shape: Any, leaves: int) -> Optional[str]:
+    """The layout of a record of this shape with a ``%s`` per leaf, or None
+    where keys that are not strings, or that hold the slot's text, make it
+    ambiguous."""
+    try:
+        text = _dumps_at_depth_2(_skeleton(shape))
+    except TypeError:
+        return None
+    if text.count(_SLOT_TEXT) != leaves:
+        return None
+    return text.replace("%", "%%").replace(_SLOT_TEXT, "%s")
+
+
+def _dumps_at_depth_2(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT)
+
+
+_CSV_HEADER = ",".join(
+    ["point_index", "seed_index"]
+    + [f"point_{i}" for i in range(1, 5)]
+    + [f"seed_{i}" for i in range(1, 5)]
+    + ["A", "B", "C", "parallel_residual", "nabla_q_residual", "frame_residual"]
+    + [f"mu_{i}" for i in range(1, 7)]
+    + ["equality_residual", "zero_residual", "max_identity_residual", "max_symmetry_residual"]
+)
 
 
 def report_to_csv(report: Dict[str, Any]) -> str:
-    """Flatten per-(point, seed) records to CSV, one row each."""
-    buf = io.StringIO()
-    header = (
-        ["point_index", "seed_index"]
-        + [f"point_{i}" for i in range(1, 5)]
-        + [f"seed_{i}" for i in range(1, 5)]
-        + ["A", "B", "C", "parallel_residual", "nabla_q_residual", "frame_residual"]
-        + [f"mu_{i}" for i in range(1, 7)]
-        + ["equality_residual", "zero_residual", "max_identity_residual", "max_symmetry_residual"]
-    )
-    writer = csv.writer(buf)
-    writer.writerow(header)
+    """Flatten per-(point, seed) records to CSV, one row each.
+
+    The text is what ``csv.writer`` (excel dialect) writes: every cell is a
+    number, which it spells with ``str`` and never quotes, and each row
+    ends in ``\\r\\n``.
+    """
+    lines = [_CSV_HEADER]
     for r in report["records"]:
-        writer.writerow(
-            [r["point_index"], r["seed_index"]]
-            + list(r["point"]) + list(r["seed"])
-            + [r["coeffs"]["A"], r["coeffs"]["B"], r["coeffs"]["C"],
-               r["parallel_residual"], r["nabla_q_residual"], r["frame_residual"]]
-            + list(r["mu"])
-            + [r["equality_residual"], r["zero_residual"],
-               max(r["identity_residuals"].values()),
-               max(r["symmetry_residuals"].values())]
-        )
-    return buf.getvalue()
+        coeffs = r["coeffs"]
+        lines.append(",".join(map(str, [
+            r["point_index"], r["seed_index"], *r["point"], *r["seed"],
+            coeffs["A"], coeffs["B"], coeffs["C"],
+            r["parallel_residual"], r["nabla_q_residual"], r["frame_residual"], *r["mu"],
+            r["equality_residual"], r["zero_residual"],
+            max(r["identity_residuals"].values()), max(r["symmetry_residuals"].values()),
+        ])))
+    lines.append("")
+    return "\r\n".join(lines)

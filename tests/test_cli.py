@@ -156,3 +156,33 @@ class TestParseTimeValidationExitCode:
         }))
         assert main(["verify", "--config", str(path)]) == 2
         assert "grid.min" in capsys.readouterr().err
+
+
+class TestSectionValidationExitCode:
+    @pytest.mark.parametrize("overrides,field", [
+        ({"grid": {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 1, 1, 1]}}, "'grid'"),
+        ({"output": {"fromat": "csv"}}, "output.fromat"),
+        ({"output": "csv"}, "'output'"),
+        ({"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0], "parms": []}}, "family.parms"),
+    ])
+    def test_bad_section_exits_2(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and field in captured.err
+        assert captured.out == ""
+
+
+class TestCurvatureOverrideValidation:
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed-vector", "1,1,1,1"),
+        ("--seed-vector", "1,inf,0,0"),
+        ("--point", "nan,0,0,0"),
+        ("--point", "0,0,-inf,0"),
+    ])
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path)
+        assert main(["curvature", "--config", cfg, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {flag} = ")
+        assert captured.out == ""

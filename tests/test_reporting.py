@@ -188,3 +188,27 @@ class TestParseTimeValidation:
         cfg["grid"] = {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 2, 1, float("inf")]}
         with pytest.raises(ConfigError, match="grid"):
             RunConfig(cfg)
+
+
+class TestSectionValidation:
+    def test_points_and_grid_together_rejected(self):
+        grid = {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 1, 1, 1]}
+        with pytest.raises(ConfigError, match="both 'points' and 'grid'"):
+            RunConfig(base_config(grid=grid))
+
+    @pytest.mark.parametrize("section,key", [("family", "parms"), ("output", "fromat")])
+    def test_unknown_section_key_rejected(self, section, key):
+        cfg = base_config(output={"format": "json"})
+        cfg[section] = {**cfg[section], key: "csv"}
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            RunConfig(cfg)
+
+    @pytest.mark.parametrize("output", ["csv", ["json"], None])
+    def test_non_object_output_rejected(self, output):
+        with pytest.raises(ConfigError, match="'output' must be an object"):
+            RunConfig(base_config(output=output))
+
+    @pytest.mark.parametrize("path", [5, True, ["report.json"]])
+    def test_non_string_output_path_rejected(self, path):
+        with pytest.raises(ConfigError, match=r"output\.path"):
+            RunConfig(base_config(output={"path": path}))
