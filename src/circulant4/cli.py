@@ -145,9 +145,8 @@ def _cmd_curvature(args) -> int:
     if args.config is None:
         raise ConfigError("--config PATH is required (supplies the coefficient family)")
     config = RunConfig.from_file(args.config)
-    if args.mode:
-        mode = "finite_difference" if args.mode == "fd" else args.mode
-        config.family = dataclasses.replace(config.family, derivative_mode=mode)
+    if args.mode:  # stands in for the config's derivative_mode
+        config = RunConfig({**config.raw, "derivative_mode": args.mode})
     if args.point:
         point = np.array(_parse_tuple(args.point, 4, "--point"))
         RunConfig.check_point(point, "--point")
@@ -187,6 +186,27 @@ def _cmd_verify(args) -> int:
     return 0 if status == "pass" else 1
 
 
+# A subcommand takes only the flags its handler reads; any other flag is an argparse error (exit 2).
+_FLAGS = {
+    "config": {"help": "JSON run configuration"},
+    "coeffs": {"help": "metric generators A,B,C"},
+    "point": {"help": "chart point x1,x2,x3,x4"},
+    "seed-vector": {"help": "seed vector v1,v2,v3,v4"},
+    "mode": {"choices": ["analytic", "fd"], "help": "derivative mode override"},
+    "format": {"choices": ["json", "csv"], "help": "report format"},
+    "out": {"help": "output file path (default: stdout)"},
+}
+
+_COMMANDS = {
+    "inspect": (_cmd_inspect, "metric matrix, spectrum, admissibility", ("coeffs", "out")),
+    "qbase": (_cmd_qbase, "independence predicate and orthonormal frames", ("coeffs", "seed-vector", "out")),
+    "pyramid": (_cmd_pyramid, "tetrahedron edge/angle report", ("coeffs", "seed-vector", "out")),
+    "curvature": (_cmd_curvature, "per-point curvature and q-sections",
+                  ("config", "point", "seed-vector", "mode", "out")),
+    "verify": (_cmd_verify, "full batch verification from a config", ("config", "format", "out")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circulant4",
@@ -194,29 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"circulant4 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--coeffs", help="metric generators A,B,C")
-    common.add_argument("--point", help="chart point x1,x2,x3,x4")
-    common.add_argument("--seed-vector", dest="seed_vector", help="seed vector v1,v2,v3,v4")
-    common.add_argument("--mode", choices=["analytic", "fd"], help="derivative mode override")
-    common.add_argument("--format", choices=["json", "csv"], help="report format")
-    common.add_argument("--out", help="output file path (default: stdout)")
-    sub.add_parser("inspect", parents=[common], help="metric matrix, spectrum, admissibility")
-    sub.add_parser("qbase", parents=[common], help="independence predicate and orthonormal frames")
-    sub.add_parser("pyramid", parents=[common], help="tetrahedron edge/angle report")
-    sub.add_parser("curvature", parents=[common], help="per-point curvature and q-sections")
-    sub.add_parser("verify", parents=[common], help="full batch verification from a config")
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            command.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
-
-
-_COMMANDS = {
-    "inspect": _cmd_inspect,
-    "qbase": _cmd_qbase,
-    "pyramid": _cmd_pyramid,
-    "curvature": _cmd_curvature,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -224,7 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from typing import Any, Dict, Iterator, List, Optional
 
 import numpy as np
@@ -55,9 +56,10 @@ class RunConfig:
         if not isinstance(fam, dict) or "name" not in fam or "params" not in fam:
             raise ConfigError("config field 'family' must be {\"name\": ..., \"params\": [...]}")
         _check_keys(fam, ("name", "params"), "family.")
-        mode = raw.get("derivative_mode", "analytic")
-        if mode == "fd":
-            mode = "finite_difference"
+        given_mode = raw.get("derivative_mode", "analytic")
+        mode = "finite_difference" if given_mode == "fd" else given_mode
+        if mode not in ("analytic", "finite_difference"):
+            raise ConfigError(f"derivative_mode must be 'analytic', 'finite_difference' or 'fd', got {given_mode!r}")
         try:
             self.family: FieldFamilySpec = make_family(fam["name"], fam["params"], derivative_mode=mode)
         except ValueError as exc:
@@ -65,6 +67,9 @@ class RunConfig:
 
         self.points = self._parse_points(raw)
         self.rng_seed: Optional[int] = raw.get("rng_seed")
+        # bool is an int subclass; np.random.default_rng takes neither floats nor negatives.
+        if self.rng_seed is not None and not (type(self.rng_seed) is int and self.rng_seed >= 0):
+            raise ConfigError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         self.seeds = self._parse_seeds(raw)
 
         given = raw.get("tolerances", {})
@@ -99,17 +104,25 @@ class RunConfig:
         if not (np.all(np.isfinite(seed)) and qbase_predicate(seed)):
             raise ConfigError(f"{field} = {seed.tolist()} is not finite or does not generate a q-base")
 
+    @staticmethod
+    def _vectors(value: Any, field: str, check_row) -> np.ndarray:
+        """``value``, a non-empty list of lists of 4 numbers (not strings, booleans or nulls), as an
+        (N, 4) float array whose row ``i`` passes ``check_row(row, "field[i]")``; else ConfigError."""
+        rows = np.asarray(value, dtype=object)  # a ragged list stays a 1-D array of lists
+        if not (rows.ndim == 2 and rows.shape[1] == 4 and rows.size
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in rows.flat)):
+            raise ConfigError(f"'{field}' must be a non-empty list of lists of 4 numbers")
+        arr = rows.astype(float)
+        for i, row in enumerate(arr):
+            check_row(row, f"{field}[{i}]")
+        return arr
+
     @classmethod
     def _parse_points(cls, raw: Dict[str, Any]) -> np.ndarray:
         if "points" in raw and "grid" in raw:
             raise ConfigError("config has both 'points' and 'grid'; give exactly one")
         if "points" in raw:
-            pts = np.asarray(raw["points"], dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != 4:
-                raise ConfigError("'points' must be a list of 4-coordinate lists")
-            for i, point in enumerate(pts):
-                cls.check_point(point, f"points[{i}]")
-            return pts
+            return cls._vectors(raw["points"], "points", cls.check_point)
         if "grid" in raw:
             grid = raw["grid"]
             try:
@@ -118,13 +131,11 @@ class RunConfig:
                 count = [int(v) for v in grid["count"]]
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError("'grid' needs per-axis 'min', 'max', 'count'") from exc
-            if not (len(lo) == len(hi) == len(count) == 4):
-                raise ConfigError("'grid' min/max/count must each have 4 entries")
+            if not (len(lo) == len(hi) == len(count) == 4 and min(count) >= 1):
+                raise ConfigError("'grid' min/max/count must each have 4 entries, and each count must be >= 1")
             for key, bounds in (("min", lo), ("max", hi)):
                 if not np.all(np.isfinite(bounds)):
                     raise ConfigError(f"grid.{key} = {bounds} is not finite")
-            if any(n < 1 for n in count):
-                raise ConfigError("'grid' counts must be >= 1")
             axes = [np.linspace(lo[i], hi[i], count[i]) for i in range(4)]
             return np.array(list(itertools.product(*axes)))
         raise ConfigError("config needs 'points' or 'grid'")
@@ -134,24 +145,14 @@ class RunConfig:
         if seeds is None:
             raise ConfigError("config needs 'seeds' (list of 4-vectors or \"random:N\")")
         if isinstance(seeds, str):
-            if not seeds.startswith("random:"):
-                raise ConfigError(f"string 'seeds' must look like \"random:N\", got {seeds!r}")
-            try:
-                n = int(seeds.split(":", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"bad seed count in {seeds!r}") from exc
-            if n < 1:
-                raise ConfigError(f"seeds: {seeds!r} must draw at least one seed")
+            count = re.fullmatch(r"random:([0-9]+)", seeds)
+            if not (count and int(count[1]) >= 1):
+                raise ConfigError(f"seeds: {seeds!r} must be \"random:N\" with N >= 1")
             if self.rng_seed is None:
                 raise ConfigError("random seeds require an explicit 'rng_seed' for reproducibility")
             rng = np.random.default_rng(self.rng_seed)
-            return random_qbase_seeds(rng, n)
-        arr = np.asarray(seeds, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ConfigError("'seeds' must be a list of 4-vectors")
-        for i, seed in enumerate(arr):
-            self.check_seed(seed, f"seeds[{i}]")
-        return arr
+            return random_qbase_seeds(rng, int(count[1]))
+        return self._vectors(seeds, "seeds", self.check_seed)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -186,3 +186,80 @@ class TestCurvatureOverrideValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {flag} = ")
         assert captured.out == ""
+
+
+# The flags each subcommand's handler reads (16); the other 19 pairs must be refused.
+_READS = {
+    "inspect": ("--coeffs", "--out"),
+    "qbase": ("--coeffs", "--seed-vector", "--out"),
+    "pyramid": ("--coeffs", "--seed-vector", "--out"),
+    "curvature": ("--config", "--point", "--seed-vector", "--mode", "--out"),
+    "verify": ("--config", "--format", "--out"),
+}
+_ALL_FLAGS = ("--config", "--coeffs", "--point", "--seed-vector", "--mode", "--format", "--out")
+_UNREAD = [(command, flag) for command, reads in _READS.items() for flag in _ALL_FLAGS if flag not in reads]
+
+
+class TestUnreadFlagsRejected:
+    @pytest.mark.parametrize("command,flag", _UNREAD, ids=[f"{c}{f}" for c, f in _UNREAD])
+    def test_unread_flag_exits_2(self, tmp_path, capsys, command, flag):
+        values = {
+            "--config": write_config(tmp_path), "--coeffs": "3,1,2", "--point": "0,0,0,0",
+            "--seed-vector": "1,0,0,0", "--mode": "fd", "--format": "csv", "--out": str(tmp_path / "out"),
+        }
+        argv = [command]
+        for read in _READS[command]:
+            if read != "--out":
+                argv += [read, values[read]]
+        with pytest.raises(SystemExit) as info:
+            main(argv + [flag, values[flag]])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", sorted(_READS))
+    def test_help_lists_exactly_the_read_flags(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert [flag for flag in _ALL_FLAGS if flag in usage] == [f for f in _ALL_FLAGS if f in _READS[command]]
+
+
+class TestInputValidationExitCode:
+    @pytest.mark.parametrize("overrides,field", [
+        ({"rng_seed": 1.5}, "rng_seed"),
+        ({"rng_seed": True}, "rng_seed"),
+        ({"rng_seed": -3}, "rng_seed"),
+        ({"points": [[0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]}, "'points'"),
+        ({"points": [["0", 0.0, 0.0, 0.0]]}, "'points'"),
+        ({"seeds": [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0]]}, "'seeds'"),
+        ({"seeds": [[1.0, 0.0, None, 0.0]]}, "'seeds'"),
+        ({"derivative_mode": "symbolic"}, "config error: derivative_mode"),
+    ])
+    def test_bad_input_exits_2_before_any_work(self, tmp_path, capsys, overrides, field):
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and field in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_curvature_mode_override_changes_the_derivatives(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        residuals = {}
+        for mode in ("analytic", "fd"):
+            assert main(["curvature", "--config", cfg, "--mode", mode, "--point", "0.1,0.2,0.3,0.4"]) == 0
+            residuals[mode] = json.loads(capsys.readouterr().out)["points"][0]["symmetry_residuals"]
+        assert residuals["analytic"] != residuals["fd"]
+
+
+class TestOutFile:
+    def test_inspect_out_writes_the_printed_bytes(self, tmp_path, capsys):
+        assert main(["inspect", "--coeffs", "3,1,2"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "inspect.json"
+        assert main(["inspect", "--coeffs", "3,1,2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")

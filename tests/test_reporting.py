@@ -212,3 +212,83 @@ class TestSectionValidation:
     def test_non_string_output_path_rejected(self, path):
         with pytest.raises(ConfigError, match=r"output\.path"):
             RunConfig(base_config(output={"path": path}))
+
+
+def _without(key, **overrides):
+    cfg = base_config(**overrides)
+    del cfg[key]
+    return cfg
+
+
+def _grid(**fields):
+    return {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 1, 1, 1], **fields}
+
+
+# (config, text the ConfigError must contain): every parse-time rejection names its field.
+_REJECTIONS = {
+    "root-not-object": ([base_config()], "config root"),
+    "tolerances-not-object": (base_config(tolerances=[1e-9]), "'tolerances'"),
+    "output-format": (base_config(output={"format": "xml"}), "output.format"),
+    "points-shape": (base_config(points=[[0.0, 0.0, 0.0]]), "'points'"),
+    "points-flat": (base_config(points=[0.0, 0.0, 0.0, 0.0]), "'points'"),
+    "points-empty": (base_config(points=[]), "'points'"),
+    "points-ragged": (base_config(points=[[0, 0, 0, 0], [1, 2, 3]]), "'points'"),
+    "points-nested-cell": (base_config(points=[[0, 0, 0, [1]]]), "'points'"),
+    "points-string": (base_config(points=[["a", 0, 0, 0]]), "'points'"),
+    "points-numeric-string": (base_config(points=[["0.5", 0, 0, 0]]), "'points'"),
+    "points-bool": (base_config(points=[[True, 0, 0, 0]]), "'points'"),
+    "points-null": (base_config(points=[[None, 0, 0, 0]]), "'points'"),
+    "grid-entries": (_without("points", grid=_grid(min=[0, 0, 0])), "'grid'"),
+    "grid-count-zero": (_without("points", grid=_grid(count=[0, 1, 1, 1])), "'grid'"),
+    "no-points-or-grid": (_without("points"), "'points' or 'grid'"),
+    "seeds-missing": (_without("seeds"), "'seeds'"),
+    "seeds-not-random": (base_config(seeds="sobol:3"), "seeds"),
+    "seeds-random-bad-count": (base_config(seeds="random:x"), "seeds"),
+    "seeds-random-float-count": (base_config(seeds="random:1.5"), "seeds"),
+    "seeds-random-no-count": (base_config(seeds="random:"), "seeds"),
+    "seeds-shape": (base_config(seeds=[[1.0, 0.0, 0.0]]), "'seeds'"),
+    "seeds-ragged": (base_config(seeds=[[1, 0, 0, 0], [1, 0, 0]]), "'seeds'"),
+    "seeds-string": (base_config(seeds=[[1, 0, 0, "x"]]), "'seeds'"),
+    "seeds-bool": (base_config(seeds=[[True, False, False, False]]), "'seeds'"),
+    "derivative-mode": (base_config(derivative_mode="symbolic"), "derivative_mode"),
+    "derivative-mode-case": (base_config(derivative_mode="FD"), "derivative_mode"),
+    "rng-seed-float": (base_config(rng_seed=1.5), "rng_seed"),
+    "rng-seed-integral-float": (base_config(rng_seed=7.0), "rng_seed"),
+    "rng-seed-string": (base_config(rng_seed="x"), "rng_seed"),
+    "rng-seed-true": (base_config(rng_seed=True), "rng_seed"),
+    "rng-seed-false": (base_config(rng_seed=False), "rng_seed"),
+    "rng-seed-negative": (base_config(rng_seed=-3), "rng_seed"),
+    "rng-seed-with-explicit-seeds": (base_config(rng_seed="x", seeds=[[1, 0, 0, 0]]), "rng_seed"),
+}
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize("raw,field", list(_REJECTIONS.values()), ids=list(_REJECTIONS))
+    def test_rejection_names_field(self, raw, field):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(raw)
+        assert field in str(info.value)
+
+    def test_derivative_mode_error_is_not_blamed_on_family(self):
+        with pytest.raises(ConfigError, match=r"^derivative_mode must be .*'symbolic'"):
+            RunConfig(base_config(derivative_mode="symbolic"))
+
+    @pytest.mark.parametrize("given,mode", [
+        ("fd", "finite_difference"), ("finite_difference", "finite_difference"), ("analytic", "analytic"),
+    ])
+    def test_derivative_mode_accepted(self, given, mode):
+        assert RunConfig(base_config(derivative_mode=given)).family.derivative_mode == mode
+
+    @pytest.mark.parametrize("rng_seed", [0, 2**70])
+    def test_non_negative_integer_rng_seed_accepted(self, rng_seed):
+        assert RunConfig(base_config(rng_seed=rng_seed)).rng_seed == rng_seed
+
+    def test_integer_points_and_seeds_become_floats(self):
+        config = RunConfig(base_config(points=[[0, 1, 2, 3]], seeds=[(1, 0, 0, 0)]))
+        assert config.points.dtype == config.seeds.dtype == float
+        assert config.points.tolist() == [[0.0, 1.0, 2.0, 3.0]]
+
+    def test_csv_report_written_to_path(self, tmp_path):
+        out = tmp_path / "report.csv"
+        report = run_verify(RunConfig(base_config(output={"format": "csv", "path": str(out)})))
+        assert out.read_bytes() == report_to_csv(report).encode("utf-8")
