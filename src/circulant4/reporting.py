@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
-from typing import Any, Dict, Iterator, List, Optional
+import reprlib
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -60,8 +62,9 @@ class RunConfig:
         mode = "finite_difference" if given_mode == "fd" else given_mode
         if mode not in ("analytic", "finite_difference"):
             raise ConfigError(f"derivative_mode must be 'analytic', 'finite_difference' or 'fd', got {given_mode!r}")
+        params = _floats(fam["params"], "family.params")
         try:
-            self.family: FieldFamilySpec = make_family(fam["name"], fam["params"], derivative_mode=mode)
+            self.family: FieldFamilySpec = make_family(fam["name"], params, derivative_mode=mode)
         except ValueError as exc:
             raise ConfigError(f"family: {exc}") from exc
 
@@ -106,13 +109,15 @@ class RunConfig:
 
     @staticmethod
     def _vectors(value: Any, field: str, check_row) -> np.ndarray:
-        """``value``, a non-empty list of lists of 4 numbers (not strings, booleans or nulls), as an
+        """``value``, a non-empty list of lists of 4 finite numbers (not strings, booleans or nulls), as an
         (N, 4) float array whose row ``i`` passes ``check_row(row, "field[i]")``; else ConfigError."""
-        rows = np.asarray(value, dtype=object)  # a ragged list stays a 1-D array of lists
-        if not (rows.ndim == 2 and rows.shape[1] == 4 and rows.size
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in rows.flat)):
-            raise ConfigError(f"'{field}' must be a non-empty list of lists of 4 numbers")
-        arr = rows.astype(float)
+        message = f"'{field}' must be a non-empty list of lists of 4 numbers"
+        if not (isinstance(value, (list, tuple)) and value):
+            raise ConfigError(message)
+        try:
+            arr = np.array([_floats(row, f"{field}[{i}]", 4) for i, row in enumerate(value)])
+        except ConfigError as exc:
+            raise ConfigError(f"{message}: {exc}") from None
         for i, row in enumerate(arr):
             check_row(row, f"{field}[{i}]")
         return arr
@@ -125,18 +130,16 @@ class RunConfig:
             return cls._vectors(raw["points"], "points", cls.check_point)
         if "grid" in raw:
             grid = raw["grid"]
+            if not (isinstance(grid, dict) and {"min", "max", "count"} <= grid.keys()):
+                raise ConfigError("'grid' needs per-axis 'min', 'max', 'count'")
+            _check_keys(grid, ("min", "max", "count"), "grid.")
             try:
-                lo = [float(v) for v in grid["min"]]
-                hi = [float(v) for v in grid["max"]]
-                count = [int(v) for v in grid["count"]]
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError("'grid' needs per-axis 'min', 'max', 'count'") from exc
-            if not (len(lo) == len(hi) == len(count) == 4 and min(count) >= 1):
-                raise ConfigError("'grid' min/max/count must each have 4 entries, and each count must be >= 1")
-            for key, bounds in (("min", lo), ("max", hi)):
-                if not np.all(np.isfinite(bounds)):
-                    raise ConfigError(f"grid.{key} = {bounds} is not finite")
-            axes = [np.linspace(lo[i], hi[i], count[i]) for i in range(4)]
+                lo, hi, _ = (_floats(grid[key], f"grid.{key}", 4) for key in ("min", "max", "count"))
+                if not all(type(n) is int and n >= 1 for n in grid["count"]):
+                    raise ConfigError(f"grid.count must hold integers >= 1, got {grid['count']!r}")
+            except ConfigError as exc:
+                raise ConfigError(f"'grid' needs per-axis 'min', 'max', 'count': {exc}") from None
+            axes = [np.linspace(lo[i], hi[i], n) for i, n in enumerate(grid["count"])]
             return np.array(list(itertools.product(*axes)))
         raise ConfigError("config needs 'points' or 'grid'")
 
@@ -164,6 +167,20 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
         return cls(raw)
+
+
+def _floats(values: Any, field: str, size: Optional[int] = None) -> List[float]:
+    """``values``, a list of finite JSON numbers (``size`` of them if given), as floats; else ConfigError
+    naming ``field``.  Booleans and numeric strings are not numbers."""
+    if (isinstance(values, (list, tuple)) and size in (None, len(values))
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        try:
+            floats = [float(v) for v in values]
+        except OverflowError:  # an integer too large for a float
+            floats = [np.inf]
+        if np.all(np.isfinite(floats)):
+            return floats
+    raise ConfigError(f"{field} must be {size or 'a list of'} finite JSON numbers, got {reprlib.repr(values)}")
 
 
 def _check_keys(section: Dict[str, Any], known: tuple, prefix: str = "") -> None:
@@ -205,12 +222,14 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
     tol = config.tolerances
     seeds = config.seeds.tolist()
     records: List[Dict[str, Any]] = []
+    bases: List[Dict[str, Any]] = []  # each point's fields, shared by its records
     size = max(1, min(_BLOCK_POINTS, _BLOCK_PAIRS // len(seeds)))
     for start in range(0, len(config.points), size):
         block = config.points[start:start + size]
         geo = PointGeometry.from_jets([eval_jet(config.family, p) for p in block])
         sections, identities = geo.seed_checks(config.seeds)
-        per_point = zip(block.tolist(), _point_records(geo, tol["frame_tol"]), sections.mu.tolist(),
+        bases += _point_records(geo, tol["frame_tol"])
+        per_point = zip(block.tolist(), bases[start:], sections.mu.tolist(),
                         sections.equality_residual.tolist(), sections.zero_residual.tolist(), identities.tolist())
         for pi, (point, base, mu, equality, zero, identity) in enumerate(per_point, start):
             for si, seed in enumerate(seeds):
@@ -226,11 +245,12 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
                     "identity_residuals": dict(zip(IDENTITY_NAMES, identity[si])),
                 })
 
-    max_parallel = max(r["parallel_residual"] for r in records)
-    max_nabla_q = max(r["nabla_q_residual"] for r in records)
-    max_symmetry = max(max(r["symmetry_residuals"].values()) for r in records)
-    max_frame = max(r["frame_residual"] for r in records)
-    frame_ok = all(r["frame_residual"] <= r["frame_tolerance"] for r in records)
+    # Every point has a record per seed, and repeats of a value leave max and all as they are.
+    max_parallel = max(b["parallel_residual"] for b in bases)
+    max_nabla_q = max(b["nabla_q_residual"] for b in bases)
+    max_symmetry = max(max(b["symmetry_residuals"].values()) for b in bases)
+    max_frame = max(b["frame_residual"] for b in bases)
+    frame_ok = all(b["frame_residual"] <= b["frame_tolerance"] for b in bases)
     max_equality = max(r["equality_residual"] for r in records)
     max_zero = max(r["zero_residual"] for r in records)
     max_identity = max(max(r["identity_residuals"].values()) for r in records)
@@ -266,33 +286,34 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
         },
     }
     if config.output_path:
-        if config.output_format == "json":
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                fh.write(report_json(report))
-        else:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(report_to_csv(report))
+        text = report_json(report) if config.output_format == "json" else report_to_csv(report)
+        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return report
 
 
 def report_json(report: Dict[str, Any]) -> str:
-    """Canonical JSON serialization (byte-stable for identical runs).
+    """Canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
 
-    The text is exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
-    The report around ``records`` goes through ``json.dumps``; each record
-    fills a template that ``json.dumps`` lays out once per key shape (see
-    ``_record_texts``), which avoids the stdlib's pure-Python encoder that
-    ``indent`` forces on every leaf.
+    Records laid out as ``run_verify`` makes them fill ``_RECORD`` (``_fill_records``), around
+    ``json.dumps`` of the rest; a report with any other record goes through ``json.dumps`` whole.
     """
     records = report.get("records")
     if not (isinstance(records, (list, tuple)) and records):
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _dumps(report)
+    try:
+        body = _RECORD_SEPARATOR.join(_fill_records(records))
+    except TypeError:  # a record that is not laid out as run_verify's
+        return _dumps(report)
     outer = json.dumps({**report, "records": []}, sort_keys=True, indent=2)
-    body = _RECORD_SEPARATOR.join(_record_texts(records))
     # Only the top-level key sits after a newline and exactly two spaces,
     # and JSON strings hold no raw newline, so this spot is unique.
     head, tail = outer.split('\n  "records": []', 1)
     return f'{head}\n  "records": [{_RECORD_INDENT}{body}\n  ]{tail}\n'
+
+
+def _dumps(report: Dict[str, Any]) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 # Layout of the records list at nesting depth 2 under indent=2.
@@ -300,113 +321,85 @@ _RECORD_INDENT = "\n    "
 _RECORD_SEPARATOR = "," + _RECORD_INDENT
 # How json.encoder spells the floats whose repr is not JSON.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# A leaf of a template's skeleton; json.dumps writes it as "\u0000".
+# run_verify's record with a slot for each float or int leaf, dict keys sorted.
 _SLOT = "\x00"
-_SLOT_TEXT = json.dumps(_SLOT)
+_SKELETON = {
+    "coeffs": dict.fromkeys("ABC", _SLOT), "symmetry_residuals": dict.fromkeys(sorted(SYMMETRY_NAMES), _SLOT),
+    "identity_residuals": dict.fromkeys(sorted(IDENTITY_NAMES), _SLOT),
+    "point": [_SLOT] * 4, "seed": [_SLOT] * 4, "mu": [_SLOT] * 6,
+    **dict.fromkeys(["point_index", "seed_index", "parallel_residual", "nabla_q_residual", "frame_residual",
+                     "frame_tolerance", "equality_residual", "zero_residual"], _SLOT),
+}
+# The skeleton at depth 2 of the report with a "%s" per slot.  In sorted key
+# order, the point's fields and the seed are interleaved with the pair's 27
+# floats and the seed index.
+_RECORD = json.dumps(_SKELETON, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT).replace(json.dumps(_SLOT), "%s")
+# A record's point-level fields in sorted key order: run_verify shares these objects between a point's records.
+_POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
+                                    "parallel_residual", "point", "point_index", "symmetry_residuals")
 
 
-def _leaf_text(value: Any) -> str:
-    """The text json.encoder writes for a number, bool or None leaf, with a
-    non-finite float still spelled as its repr; TypeError for other leaves."""
-    if isinstance(value, float):  # np.float64 too: json.encoder uses float.__repr__
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"not a number, bool or None: {type(value).__name__}")
+def _spell(values: Any) -> List[str]:
+    """Each value's text as json.encoder writes a float; TypeError unless every value is a float."""
+    texts = list(map(float.__repr__, values))  # np.float64 too: json.encoder uses float.__repr__
+    if not _NON_FINITE.keys().isdisjoint(texts):
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
 
 
-def _flatten(value: Any, texts: List[str]) -> Any:
-    """Key shape of a JSON value.  Appends the text of each of its leaves to
-    ``texts`` in the order ``json.dumps(sort_keys=True)`` writes them."""
-    if isinstance(value, dict):
-        keys = tuple(sorted(value))
-        return dict, keys, _flatten_each([value[k] for k in keys], texts)
-    if isinstance(value, (list, tuple)):
-        return list, _flatten_each(value, texts)
-    texts.append(_leaf_text(value))
-    return None
+def _leaves(value: Any, field: str) -> Any:
+    """The leaves of a record field laid out as in ``_SKELETON`` (a dict's in key order); else TypeError."""
+    like = _SKELETON[field]
+    if isinstance(like, dict) and isinstance(value, dict) and value.keys() == like.keys():
+        return map(value.__getitem__, like)
+    if isinstance(like, list) and isinstance(value, (list, tuple)) and len(value) == len(like):
+        return value
+    raise TypeError(f"record field {field!r} is not laid out as run_verify's")
 
 
-def _flatten_each(values: Any, texts: List[str]) -> tuple:
-    """Shapes of a container's items; see ``_flatten``."""
-    try:
-        # The common case, all floats, in one pass: float.__repr__ raises
-        # TypeError on anything else, before ``texts`` is extended.
-        texts.extend(list(map(float.__repr__, values)))
-        return (None,) * len(values)
-    except TypeError:
-        return tuple([_flatten(v, texts) for v in values])
-
-
-def _skeleton(shape: Any) -> Any:
-    """A value of the given key shape whose every leaf is ``_SLOT``.
-
-    Raises TypeError on a key that is not a ``str``: shapes compare keys by
-    value, and 1, 1.0 and True are equal keys that json.dumps spells
-    differently.
+def _fill_records(records: Any) -> List[str]:
+    """Each record's text as ``json.dumps(record, sort_keys=True, indent=2)`` writes it at depth 2
+    of the report; TypeError unless every record has run_verify's keys, lengths, float leaves and
+    int (not bool) indices.  A point's fields are spelled into a copy of ``_RECORD`` once while
+    consecutive records hold the same objects in all of them, and a seed once per seed object;
+    only the pair's floats are spelled for every record.
     """
-    if shape is None:
-        return _SLOT
-    if shape[0] is not dict:
-        return list(map(_skeleton, shape[1]))
-    if not all(type(key) is str for key in shape[1]):
-        raise TypeError("a key that is not a str")
-    return dict(zip(shape[1], map(_skeleton, shape[2])))
-
-
-def _record_texts(records: Any) -> Iterator[str]:
-    """Each record's text as ``json.dumps(record, sort_keys=True, indent=2)``
-    writes it at depth 2 of the report, filled into one template per key shape."""
-    templates: Dict[Any, Optional[str]] = {}
+    texts: List[str] = []
+    point: Optional[tuple] = None
+    seeds: Dict[int, tuple] = {}  # id -> (seed, its texts); holding the seed keeps its id unique
     for record in records:
-        texts: List[str] = []
-        try:
-            shape = _flatten(record, texts)
-        except TypeError:  # a leaf that is not a number, bool or None, or keys that do not sort
-            yield _dumps_at_depth_2(record)
-            continue
-        if shape not in templates:
-            templates[shape] = _template(shape, len(texts))
-        template = templates[shape]
-        if template is None:
-            yield _dumps_at_depth_2(record)
-            continue
-        if not _NON_FINITE.keys().isdisjoint(texts):
-            texts = [_NON_FINITE.get(text, text) for text in texts]
-        yield template % tuple(texts)
+        if not (isinstance(record, dict) and record.keys() == _SKELETON.keys()
+                and type(record["point_index"]) is type(record["seed_index"]) is int):
+            raise TypeError("record keys or indices are not run_verify's")
+        fields = _POINT_FIELDS(record)
+        if point is None or not all(map(operator.is_, fields, point)):
+            coeffs, frame, frame_tol, nabla_q, parallel, coords, index, symmetry = point = fields
+            template = _RECORD % (
+                *_spell(_leaves(coeffs, "coeffs")), "%s", *_spell((frame, frame_tol)), *("%s",) * 25,
+                *_spell((nabla_q, parallel, *_leaves(coords, "point"))), index, *("%s",) * 5,
+                *_spell(_leaves(symmetry, "symmetry_residuals")), "%s")
+        seed = record["seed"]
+        if id(seed) not in seeds:
+            seeds[id(seed)] = (seed, _spell(_leaves(seed, "seed")))
+        pair = _spell((record["equality_residual"], *_leaves(record["identity_residuals"], "identity_residuals"),
+                       *_leaves(record["mu"], "mu"), record["zero_residual"]))
+        pair[26:26] = (*seeds[id(seed)][1], record["seed_index"])
+        texts.append(template % tuple(pair))
+    return texts
 
 
-def _template(shape: Any, leaves: int) -> Optional[str]:
-    """The layout of a record of this shape with a ``%s`` per leaf, or None
-    where keys that are not strings, or that hold the slot's text, make it
-    ambiguous."""
-    try:
-        text = _dumps_at_depth_2(_skeleton(shape))
-    except TypeError:
-        return None
-    if text.count(_SLOT_TEXT) != leaves:
-        return None
-    return text.replace("%", "%%").replace(_SLOT_TEXT, "%s")
+_CSV_HEADER = ",".join([
+    "point_index", "seed_index", *(f"point_{i}" for i in range(1, 5)), *(f"seed_{i}" for i in range(1, 5)),
+    "A", "B", "C", "parallel_residual", "nabla_q_residual", "frame_residual", *(f"mu_{i}" for i in range(1, 7)),
+    "equality_residual", "zero_residual", "max_identity_residual", "max_symmetry_residual"])
+# The fields of a row's point-level cells.
+_CSV_POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "nabla_q_residual", "parallel_residual", "point",
+                                        "point_index", "symmetry_residuals")
 
 
-def _dumps_at_depth_2(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT)
-
-
-_CSV_HEADER = ",".join(
-    ["point_index", "seed_index"]
-    + [f"point_{i}" for i in range(1, 5)]
-    + [f"seed_{i}" for i in range(1, 5)]
-    + ["A", "B", "C", "parallel_residual", "nabla_q_residual", "frame_residual"]
-    + [f"mu_{i}" for i in range(1, 7)]
-    + ["equality_residual", "zero_residual", "max_identity_residual", "max_symmetry_residual"]
-)
+def _cells(values: Any) -> str:
+    """The values as csv.writer spells number cells, each after a comma."""
+    return "".join(["," + text for text in map(str, values)])
 
 
 def report_to_csv(report: Dict[str, Any]) -> str:
@@ -414,17 +407,22 @@ def report_to_csv(report: Dict[str, Any]) -> str:
 
     The text is what ``csv.writer`` (excel dialect) writes: every cell is a
     number, which it spells with ``str`` and never quotes, and each row
-    ends in ``\\r\\n``.
+    ends in ``\\r\\n``.  Point and seed cells are reused as in ``_fill_records``.
     """
     lines = [_CSV_HEADER]
+    point: Optional[tuple] = None
+    seeds: Dict[int, tuple] = {}  # id -> (seed, its cells); holding the seed keeps its id unique
     for r in report["records"]:
-        coeffs = r["coeffs"]
-        lines.append(",".join(map(str, [
-            r["point_index"], r["seed_index"], *r["point"], *r["seed"],
-            coeffs["A"], coeffs["B"], coeffs["C"],
-            r["parallel_residual"], r["nabla_q_residual"], r["frame_residual"], *r["mu"],
-            r["equality_residual"], r["zero_residual"],
-            max(r["identity_residuals"].values()), max(r["symmetry_residuals"].values()),
-        ])))
+        fields = _CSV_POINT_FIELDS(r)
+        if point is None or not all(map(operator.is_, fields, point)):
+            coeffs, frame, nabla_q, parallel, coords, index, symmetry = point = fields
+            # A "%s" for the seed index, for the seed's cells and for the pair's; a number's text holds no "%".
+            template = "%s,%%s%s%%s%s%%s,%s" % (index, _cells(coords), _cells(
+                [coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame]), max(symmetry.values()))
+        seed = r["seed"]
+        if id(seed) not in seeds:
+            seeds[id(seed)] = (seed, _cells(seed))
+        pair = _cells([*r["mu"], r["equality_residual"], r["zero_residual"], max(r["identity_residuals"].values())])
+        lines.append(template % (r["seed_index"], seeds[id(seed)][1], pair))
     lines.append("")
     return "\r\n".join(lines)

@@ -255,6 +255,38 @@ class TestInputValidationExitCode:
         assert residuals["analytic"] != residuals["fd"]
 
 
+class TestNumberValidationExitCode:
+    """Numbers that used to be coerced, or overflowed a float, are a config error with exit 2."""
+
+    @staticmethod
+    def check_exits_2(path, capsys, field):
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and field in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"family": {"name": "s_wave", "params": ["2.0", 0.1, 3.0, True]}}, "family.params"),
+        ({"family": {"name": "s_wave", "params": [2.0, 0.1, 10 ** 400, 1.0]}}, "family.params"),
+        ({"points": [[0, 0, 0, 0], [0, 0, 10 ** 400, 0]]}, "points[1]"),
+        ({"seeds": [[1, 0, 0, 0], [1, 2, 0, 10 ** 400]]}, "seeds[1]"),
+    ])
+    def test_bad_number_exits_2(self, tmp_path, capsys, overrides, field):
+        self.check_exits_2(write_config(tmp_path, **overrides), capsys, field)
+
+    @pytest.mark.parametrize("grid,field", [
+        ({"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2.7, True, 1, 1]}, "grid.count"),
+        ({"min": ["0", False, 0, 0], "max": [1, 1, 1, 1], "count": [2, 1, 1, 1]}, "grid.min"),
+    ])
+    def test_bad_grid_exits_2(self, tmp_path, capsys, grid, field):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]},
+            "grid": grid, "seeds": "random:1", "rng_seed": 7,
+        }))
+        self.check_exits_2(path, capsys, field)
+
+
 class TestOutFile:
     def test_inspect_out_writes_the_printed_bytes(self, tmp_path, capsys):
         assert main(["inspect", "--coeffs", "3,1,2"]) == 0

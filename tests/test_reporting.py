@@ -292,3 +292,47 @@ class TestConfigRejections:
         out = tmp_path / "report.csv"
         report = run_verify(RunConfig(base_config(output={"format": "csv", "path": str(out)})))
         assert out.read_bytes() == report_to_csv(report).encode("utf-8")
+
+
+_HUGE = 10 ** 400  # an integer literal too large for a float
+
+
+# (config, field the ConfigError must name): grid entries and family.params are
+# JSON numbers, not coerced with float() / int(), and no integer overflows a float.
+_NUMBER_REJECTIONS = {
+    "grid-count-float": (_without("points", grid=_grid(count=[2.7, 1, 1, 1])), "grid.count"),
+    "grid-count-integral-float": (_without("points", grid=_grid(count=[2.0, 1, 1, 1])), "grid.count"),
+    "grid-count-bool": (_without("points", grid=_grid(count=[2, True, 1, 1])), "grid.count"),
+    "grid-count-string": (_without("points", grid=_grid(count=["2", 1, 1, 1])), "grid.count"),
+    "grid-count-huge": (_without("points", grid=_grid(count=[_HUGE, 1, 1, 1])), "grid.count"),
+    "grid-min-string": (_without("points", grid=_grid(min=["0", 0, 0, 0])), "grid.min"),
+    "grid-min-bool": (_without("points", grid=_grid(min=[0, False, 0, 0])), "grid.min"),
+    "grid-min-null": (_without("points", grid=_grid(min=[0, 0, None, 0])), "grid.min"),
+    "grid-max-huge": (_without("points", grid=_grid(max=[1, 1, 1, -_HUGE])), "grid.max"),
+    "grid-max-not-list": (_without("points", grid=_grid(max=1)), "grid.max"),
+    "grid-unknown-key": (_without("points", grid=_grid(step=[1, 1, 1, 1])), "grid.step"),
+    "params-string": (base_config(family={"name": "s_wave", "params": ["2.0", 0.1, 3.0, 1.0]}), "family.params"),
+    "params-bool": (base_config(family={"name": "s_wave", "params": [2.0, 0.1, 3.0, True]}), "family.params"),
+    "params-null": (base_config(family={"name": "constant", "params": [3.0, None, 2.0]}), "family.params"),
+    "params-not-list": (base_config(family={"name": "constant", "params": 3.0}), "family.params"),
+    "params-huge": (base_config(family={"name": "s_wave", "params": [2.0, 0.1, _HUGE, 1.0]}), "family.params"),
+    "params-infinite": (base_config(family={"name": "s_wave", "params": [2.0, 0.1, float("inf"), 1.0]}),
+                        "family.params"),
+    "params-nan": (base_config(family={"name": "constant", "params": [3.0, float("nan"), 2.0]}), "family.params"),
+    "points-huge": (base_config(points=[[0, 0, 0, 0], [0, _HUGE, 0, 0]]), "points[1]"),
+    "seeds-huge": (base_config(seeds=[[1, 0, 0, 0], [1, 2, 0, -_HUGE]]), "seeds[1]"),
+}
+
+
+class TestNumberRejections:
+    @pytest.mark.parametrize("raw,field", list(_NUMBER_REJECTIONS.values()), ids=list(_NUMBER_REJECTIONS))
+    def test_rejection_names_field(self, raw, field):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(raw)
+        assert field in str(info.value)
+
+    def test_integer_grid_and_params_accepted(self):
+        config = RunConfig(_without("points", grid=_grid(min=[0, -1, 0, 0], count=[2, 3, 1, 1]),
+                                    family={"name": "constant", "params": [3, 1, 2]}))
+        assert config.family.params == (3.0, 1.0, 2.0)
+        assert config.points.shape == (6, 4) and config.points[:, 1].tolist() == [-1.0, 0.0, 1.0] * 2

@@ -1,0 +1,199 @@
+"""Report writers: a point's and a seed's text is reused only for the very same objects.
+
+Every case is checked against the stdlib oracles of tests/test_serialise.py.
+Records laid out as run_verify makes them must take the writer's own path,
+so those cases also run with the json.dumps fallback made to raise.
+"""
+
+import copy
+import math
+
+import numpy as np
+import pytest
+from test_serialise import csv_oracle, json_oracle
+
+from circulant4 import RunConfig, reporting, run_verify
+from circulant4.reporting import report_json, report_to_csv
+
+POINT_FIELDS = ["coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
+                "parallel_residual", "point", "point_index", "symmetry_residuals"]
+
+
+S_WAVE, CONTROL = ("s_wave", [2.0, 0.1, 3.0, 1.0]), ("control", [3.0, 0.1, 1.0, 2.0])
+
+
+def real_report(mode="analytic", seeds="random:3", family=S_WAVE):
+    return run_verify(RunConfig({
+        "family": {"name": family[0], "params": family[1]},
+        "points": [[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.5, 0.1], [-0.4, 0.2, 0.1, 0.7]],
+        "seeds": seeds,
+        "rng_seed": 5,
+        "derivative_mode": mode,
+    }))
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Make the whole-report json.dumps fallback raise."""
+    def fallback(report):
+        raise AssertionError("report_json fell back to json.dumps")
+    monkeypatch.setattr(reporting, "_dumps", fallback)
+
+
+def assert_bytes(report):
+    assert report_json(report) == json_oracle(report)
+    assert report_to_csv(report) == csv_oracle(report)
+
+
+def changed(value):
+    """An equal-shaped value that is a new object with other contents."""
+    if isinstance(value, dict):
+        return {key: v * 3.0 + 1.0 for key, v in value.items()}
+    if isinstance(value, list):
+        return [v * 3.0 + 1.0 for v in value]
+    if isinstance(value, int):
+        return value + 7
+    return value * 3.0 + 1.0
+
+
+def set_leaf(record, path, value):
+    """A copy of the record with one leaf replaced; the other fields stay the same objects."""
+    field, *rest = path
+    record = dict(record)
+    if rest:
+        container = record[field] = copy.copy(record[field])
+        container[rest[0]] = value
+    else:
+        record[field] = value
+    return record
+
+
+class TestRealReports:
+    @pytest.mark.parametrize("family", [S_WAVE, CONTROL], ids=["s_wave", "control"])
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    @pytest.mark.parametrize("seeds", ["random:1", "random:3", [[1.0, 0.0, 0.0, 0.0], [0.9, 0.1, -0.4, 0.3]]])
+    def test_run_verify_report_takes_the_record_path(self, no_fallback, mode, seeds, family):
+        assert_bytes(real_report(mode, seeds, family))
+
+    def test_report_shares_point_and_seed_objects(self):
+        records = real_report()["records"]
+        assert all(records[0][field] is records[2][field] for field in POINT_FIELDS)
+        assert records[0]["seed"] is records[3]["seed"] is records[6]["seed"]
+
+
+class TestPointReuse:
+    @pytest.mark.parametrize("field", POINT_FIELDS)
+    def test_each_point_field_alone_breaks_reuse(self, no_fallback, field):
+        # Records 1 and 2 share every point-level object with record 0 but this one.
+        records = real_report()["records"][:3]
+        records[1] = {**records[1], field: changed(records[1][field])}
+        records[2] = {**records[2], field: records[1][field]}
+        assert_bytes({"records": records})
+
+    @pytest.mark.parametrize("field", POINT_FIELDS)
+    def test_equal_copies_give_equal_text(self, no_fallback, field):
+        records = real_report()["records"]
+        records[1] = {**records[1], field: copy.copy(records[1][field])}
+        assert_bytes({"records": records})
+
+    def test_a_point_seen_again_after_another(self, no_fallback):
+        records = real_report()["records"]
+        assert_bytes({"records": records[:3] + records[3:6] + records[:3]})
+
+
+class TestSeedReuse:
+    def test_one_seed_list_shared_across_points(self, no_fallback):
+        report = real_report()
+        shared = report["records"][0]["seed"]
+        assert_bytes({"records": [{**r, "seed": shared} for r in report["records"]]})
+
+    def test_equal_and_unequal_seed_objects(self, no_fallback):
+        records = real_report()["records"]
+        records[1] = {**records[1], "seed": list(records[0]["seed"])}
+        records[2] = {**records[2], "seed": changed(records[0]["seed"])}
+        assert_bytes({"records": records})
+
+
+SLOTS = [("coeffs", "B"), ("frame_residual",), ("frame_tolerance",), ("point", 2),
+         ("symmetry_residuals", "pair_symmetry"), ("seed", 1), ("equality_residual",), ("mu", 3),
+         ("identity_residuals", "e_zero"), ("zero_residual",)]
+
+
+class TestLeaves:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(-math.inf)],
+                             ids=["nan", "inf", "-inf", "np.float64", "np.float64-inf"])
+    @pytest.mark.parametrize("path", SLOTS, ids=lambda path: ".".join(map(str, path)))
+    def test_special_float_in_every_slot(self, no_fallback, path, value):
+        records = real_report()["records"]
+        records[1] = set_leaf(records[1], path, value)
+        assert_bytes({"records": records})
+
+    @pytest.mark.parametrize("field", ["point", "seed", "mu"])
+    def test_tuples(self, no_fallback, field):
+        records = [{**r, field: tuple(r[field])} for r in real_report()["records"]]
+        assert_bytes({"records": records})
+
+    @pytest.mark.parametrize("value", [1, True, None], ids=repr)
+    @pytest.mark.parametrize("path", SLOTS, ids=lambda path: ".".join(map(str, path)))
+    def test_non_float_in_a_float_slot_falls_back(self, monkeypatch, path, value):
+        records = real_report()["records"]
+        records[2] = set_leaf(records[2], path, value)
+        report = {"records": records}
+        assert report_json(report) == json_oracle(report)
+        if value is not None:
+            assert report_to_csv(report) == csv_oracle(report)
+        monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
+        assert report_json(report) == "fallback"
+
+    @pytest.mark.parametrize("field", ["point_index", "seed_index"])
+    @pytest.mark.parametrize("value", [True, False, 1.0], ids=repr)
+    def test_index_that_is_not_an_int_falls_back(self, monkeypatch, field, value):
+        records = real_report()["records"]
+        records[1] = {**records[1], field: value}
+        report = {"records": records}
+        assert report_json(report) == json_oracle(report)
+        monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
+        assert report_json(report) == "fallback"
+
+
+class TestOtherLayouts:
+    @pytest.mark.parametrize("field,change", [
+        ("identity_residuals", lambda d: {**d, "z_extra": 0.5}),
+        ("identity_residuals", lambda d: {k: v for k, v in d.items() if k != "e_zero"}),
+        ("symmetry_residuals", lambda d: {**d, "z_extra": 0.5}),
+        ("symmetry_residuals", lambda d: {k: v for k, v in d.items() if k != "first_bianchi"}),
+        ("coeffs", lambda d: {**d, "D": 0.5}),
+        ("point", lambda v: v[:3]),
+        ("seed", lambda v: v + [0.5]),
+        ("mu", lambda v: v[:5]),
+    ], ids=["identity-extra", "identity-missing", "symmetry-extra", "symmetry-missing", "coeffs-extra",
+            "point-short", "seed-long", "mu-short"])
+    def test_extra_or_missing_entries_fall_back(self, monkeypatch, field, change):
+        records = real_report()["records"]
+        records[1] = {**records[1], field: change(records[1][field])}
+        report = {"records": records}
+        assert report_json(report) == json_oracle(report)
+        assert report_to_csv(report) == csv_oracle(report)
+        monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
+        assert report_json(report) == "fallback"
+
+    @pytest.mark.parametrize("change", [lambda r: {**r, "extra": 1.0},
+                                        lambda r: {k: v for k, v in r.items() if k != "zero_residual"}],
+                             ids=["extra-key", "missing-key"])
+    def test_other_record_keys_fall_back(self, monkeypatch, change):
+        records = real_report()["records"]
+        records[-1] = change(records[-1])
+        report = {"records": records}
+        assert report_json(report) == json_oracle(report)
+        monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
+        assert report_json(report) == "fallback"
+
+    def test_array_is_not_json(self):
+        records = real_report()["records"]
+        records[1] = {**records[1], "mu": np.array(records[1]["mu"])}
+        report = {"records": records}
+        with pytest.raises(TypeError):
+            json_oracle(report)
+        with pytest.raises(TypeError):
+            report_json(report)
+        assert report_to_csv(report) == csv_oracle(report)
