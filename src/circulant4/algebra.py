@@ -47,9 +47,6 @@ class CirculantCoeffs(NamedTuple):
     b: float
     c: float
 
-    def admissible(self) -> bool:
-        return is_admissible(self)
-
 
 def as_vector4(x) -> np.ndarray:
     """Validate and convert to a float (4,) array; rejects NaN/Inf."""

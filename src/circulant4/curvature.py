@@ -8,7 +8,7 @@ The core routines work on raw arrays (g, dg, ddg) where
 
 so they can be exercised against arbitrary metrics in tests; inside a
 ``PointGeometry`` every array gains a leading axis over a block of points.
-``PointGeometry.from_jets`` is the one pass from the field jets of a block
+``PointGeometry.from_field`` is the one pass from the block jet of a field
 to metric, Christoffel symbols and Riemann tensor; every entry of g is one
 of A, B, C, selected by the circulant offset (j - i) mod 4, and g^{-1} is
 circulant in closed form.  ``point_geometry`` and the public functions
@@ -41,7 +41,7 @@ from .algebra import (
     qbase_polynomial,
     qbase_polynomials,
 )
-from .fields import FieldFamilySpec, FieldJet, eval_jet
+from .fields import FieldFamilySpec, FieldJet, eval_jets
 
 __all__ = [
     "CurvatureTensor",
@@ -197,11 +197,10 @@ class PointGeometry:
     r: np.ndarray
 
     @classmethod
-    def from_jets(cls, jets: Sequence[FieldJet]) -> "PointGeometry":
-        """Metric, connection and curvature of the field jets of N points, in one pass."""
-        coeffs = np.array([jet.value for jet in jets], dtype=float)
-        grads = np.stack([jet.grads for jet in jets])
-        g, dg, ddg = _metric_arrays(coeffs, grads, np.stack([jet.hessians for jet in jets]))
+    def from_field(cls, spec: FieldFamilySpec, points: np.ndarray) -> "PointGeometry":
+        """Metric, connection and curvature of a coefficient field at chart points (N, 4), in one pass."""
+        coeffs, grads, hessians = eval_jets(spec, points)
+        g, dg, ddg = _metric_arrays(coeffs, grads, hessians)
         gamma, r = _connection(g, dg, ddg, _circulant_inverse(coeffs))
         return cls(coeffs=coeffs, grads=grads, g=g, gamma=gamma, r=r)
 
@@ -255,7 +254,7 @@ class PointGeometry:
 
 def point_geometry(spec: FieldFamilySpec, p) -> PointGeometry:
     """Jet, metric, connection and curvature of g at a chart point, as a block of one."""
-    return PointGeometry.from_jets([eval_jet(spec, p)])
+    return PointGeometry.from_field(spec, as_vector4(p)[None])
 
 
 def _symmetry_table(r: np.ndarray) -> np.ndarray:

@@ -1,37 +1,51 @@
 """Scalar coefficient fields A, B, C on a chart of R^4 and their jets.
 
-Built-in families:
+Each built-in family is one row of ``_FAMILIES``: a base (A0, B0, C0) and
+an amplitude read from its params, and at most one wave
 
-* ``constant``  params (A0, B0, C0): a flat control, all derivatives zero.
-* ``s_wave``    params (c0, eps, a0, b0): the built-in parallel family
-  with genuine curvature.  With r = x1 - x3 and t = x2 - x4,
+    F(x) = amp * sum_m sin(modes[m] . (lin x)) / divisors[m]
+
+added to (A, B, C) along a fixed direction.  Values, analytic gradients
+and Hessians, and the chart-wide bounds that ``make_family`` checks
+(base +- |amp| |direction| sum_m 1/divisors[m]) are one formula each over
+the rows.
+
+* ``constant``  params (A0, B0, C0), no wave: a flat control.
+* ``s_wave``    params (c0, eps, a0, b0): base (a0, b0, c0), amp eps,
+  lin x = (r, t) = (x1 - x3, x2 - x4), modes (1, 0), (0, 1), (1, 1) with
+  divisors 1, 2, 3, direction (-1, 0, 1).  That is
 
       F(r, t) = eps * (sin r + sin(t)/2 + sin(r + t)/3),
-      C = c0 + F,   A = a0 - F,   B = b0.
+      C = c0 + F,   A = a0 - F,   B = b0,
 
-  Both gradients of A and C lie in the span of (1,0,-1,0) and
-  (0,1,0,-1); the index shift negates that plane and annihilates it
-  under q + q^3, so the parallelism relations d_i A = d_{i+2} C and
-  d_i B = (d_{i+1} C + d_{i+3} C)/2 hold identically and the affinor is
-  covariantly constant (the curvature module's nabla-q residual is the
-  ground truth for this claim).  Unlike waves riding on x1+x2+x3+x4,
-  which make the metric flat, this family has nonzero sectional
-  curvature, so the q-section equality checks have actual power.
-* ``control``   params (A0, kappa, B0, C0): A = A0 + kappa*sin(x1) with
-  B, C constant; grad C = 0 while grad A != 0, a deliberate violation of
-  parallelism used as a negative control.
+  the built-in parallel family with genuine curvature.  Both gradients of
+  A and C lie in the span of (1,0,-1,0) and (0,1,0,-1); the index shift
+  negates that plane and annihilates it under q + q^3, so the parallelism
+  relations d_i A = d_{i+2} C and d_i B = (d_{i+1} C + d_{i+3} C)/2 hold
+  identically and the affinor is covariantly constant (the curvature
+  module's nabla-q residual is the ground truth for this claim).  Unlike
+  waves riding on x1+x2+x3+x4, which make the metric flat, this family has
+  nonzero sectional curvature, so the q-section equality checks have
+  actual power.
+* ``control``   params (A0, kappa, B0, C0): base (A0, B0, C0), amp kappa,
+  lin x = x1, one mode 1 with divisor 1, direction (1, 0, 0).  So
+  A = A0 + kappa*sin(x1) with B, C constant: grad C = 0 while grad A != 0,
+  a deliberate violation of parallelism used as a negative control.
 * ``custom``    caller-supplied value/gradient/Hessian callables (analytic
   derivatives are required; black-box callables are never differentiated
   numerically across the config boundary).
 
 Derivatives come either from closed forms (``analytic``) or from central
-differences with one Richardson level (``finite_difference``).
+differences with one Richardson level (``finite_difference``), for a block
+of points at once (``eval_jets``); the single-point functions are views
+over a block of one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,13 +58,11 @@ __all__ = [
     "make_custom_family",
     "coeffs_at",
     "eval_jet",
+    "eval_jets",
     "gradient_residual",
     "parallel_residual",
 ]
 
-# The two coordinate differences whose span the index shift negates.
-V_DIFF = np.array([1.0, 0.0, -1.0, 0.0])
-W_DIFF = np.array([0.0, 1.0, 0.0, -1.0])
 # Fixed step of the second differences (the gradient step is spec.fd_step).
 FD_HESSIAN_STEP = 1e-4
 _E, _DIAG = np.eye(4), np.arange(4)
@@ -62,29 +74,31 @@ _EI, _EJ = _E[_PAIR_I], _E[_PAIR_J]
 _HESSIAN_STENCIL = FD_HESSIAN_STEP * np.concatenate([_E, -_E, _EI + _EJ, _EI - _EJ, _EJ - _EI, -_EI - _EJ])
 
 
-def _wave_rt(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return v @ V_DIFF, v @ W_DIFF
+class _Wave(NamedTuple):
+    """F(x) = params[amp] * sum_m sin(modes[m] . (lin x)) / divisors[m], added to (A, B, C) times direction."""
+
+    amp: int  # index of the amplitude in params
+    lin: np.ndarray  # (Y, 4): chart point -> the wave's coordinates
+    modes: np.ndarray  # (M, Y) integers
+    divisors: np.ndarray  # (M,)
+    direction: np.ndarray  # (3,) in (A, B, C)
 
 
-def _wave_f(eps: float, r, t):
-    return eps * (np.sin(r) + np.sin(t) / 2.0 + np.sin(r + t) / 3.0)
+class _Family(NamedTuple):
+    names: Tuple[str, ...]  # of the params, for messages
+    base: Tuple[int, int, int]  # indices of A0, B0, C0 in params
+    wave: Optional[_Wave] = None
 
 
-def _wave_df(eps: float, r: float, t: float) -> np.ndarray:
-    fr = eps * (np.cos(r) + np.cos(r + t) / 3.0)
-    ft = eps * (np.cos(t) / 2.0 + np.cos(r + t) / 3.0)
-    return fr * V_DIFF + ft * W_DIFF
-
-
-def _wave_ddf(eps: float, r: float, t: float) -> np.ndarray:
-    frr = -eps * (np.sin(r) + np.sin(r + t) / 3.0)
-    ftt = -eps * (np.sin(t) / 2.0 + np.sin(r + t) / 3.0)
-    frt = -eps * np.sin(r + t) / 3.0
-    return (
-        frr * np.outer(V_DIFF, V_DIFF)
-        + ftt * np.outer(W_DIFF, W_DIFF)
-        + frt * (np.outer(V_DIFF, W_DIFF) + np.outer(W_DIFF, V_DIFF))
-    )
+_FAMILIES = {
+    "constant": _Family(("A0", "B0", "C0"), (0, 1, 2)),
+    # (r, t) = (x1 - x3, x2 - x4) spans the plane that the index shift negates.
+    "s_wave": _Family(("c0", "eps", "a0", "b0"), (2, 3, 0), _Wave(
+        1, np.array([[1, 0, -1, 0], [0, 1, 0, -1]]), np.array([[1, 0], [0, 1], [1, 1]]), np.array([1.0, 2.0, 3.0]),
+        np.array([-1.0, 0.0, 1.0]))),
+    "control": _Family(("A0", "kappa", "B0", "C0"), (0, 2, 3), _Wave(
+        1, _E[:1], np.array([[1]]), np.array([1.0]), np.array([1.0, 0.0, 0.0]))),
+}
 
 
 @dataclass(frozen=True)
@@ -94,9 +108,7 @@ class FieldFamilySpec:
     derivative_mode: str = "analytic"
     fd_step: float = 1e-5
     # custom family only
-    value_fn: Optional[Callable[[np.ndarray], Tuple[float, float, float]]] = field(
-        default=None, compare=False
-    )
+    value_fn: Optional[Callable[[np.ndarray], Tuple[float, float, float]]] = field(default=None, compare=False)
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
     hess_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
 
@@ -111,10 +123,6 @@ class FieldJet:
     value: CirculantCoeffs
     grads: np.ndarray
     hessians: np.ndarray
-
-    def parallel_residual(self) -> float:
-        """Max residual of the gradient form of the parallelism condition (see gradient_residual)."""
-        return float(gradient_residual(self.grads))
 
 
 def gradient_residual(grads: np.ndarray) -> np.ndarray:
@@ -133,49 +141,26 @@ def gradient_residual(grads: np.ndarray) -> np.ndarray:
     return np.maximum(np.max(np.abs(res_a), axis=-1), np.max(np.abs(res_b), axis=-1))
 
 
-def _check_chain(bounds, context: str) -> None:
-    """bounds: {'A': (lo, hi), 'B': ..., 'C': ...}; enforce 0 < B < C < A."""
-    (a_lo, _), (b_lo, b_hi), (c_lo, c_hi) = bounds["A"], bounds["B"], bounds["C"]
-    if b_lo <= 0.0:
-        raise ValueError(f"{context}: B can reach {b_lo} <= 0 (need 0 < B)")
-    if b_hi >= c_lo:
-        raise ValueError(f"{context}: B range up to {b_hi} overlaps C range from {c_lo} (need B < C)")
-    if c_hi >= a_lo:
-        raise ValueError(f"{context}: C range up to {c_hi} overlaps A range from {a_lo} (need C < A)")
-
-
-def make_family(
-    family: str,
-    params,
-    derivative_mode: str = "analytic",
-    fd_step: float = 1e-5,
-) -> FieldFamilySpec:
+def make_family(family: str, params, derivative_mode: str = "analytic", fd_step: float = 1e-5) -> FieldFamilySpec:
     """Validate parameters (interval check over the whole chart) and build a spec."""
-    if family not in ("constant", "s_wave", "control"):
+    if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; use make_custom_family for custom fields")
     if derivative_mode not in ("analytic", "finite_difference"):
         raise ValueError(f"derivative_mode must be 'analytic' or 'finite_difference', got {derivative_mode!r}")
     params = tuple(float(v) for v in params)
-
-    if family == "constant":
-        if len(params) != 3:
-            raise ValueError("constant family takes params (A0, B0, C0)")
-        a0, b0, c0 = params
-        _check_chain({"A": (a0, a0), "B": (b0, b0), "C": (c0, c0)}, "constant")
-    elif family == "s_wave":
-        if len(params) != 4:
-            raise ValueError("s_wave family takes params (c0, eps, a0, b0)")
-        c0, eps, a0, b0 = params
-        f_max = abs(eps) * (1.0 + 0.5 + 1.0 / 3.0)
-        _check_chain(
-            {"A": (a0 - f_max, a0 + f_max), "B": (b0, b0), "C": (c0 - f_max, c0 + f_max)},
-            "s_wave",
-        )
-    else:  # control
-        if len(params) != 4:
-            raise ValueError("control family takes params (A0, kappa, B0, C0)")
-        a0, kappa, b0, c0 = params
-        _check_chain({"A": (a0 - abs(kappa), a0 + abs(kappa)), "B": (b0, b0), "C": (c0, c0)}, "control")
+    names, base, wave = _FAMILIES[family]
+    if len(params) != len(names):
+        raise ValueError(f"{family} family takes params ({', '.join(names)})")
+    # Enforce 0 < B < C < A over the ranges of (A, B, C) on the whole chart.
+    base = np.take(params, base)
+    spread = 0.0 if wave is None else abs(params[wave.amp]) * np.abs(wave.direction) * sum(1.0 / wave.divisors)
+    (a_lo, b_lo, c_lo), (_, b_hi, c_hi) = (base - spread).tolist(), (base + spread).tolist()
+    if b_lo <= 0.0:
+        raise ValueError(f"{family}: B can reach {b_lo} <= 0 (need 0 < B)")
+    if b_hi >= c_lo:
+        raise ValueError(f"{family}: B range up to {b_hi} overlaps C range from {c_lo} (need B < C)")
+    if c_hi >= a_lo:
+        raise ValueError(f"{family}: C range up to {c_hi} overlaps A range from {a_lo} (need C < A)")
     return FieldFamilySpec(family=family, params=params, derivative_mode=derivative_mode, fd_step=fd_step)
 
 
@@ -183,25 +168,26 @@ def make_custom_family(value_fn, grad_fn, hess_fn) -> FieldFamilySpec:
     """Custom fields with caller-supplied analytic first and second derivatives."""
     if value_fn is None or grad_fn is None or hess_fn is None:
         raise ValueError("custom family requires value_fn, grad_fn and hess_fn")
-    return FieldFamilySpec(
-        family="custom", params=(), derivative_mode="analytic",
-        value_fn=value_fn, grad_fn=grad_fn, hess_fn=hess_fn,
-    )
+    return FieldFamilySpec(family="custom", params=(), derivative_mode="analytic",
+                           value_fn=value_fn, grad_fn=grad_fn, hess_fn=hess_fn)
+
+
+def _mode_sum(terms: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over the mode axis of per-mode terms, left to right as the family formulas read."""
+    return functools.reduce(np.add, np.moveaxis(terms, axis, 0))
 
 
 def _values(spec: FieldFamilySpec, pts: np.ndarray) -> np.ndarray:
-    """Field values (..., 3) of (A, B, C) at chart points (..., 4)."""
-    shape = pts.shape[:-1]
-    if spec.family == "constant":
-        return np.broadcast_to(np.array(spec.params), shape + (3,))
-    if spec.family == "s_wave":
-        c0, eps, a0, b0 = spec.params
-        f = _wave_f(eps, *_wave_rt(pts))
-        return np.stack([a0 - f, np.full(shape, b0), c0 + f], axis=-1)
-    if spec.family == "control":
-        a0, kappa, b0, c0 = spec.params
-        return np.stack([a0 + kappa * np.sin(pts[..., 0]), np.full(shape, b0), np.full(shape, c0)], axis=-1)
-    return np.asarray(spec.value_fn(pts), dtype=float)  # custom: single points only
+    """Field values (..., 3) of (A, B, C) at chart points (..., 4); a custom family's at one point."""
+    if spec.family == "custom":
+        return np.asarray(spec.value_fn(pts), dtype=float)
+    _, base, wave = _FAMILIES[spec.family]
+    base = np.take(spec.params, base)
+    if wave is None:
+        return np.broadcast_to(base, pts.shape[:-1] + (3,))
+    theta = pts @ wave.lin.T @ wave.modes.T
+    f = spec.params[wave.amp] * _mode_sum(np.sin(theta) / wave.divisors, -1)
+    return base + f[..., None] * wave.direction
 
 
 def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
@@ -209,67 +195,73 @@ def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
     return CirculantCoeffs(*_values(spec, as_vector4(p)).tolist())
 
 
-def _analytic_derivatives(spec: FieldFamilySpec, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    if spec.family == "custom":
-        return np.asarray(spec.grad_fn(v), dtype=float), np.asarray(spec.hess_fn(v), dtype=float)
-    grads = np.zeros((3, 4))
-    hessians = np.zeros((3, 4, 4))
-    if spec.family == "s_wave":
-        _, eps, _, _ = spec.params
-        r, t = _wave_rt(v)
-        grads[2] = _wave_df(eps, r, t)
-        grads[0] = -grads[2]
-        hessians[2] = _wave_ddf(eps, r, t)
-        hessians[0] = -hessians[2]
-    elif spec.family == "control":
-        _, kappa, _, _ = spec.params
-        grads[0, 0] = kappa * np.cos(v[0])
-        hessians[0, 0, 0] = -kappa * np.sin(v[0])
-    return grads, hessians
+def _wave_derivatives(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed-form gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of a built-in family at points (N, 4)."""
+    wave = _FAMILIES[spec.family].wave
+    if wave is None:
+        return np.zeros((len(pts), 3, 4)), np.zeros((len(pts), 3, 4, 4))
+    amp, lin, modes, divisors, direction = wave
+    theta = pts @ lin.T @ modes.T
+    # Derivatives of F in the wave's coordinates, pulled back along lin.
+    grad = (spec.params[amp] * _mode_sum((np.cos(theta) / divisors)[..., None] * modes, -2)) @ lin
+    hess = lin.T @ (-spec.params[amp] * _mode_sum(
+        (np.sin(theta) / divisors)[..., None, None] * (modes[:, :, None] * modes[:, None, :]), -3)) @ lin
+    # Zero times a negative entry is -0.0; adding +0.0 leaves every zero entry +0.0 and the rest as they are.
+    return direction[:, None] * grad[:, None] + 0.0, direction[:, None, None] * hess[:, None] + 0.0
 
 
-def _fd_derivatives(spec: FieldFamilySpec, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Central differences with one Richardson level for the gradients (step
-    spec.fd_step) and nested central second differences for the Hessians
-    (step FD_HESSIAN_STEP), all read off one evaluation of the stencil."""
+def _stencil_jet(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, gradients and Hessians at points (N, 4) from one evaluation of the (N, 49, 4) stencil:
+    central differences with one Richardson level for the gradients (step spec.fd_step) and nested
+    central second differences for the Hessians (step FD_HESSIAN_STEP)."""
     h, k = spec.fd_step, FD_HESSIAN_STEP
-    f = _values(spec, v + np.concatenate([h * _GRAD_STENCIL, _HESSIAN_STENCIL]))
-    half_p, half_m, full_p, full_m = f[1:17].reshape(4, 4, 3)
-    hp, hm = f[17:25].reshape(2, 4, 3)
-    pp, pm, mp, mm = f[25:].reshape(4, 6, 3)
+    f = np.moveaxis(_values(spec, pts[:, None] + np.concatenate([h * _GRAD_STENCIL, _HESSIAN_STENCIL])), 1, 0)
+    half_p, half_m, full_p, full_m = f[1:17].reshape(4, 4, -1, 3)
+    hp, hm = f[17:25].reshape(2, 4, -1, 3)
+    pp, pm, mp, mm = f[25:].reshape(4, 6, -1, 3)
     central_half = (half_p - half_m) / (2 * (h / 2))
     central_full = (full_p - full_m) / (2 * h)
-    grads = ((4.0 * central_half - central_full) / 3.0).T
-    hessians = np.empty((3, 4, 4))
-    hessians[:, _DIAG, _DIAG] = ((hp - 2 * f[0] + hm) / k**2).T
-    off = ((pp - pm - mp + mm) / (4 * k**2)).T
-    hessians[:, _PAIR_I, _PAIR_J] = off
-    hessians[:, _PAIR_J, _PAIR_I] = off
-    return grads, hessians
+    grads = np.moveaxis((4.0 * central_half - central_full) / 3.0, 0, -1)
+    hessians = np.empty((len(pts), 3, 4, 4))
+    hessians[..., _DIAG, _DIAG] = np.moveaxis((hp - 2 * f[0] + hm) / k**2, 0, -1)
+    off = np.moveaxis((pp - pm - mp + mm) / (4 * k**2), 0, -1)
+    hessians[..., _PAIR_I, _PAIR_J] = off
+    hessians[..., _PAIR_J, _PAIR_I] = off
+    return f[0], grads, hessians
+
+
+def eval_jets(spec: FieldFamilySpec, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (N, 3), gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of (A, B, C) at chart points (N, 4).
+
+    Raises if a value breaks the admissibility chain, naming the first such
+    point and the violated inequality.
+    """
+    if spec.family == "custom":
+        jets = [(spec.value_fn(p), spec.grad_fn(p), spec.hess_fn(p)) for p in points]
+        values, grads, hessians = (np.array(part, dtype=float) for part in zip(*jets))
+    elif spec.derivative_mode == "analytic":
+        values, (grads, hessians) = _values(spec, points), _wave_derivatives(spec, points)
+    else:
+        values, grads, hessians = _stencil_jet(spec, points)
+    a, b, c = values.T
+    admissible = (b > 0) & (b < c) & (c < a)
+    if not admissible.all():
+        n = int(np.argmin(admissible))
+        (a, b, c), at = values[n].tolist(), points[n].tolist()
+        if not b > 0:
+            raise ValueError(f"inadmissible at {at}: B = {b} (need 0 < B)")
+        if not b < c:
+            raise ValueError(f"inadmissible at {at}: B = {b}, C = {c} (need B < C)")
+        raise ValueError(f"inadmissible at {at}: C = {c}, A = {a} (need C < A)")
+    return values, grads, hessians
 
 
 def eval_jet(spec: FieldFamilySpec, p) -> FieldJet:
-    """Value, gradients and Hessians of (A, B, C) at a chart point.
-
-    Raises if the value at p breaks the admissibility chain, naming the
-    violated inequality.
-    """
-    v = as_vector4(p)
-    value = coeffs_at(spec, v)
-    a, b, c = value
-    if not b > 0:
-        raise ValueError(f"inadmissible at {v.tolist()}: B = {b} (need 0 < B)")
-    if not b < c:
-        raise ValueError(f"inadmissible at {v.tolist()}: B = {b}, C = {c} (need B < C)")
-    if not c < a:
-        raise ValueError(f"inadmissible at {v.tolist()}: C = {c}, A = {a} (need C < A)")
-    if spec.derivative_mode == "analytic":
-        grads, hessians = _analytic_derivatives(spec, v)
-    else:
-        grads, hessians = _fd_derivatives(spec, v)
-    return FieldJet(value=value, grads=grads, hessians=hessians)
+    """Value, gradients and Hessians of (A, B, C) at a chart point: ``eval_jets`` at a block of one."""
+    values, grads, hessians = eval_jets(spec, as_vector4(p)[None])
+    return FieldJet(value=CirculantCoeffs(*values[0].tolist()), grads=grads[0], hessians=hessians[0])
 
 
 def parallel_residual(spec: FieldFamilySpec, p) -> float:
     """Gradient-form parallelism residual at a chart point (see gradient_residual)."""
-    return eval_jet(spec, p).parallel_residual()
+    return float(gradient_residual(eval_jet(spec, p).grads))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import re
 import reprlib
@@ -27,12 +28,14 @@ import numpy as np
 from . import __version__
 from .algebra import qbase_predicate
 from .curvature import IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
-from .fields import FieldFamilySpec, eval_jet, gradient_residual, make_family
+from .fields import FieldFamilySpec, gradient_residual, make_family
 from .frames import spectral_frame_residuals
 
 __all__ = ["ConfigError", "RunConfig", "run_verify", "report_to_csv", "report_json"]
 
 DEFAULT_TOLERANCES = {"frame_tol": 1e-12, "curvature_tol": 1e-9, "section_tol": 1e-6}
+# Most chart points a grid may expand to; the product of grid.count is checked before any point is built.
+_MAX_GRID_POINTS = 10**6
 _CONFIG_KEYS = ("family", "points", "grid", "seeds", "rng_seed", "tolerances", "derivative_mode", "output")
 
 
@@ -139,6 +142,8 @@ class RunConfig:
                     raise ConfigError(f"grid.count must hold integers >= 1, got {grid['count']!r}")
             except ConfigError as exc:
                 raise ConfigError(f"'grid' needs per-axis 'min', 'max', 'count': {exc}") from None
+            if math.prod(grid["count"]) > _MAX_GRID_POINTS:
+                raise ConfigError(f"grid.count {grid['count']!r} makes more than {_MAX_GRID_POINTS} points")
             axes = [np.linspace(lo[i], hi[i], n) for i, n in enumerate(grid["count"])]
             return np.array(list(itertools.product(*axes)))
         raise ConfigError("config needs 'points' or 'grid'")
@@ -166,6 +171,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, an integer too long to convert, or nested too deep
+            raise ConfigError(f"config {path} cannot be decoded: {exc}") from exc
         return cls(raw)
 
 
@@ -226,7 +233,7 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
     size = max(1, min(_BLOCK_POINTS, _BLOCK_PAIRS // len(seeds)))
     for start in range(0, len(config.points), size):
         block = config.points[start:start + size]
-        geo = PointGeometry.from_jets([eval_jet(config.family, p) for p in block])
+        geo = PointGeometry.from_field(config.family, block)
         sections, identities = geo.seed_checks(config.seeds)
         bases += _point_records(geo, tol["frame_tol"])
         per_point = zip(block.tolist(), bases[start:], sections.mu.tolist(),

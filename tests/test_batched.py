@@ -74,7 +74,7 @@ class TestBlockAgainstScalar:
     @given(points=st.lists(_point, min_size=1, max_size=5), seeds=st.lists(_seed, min_size=1, max_size=3))
     def test_block_matches_per_point_views(self, name, params, points, seeds):
         spec = make_family(name, params)
-        geo = PointGeometry.from_jets([eval_jet(spec, p) for p in points])
+        geo = PointGeometry.from_field(spec, np.array(points))
         sections, identities = geo.seed_checks(seeds)
         symmetry = geo.symmetry_residuals()
         frame = spectral_frame_residuals(geo.coeffs)
@@ -133,14 +133,14 @@ class TestBlockAgainstScalar:
         }
         whole = run_verify(RunConfig(cfg))["records"]
         blocks = []
-        original = PointGeometry.from_jets.__func__
+        original = PointGeometry.from_field.__func__
 
-        def counting(cls, jets):
-            blocks.append(len(jets))
-            return original(cls, jets)
+        def counting(cls, spec, points):
+            blocks.append(len(points))
+            return original(cls, spec, points)
 
         monkeypatch.setattr(reporting, "_BLOCK_PAIRS", 6)
-        monkeypatch.setattr(PointGeometry, "from_jets", classmethod(counting))
+        monkeypatch.setattr(PointGeometry, "from_field", classmethod(counting))
         split = run_verify(RunConfig(cfg))["records"]
         assert blocks == [2, 2, 2, 1]
         assert [list(r) for r in split] == [list(r) for r in whole]

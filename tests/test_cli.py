@@ -287,6 +287,22 @@ class TestNumberValidationExitCode:
         self.check_exits_2(path, capsys, field)
 
 
+class TestUndecodableConfigExitCode:
+    """A config file that cannot be decoded is a config error naming the file, with exit 2 and no output."""
+
+    @pytest.mark.parametrize("content", [
+        ('{"rng_seed": ' + "1" * 5000 + "}").encode(),
+        '{"family": {"name": "s_w\xe4ve"}}'.encode("latin-1"),
+        b"[" * 100000,
+    ], ids=["integer-too-long", "not-utf8", "nested-too-deep"])
+    def test_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and str(path) in captured.err
+        assert captured.out == ""
+
 class TestOutFile:
     def test_inspect_out_writes_the_printed_bytes(self, tmp_path, capsys):
         assert main(["inspect", "--coeffs", "3,1,2"]) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circulant4 import (
     coeffs_at,
@@ -10,6 +12,8 @@ from circulant4 import (
     make_family,
     parallel_residual,
 )
+from circulant4 import fields
+from circulant4.fields import eval_jets
 
 S_WAVE = (2.0, 0.1, 3.0, 1.0)
 CONTROL = (3.0, 0.1, 1.0, 2.0)
@@ -129,3 +133,97 @@ class TestParallelResidual:
         # grad C = 0 forces the residual to |dA/dx1| = kappa at the origin
         assert parallel_residual(spec, [0, 0, 0, 0]) == pytest.approx(0.1, rel=1e-12)
         assert parallel_residual(spec, [0, 0, 0, 0]) >= 0.05
+
+
+_V = np.array([1.0, 0.0, -1.0, 0.0])
+_W = np.array([0.0, 1.0, 0.0, -1.0])
+
+
+def _oracle_jet(name, params, v):
+    """Values, gradients and Hessians of s_wave and control written out by hand, one point at a time:
+    the formulas the family table replaced, kept as an independent reference."""
+    grads, hessians = np.zeros((3, 4)), np.zeros((3, 4, 4))
+    if name == "s_wave":
+        c0, eps, a0, b0 = params
+        r, t = v @ _V, v @ _W
+        f = eps * (np.sin(r) + np.sin(t) / 2.0 + np.sin(r + t) / 3.0)
+        fr = eps * (np.cos(r) + np.cos(r + t) / 3.0)
+        ft = eps * (np.cos(t) / 2.0 + np.cos(r + t) / 3.0)
+        frr = -eps * (np.sin(r) + np.sin(r + t) / 3.0)
+        ftt = -eps * (np.sin(t) / 2.0 + np.sin(r + t) / 3.0)
+        frt = -eps * np.sin(r + t) / 3.0
+        grads[2] = fr * _V + ft * _W
+        hessians[2] = frr * np.outer(_V, _V) + ftt * np.outer(_W, _W) + frt * (np.outer(_V, _W) + np.outer(_W, _V))
+        grads[0], hessians[0] = -grads[2], -hessians[2]
+        return np.array([a0 - f, b0, c0 + f]), grads, hessians
+    a0, kappa, b0, c0 = params
+    grads[0, 0] = kappa * np.cos(v[0])
+    hessians[0, 0, 0] = -kappa * np.sin(v[0])
+    return np.array([a0 + kappa * np.sin(v[0]), b0, c0]), grads, hessians
+
+
+def _worst_against_oracle(name, params, points):
+    """Max over points of |table - oracle| / max(1, |oracle|), values, gradients and Hessians together."""
+    values, grads, hessians = eval_jets(make_family(name, params), np.array(points))
+    worst = 0.0
+    for n, p in enumerate(points):
+        for ours, theirs in zip((values[n], grads[n], hessians[n]), _oracle_jet(name, params, np.array(p))):
+            worst = max(worst, np.max(np.abs(ours - theirs) / np.maximum(1.0, np.abs(theirs))))
+    return worst
+
+
+_coord = st.floats(-4.0, 4.0, allow_nan=False)
+_points = st.lists(st.tuples(_coord, _coord, _coord, _coord), min_size=1, max_size=8)
+_amplitude = st.floats(-0.2, 0.2, allow_nan=False)
+_CUSTOM = make_custom_family(
+    lambda p: (3.0 + 0.1 * np.sin(p[0] * p[1]), 1.0 + 0.01 * p[2] ** 2, 2.0),
+    lambda p: np.array([[0.1 * np.cos(p[0] * p[1]) * p[1], 0.1 * np.cos(p[0] * p[1]) * p[0], 0, 0],
+                        [0, 0, 0.02 * p[2], 0], [0, 0, 0, 0]]),
+    lambda p: np.arange(48.0).reshape(3, 4, 4) * p[3],
+)
+
+
+class TestFamilyTable:
+    @settings(max_examples=60, deadline=None)
+    @given(points=_points, eps=_amplitude, kappa=_amplitude)
+    def test_analytic_jet_matches_hand_written_formulas(self, points, eps, kappa):
+        assert _worst_against_oracle("s_wave", (2.0, eps, 3.0, 1.0), points) <= 1e-15
+        assert _worst_against_oracle("control", (3.0, kappa, 1.0, 2.0), points) <= 1e-15
+
+    @pytest.mark.parametrize("spec", [
+        *(make_family(name, params, derivative_mode=mode)
+          for name, params in (("constant", (3, 1, 2)), ("s_wave", S_WAVE), ("control", CONTROL))
+          for mode in ("analytic", "finite_difference")),
+        _CUSTOM,
+    ], ids=lambda spec: f"{spec.family}-{spec.derivative_mode}")
+    def test_block_rows_are_single_point_jets_bit_for_bit(self, spec):
+        points = np.random.default_rng(34).uniform(-3, 3, size=(40, 4))
+        values, grads, hessians = eval_jets(spec, points)
+        for n, p in enumerate(points):
+            jet = eval_jet(spec, p)
+            assert values[n].tobytes() == np.array(jet.value).tobytes()
+            assert grads[n].tobytes() == jet.grads.tobytes()
+            assert hessians[n].tobytes() == jet.hessians.tobytes()
+
+    @pytest.mark.parametrize("name,params,field,value", [
+        ("s_wave", S_WAVE, "divisors", [1.0, 2.0, 4.0]),
+        ("s_wave", S_WAVE, "direction", [-1.0, 0.0, 0.5]),
+        ("s_wave", S_WAVE, "modes", [[1, 0], [0, 1], [1, -1]]),
+        ("control", CONTROL, "divisors", [2.0]),
+        ("control", CONTROL, "direction", [0.0, 0.0, 1.0]),
+    ])
+    def test_a_planted_table_fault_is_caught(self, monkeypatch, name, params, field, value):
+        points = np.random.default_rng(35).uniform(-3, 3, size=(20, 4)).tolist()
+        assert _worst_against_oracle(name, params, points) <= 1e-15
+        row = fields._FAMILIES[name]
+        planted = row._replace(wave=row.wave._replace(**{field: np.array(value)}))
+        monkeypatch.setitem(fields._FAMILIES, name, planted)
+        assert _worst_against_oracle(name, params, points) > 1e-3
+
+    def test_make_family_bounds_follow_the_table(self):
+        # |eps| (1 + 1/2 + 1/3) = 0.55 for eps = 0.3: C up to 2.55 against A from 2.6 - 0.55.
+        with pytest.raises(ValueError, match=r"C range up to 2\.55 overlaps A range from 2\.05"):
+            make_family("s_wave", (2.0, 0.3, 2.6, 1.0))
+        make_family("s_wave", (2.0, 0.3, 3.2, 1.0))
+        with pytest.raises(ValueError, match=r"C range up to 2\.0 overlaps A range from 1\.9"):
+            make_family("control", (2.4, -0.5, 1.0, 2.0))

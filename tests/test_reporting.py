@@ -129,16 +129,17 @@ class TestOneGeometryPassPerPoint:
     def test_run_verify_evaluates_each_jet_once(self, monkeypatch):
         from circulant4 import curvature, fields, reporting
 
+        # Every chart point that reaches the block jet, through any module's binding of it.
         calls = []
-        original = fields.eval_jet
+        original = fields.eval_jets
 
-        def counting(spec, p):
-            calls.append(tuple(p))
-            return original(spec, p)
+        def counting(spec, points):
+            calls.extend(map(tuple, points))
+            return original(spec, points)
 
         for module in (fields, curvature, reporting):
-            if hasattr(module, "eval_jet"):
-                monkeypatch.setattr(module, "eval_jet", counting)
+            if hasattr(module, "eval_jets"):
+                monkeypatch.setattr(module, "eval_jets", counting)
         config = RunConfig(base_config())
         run_verify(config)
         assert len(calls) == len(config.points) == len(set(calls))
@@ -336,3 +337,55 @@ class TestNumberRejections:
                                     family={"name": "constant", "params": [3, 1, 2]}))
         assert config.family.params == (3.0, 1.0, 2.0)
         assert config.points.shape == (6, 4) and config.points[:, 1].tolist() == [-1.0, 0.0, 1.0] * 2
+
+
+def _config_text(**replace):
+    """base_config() as JSON text with the given literal substitutions."""
+    text = json.dumps(base_config())
+    for old, new in replace.items():
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+class TestConfigFileDecoding:
+    """Every failure to read or decode a config file is a ConfigError naming the file."""
+
+    def check(self, path):
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_file(str(path))
+        assert str(path) in str(info.value)
+
+    def test_integer_too_long_to_convert(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(_config_text(**{'"rng_seed": 1234': '"rng_seed": ' + "1" * 5000}))
+        self.check(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(_config_text(**{"s_wave": "s_w\xe4ve"}).encode("latin-1"))
+        self.check(path)
+
+    def test_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        self.check(path)
+
+
+class TestGridSize:
+    def test_grid_above_the_point_limit_rejected(self):
+        # 1001 * 1000 points, one more axis step than the limit allows.
+        with pytest.raises(ConfigError, match=r"grid\.count"):
+            RunConfig(_without("points", grid=_grid(count=[1001, 1000, 1, 1])))
+
+    def test_huge_grid_rejected_before_any_point_is_built(self):
+        with pytest.raises(ConfigError, match=r"grid\.count"):
+            RunConfig(_without("points", grid=_grid(count=[10**6] * 4)))
+
+    def test_grid_at_the_point_limit_accepted(self, monkeypatch):
+        from circulant4 import reporting
+
+        monkeypatch.setattr(reporting, "_MAX_GRID_POINTS", 12)
+        assert RunConfig(_without("points", grid=_grid(count=[3, 4, 1, 1]))).points.shape == (12, 4)
+        with pytest.raises(ConfigError, match=r"grid\.count"):
+            RunConfig(_without("points", grid=_grid(count=[13, 1, 1, 1])))
