@@ -21,7 +21,7 @@ import math
 import operator
 import re
 import reprlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -36,6 +36,9 @@ __all__ = ["ConfigError", "RunConfig", "run_verify", "report_to_csv", "report_js
 DEFAULT_TOLERANCES = {"frame_tol": 1e-12, "curvature_tol": 1e-9, "section_tol": 1e-6}
 # Most chart points a grid may expand to; the product of grid.count is checked before any point is built.
 _MAX_GRID_POINTS = 10**6
+# Most seeds "random:N" may draw, and most (point, seed) records a run may make; both are checked before any
+# seed is drawn.
+_MAX_RANDOM_SEEDS, _MAX_RECORDS = 10**6, 10**7
 _CONFIG_KEYS = ("family", "points", "grid", "seeds", "rng_seed", "tolerances", "derivative_mode", "output")
 
 
@@ -153,13 +156,21 @@ class RunConfig:
         if seeds is None:
             raise ConfigError("config needs 'seeds' (list of 4-vectors or \"random:N\")")
         if isinstance(seeds, str):
-            count = re.fullmatch(r"random:([0-9]+)", seeds)
-            if not (count and int(count[1]) >= 1):
-                raise ConfigError(f"seeds: {seeds!r} must be \"random:N\" with N >= 1")
+            count = re.fullmatch(r"random:0*([0-9]+)", seeds)
+            # The digits are counted before int(), which refuses more than 4300 of them.
+            if not (count and len(count[1]) <= len(str(_MAX_RANDOM_SEEDS))
+                    and 1 <= int(count[1]) <= _MAX_RANDOM_SEEDS):
+                raise ConfigError(
+                    f"seeds: {reprlib.repr(seeds)} must be \"random:N\" with 1 <= N <= {_MAX_RANDOM_SEEDS}")
             if self.rng_seed is None:
                 raise ConfigError("random seeds require an explicit 'rng_seed' for reproducibility")
-            rng = np.random.default_rng(self.rng_seed)
-            return random_qbase_seeds(rng, int(count[1]))
+            n = int(count[1])
+        else:
+            n = len(seeds) if isinstance(seeds, (list, tuple)) else 0
+        if len(self.points) * n > _MAX_RECORDS:
+            raise ConfigError(f"seeds: {n} seeds at {len(self.points)} points make more than {_MAX_RECORDS} records")
+        if isinstance(seeds, str):
+            return random_qbase_seeds(np.random.default_rng(self.rng_seed), n)
         return self._vectors(seeds, "seeds", self.check_seed)
 
     @classmethod
@@ -309,7 +320,7 @@ def report_json(report: Dict[str, Any]) -> str:
     if not (isinstance(records, (list, tuple)) and records):
         return _dumps(report)
     try:
-        body = _RECORD_SEPARATOR.join(_fill_records(records))
+        body = _fill_records(records)
     except TypeError:  # a record that is not laid out as run_verify's
         return _dumps(report)
     outer = json.dumps({**report, "records": []}, sort_keys=True, indent=2)
@@ -328,52 +339,101 @@ _RECORD_INDENT = "\n    "
 _RECORD_SEPARATOR = "," + _RECORD_INDENT
 # How json.encoder spells the floats whose repr is not JSON.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# run_verify's record with a slot for each float or int leaf, dict keys sorted.
-_SLOT = "\x00"
+# The leaf types the writers spell with float.__repr__, as json.encoder does; a float subclass may spell
+# itself otherwise, and bool, int and None coerce silently into a float array.
+_FLOATS = {float, np.float64}
+# run_verify's record with a slot for each float or int leaf, dict keys sorted; the seed's slots and the
+# seed index's are marked apart.
+_SLOT, _SEED_SLOT = "\x00", "\x01"
 _SKELETON = {
     "coeffs": dict.fromkeys("ABC", _SLOT), "symmetry_residuals": dict.fromkeys(sorted(SYMMETRY_NAMES), _SLOT),
     "identity_residuals": dict.fromkeys(sorted(IDENTITY_NAMES), _SLOT),
-    "point": [_SLOT] * 4, "seed": [_SLOT] * 4, "mu": [_SLOT] * 6,
-    **dict.fromkeys(["point_index", "seed_index", "parallel_residual", "nabla_q_residual", "frame_residual",
+    "point": [_SLOT] * 4, "seed": [_SEED_SLOT] * 4, "seed_index": _SEED_SLOT, "mu": [_SLOT] * 6,
+    **dict.fromkeys(["point_index", "parallel_residual", "nabla_q_residual", "frame_residual",
                      "frame_tolerance", "equality_residual", "zero_residual"], _SLOT),
 }
-# The skeleton at depth 2 of the report with a "%s" per slot.  In sorted key
-# order, the point's fields and the seed are interleaved with the pair's 27
-# floats and the seed index.
-_RECORD = json.dumps(_SKELETON, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT).replace(json.dumps(_SLOT), "%s")
+
+
+def _templates() -> tuple:
+    """``_RECORD``, the skeleton at depth 2 of the report with a "%s" per slot, where the text from the
+    seed's first slot to the seed index's is one "%s"; and ``_SEED``, that text with a "%s" per slot."""
+    text = json.dumps(_SKELETON, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT)
+    slot, seed_slot = json.dumps(_SLOT), json.dumps(_SEED_SLOT)
+    before, _, rest = text.partition(seed_slot)
+    seed, _, after = rest.rpartition(seed_slot)
+    return (before + slot + after).replace(slot, "%s"), "%s" + seed.replace(seed_slot, "%s") + "%s"
+
+
+# In sorted key order, a record's point fields are interleaved with the pair's 27 floats (26 before the
+# seed's slot, the zero residual after it) and the seed's slot.
+_RECORD, _SEED = _templates()
+_PAIR_FLOATS = 27
 # A record's point-level fields in sorted key order: run_verify shares these objects between a point's records.
 _POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
                                     "parallel_residual", "point", "point_index", "symmetry_residuals")
 
 
+def _reprs(values: Any) -> List[str]:
+    """Each float's ``float.__repr__``: its text in csv.writer's cells, and in JSON's if finite."""
+    return list(map(float.__repr__, values))
+
+
 def _spell(values: Any) -> List[str]:
-    """Each value's text as json.encoder writes a float; TypeError unless every value is a float."""
-    texts = list(map(float.__repr__, values))  # np.float64 too: json.encoder uses float.__repr__
+    """Each value's text as json.encoder writes a float; TypeError unless every value's type is in _FLOATS."""
+    if not set(map(type, values)) <= _FLOATS:
+        raise TypeError("a float leaf of the record is not a float")
+    texts = _reprs(values)
     if not _NON_FINITE.keys().isdisjoint(texts):
         texts = [_NON_FINITE.get(text, text) for text in texts]
     return texts
+
+
+def _spell_distinct(values: List[float], spell: Callable[[List[float]], List[str]]) -> List[str]:
+    """``spell(values)``, calling ``spell`` on each distinct float64 bit pattern of the values once.
+
+    Bit patterns, not values: 0.0 == -0.0 while their texts differ, and a NaN equals nothing.
+    """
+    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.uint64), return_inverse=True)
+    return np.array(spell(bits.view(np.float64).tolist()), dtype=object)[inverse].tolist()
+
+
+def _interleave(columns: List[List[Any]]) -> tuple:
+    """The rows of equal-length columns, one after another, as one flat tuple."""
+    args: List[Any] = [None] * (len(columns) * len(columns[0]))
+    for j, column in enumerate(columns):
+        args[j::len(columns)] = column
+    return tuple(args)
+
+
+# A dict field's leaves in key order.
+_DICT_LEAVES = {field: operator.itemgetter(*like) for field, like in _SKELETON.items() if isinstance(like, dict)}
 
 
 def _leaves(value: Any, field: str) -> Any:
     """The leaves of a record field laid out as in ``_SKELETON`` (a dict's in key order); else TypeError."""
     like = _SKELETON[field]
     if isinstance(like, dict) and isinstance(value, dict) and value.keys() == like.keys():
-        return map(value.__getitem__, like)
+        return _DICT_LEAVES[field](value)
     if isinstance(like, list) and isinstance(value, (list, tuple)) and len(value) == len(like):
         return value
     raise TypeError(f"record field {field!r} is not laid out as run_verify's")
 
 
-def _fill_records(records: Any) -> List[str]:
-    """Each record's text as ``json.dumps(record, sort_keys=True, indent=2)`` writes it at depth 2
-    of the report; TypeError unless every record has run_verify's keys, lengths, float leaves and
-    int (not bool) indices.  A point's fields are spelled into a copy of ``_RECORD`` once while
-    consecutive records hold the same objects in all of them, and a seed once per seed object;
-    only the pair's floats are spelled for every record.
+def _fill_records(records: Any) -> str:
+    """The records' text as ``json.dumps(records, sort_keys=True, indent=2)`` writes their items at
+    depth 2 of the report, joined by ``_RECORD_SEPARATOR``; TypeError unless every record has
+    run_verify's keys, lengths, float leaves and int (not bool) indices.
+
+    A point's fields are spelled into a copy of ``_RECORD`` once while consecutive records hold the
+    same objects in all of them, and a seed with its index into ``_SEED`` once per seed object and
+    index.  The pair floats of all records are spelled once per distinct bit pattern, and one ``%``
+    fills every record's template.
     """
-    texts: List[str] = []
+    templates: List[str] = []
+    pairs: List[Any] = []  # each record's pair floats in slot order
+    seed_texts: List[str] = []
     point: Optional[tuple] = None
-    seeds: Dict[int, tuple] = {}  # id -> (seed, its texts); holding the seed keeps its id unique
+    seeds: Dict[tuple, tuple] = {}  # (id, index) -> (seed, its text); holding the seed keeps its id unique
     for record in records:
         if not (isinstance(record, dict) and record.keys() == _SKELETON.keys()
                 and type(record["point_index"]) is type(record["seed_index"]) is int):
@@ -382,17 +442,24 @@ def _fill_records(records: Any) -> List[str]:
         if point is None or not all(map(operator.is_, fields, point)):
             coeffs, frame, frame_tol, nabla_q, parallel, coords, index, symmetry = point = fields
             template = _RECORD % (
-                *_spell(_leaves(coeffs, "coeffs")), "%s", *_spell((frame, frame_tol)), *("%s",) * 25,
-                *_spell((nabla_q, parallel, *_leaves(coords, "point"))), index, *("%s",) * 5,
+                *_spell(_leaves(coeffs, "coeffs")), "%s", *_spell([frame, frame_tol]), *("%s",) * 25,
+                *_spell([nabla_q, parallel, *_leaves(coords, "point")]), index, "%s",
                 *_spell(_leaves(symmetry, "symmetry_residuals")), "%s")
-        seed = record["seed"]
-        if id(seed) not in seeds:
-            seeds[id(seed)] = (seed, _spell(_leaves(seed, "seed")))
-        pair = _spell((record["equality_residual"], *_leaves(record["identity_residuals"], "identity_residuals"),
-                       *_leaves(record["mu"], "mu"), record["zero_residual"]))
-        pair[26:26] = (*seeds[id(seed)][1], record["seed_index"])
-        texts.append(template % tuple(pair))
-    return texts
+        templates.append(template)
+        seed, seed_index = record["seed"], record["seed_index"]
+        key = (id(seed), seed_index)
+        if key not in seeds:
+            seeds[key] = (seed, _SEED % (*_spell(_leaves(seed, "seed")), seed_index))
+        seed_texts.append(seeds[key][1])
+        pairs.append(record["equality_residual"])
+        pairs += _leaves(record["identity_residuals"], "identity_residuals")
+        pairs += _leaves(record["mu"], "mu")
+        pairs.append(record["zero_residual"])
+    if not set(map(type, pairs)) <= _FLOATS:  # before np.array, which would coerce them
+        raise TypeError("a pair float of a record is not a float")
+    texts = _spell_distinct(pairs, _spell)
+    columns = [texts[j::_PAIR_FLOATS] for j in range(_PAIR_FLOATS)]
+    return _RECORD_SEPARATOR.join(templates) % _interleave([*columns[:-1], seed_texts, columns[-1]])
 
 
 _CSV_HEADER = ",".join([
@@ -415,21 +482,37 @@ def report_to_csv(report: Dict[str, Any]) -> str:
     The text is what ``csv.writer`` (excel dialect) writes: every cell is a
     number, which it spells with ``str`` and never quotes, and each row
     ends in ``\\r\\n``.  Point and seed cells are reused as in ``_fill_records``.
+    When every pair cell (mu, the equality and zero residuals, the largest
+    identity residual) is a ``float``, whose ``str`` is its repr, they are
+    spelled once per distinct bit pattern; numpy's own ``str`` of an
+    ``np.float64`` is not assumed to agree.
     """
-    lines = [_CSV_HEADER]
+    templates: List[str] = []
+    pairs: List[Any] = []  # each row's pair cells in column order
+    starts: List[int] = []  # where each row's pair cells begin in pairs
+    seed_indices: List[Any] = []
+    seed_cells: List[str] = []
     point: Optional[tuple] = None
     seeds: Dict[int, tuple] = {}  # id -> (seed, its cells); holding the seed keeps its id unique
     for r in report["records"]:
         fields = _CSV_POINT_FIELDS(r)
         if point is None or not all(map(operator.is_, fields, point)):
             coeffs, frame, nabla_q, parallel, coords, index, symmetry = point = fields
-            # A "%s" for the seed index, for the seed's cells and for the pair's; a number's text holds no "%".
-            template = "%s,%%s%s%%s%s%%s,%s" % (index, _cells(coords), _cells(
+            # A "%s" for the seed index, the seed's cells and the pair's; a number's text holds no "%".
+            template = "%s,%%s%s%%s%s,%%s,%s\r\n" % (index, _cells(coords), _cells(
                 [coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame]), max(symmetry.values()))
+        templates.append(template)
         seed = r["seed"]
         if id(seed) not in seeds:
             seeds[id(seed)] = (seed, _cells(seed))
-        pair = _cells([*r["mu"], r["equality_residual"], r["zero_residual"], max(r["identity_residuals"].values())])
-        lines.append(template % (r["seed_index"], seeds[id(seed)][1], pair))
-    lines.append("")
-    return "\r\n".join(lines)
+        seed_indices.append(r["seed_index"])
+        seed_cells.append(seeds[id(seed)][1])
+        starts.append(len(pairs))
+        pairs.extend(r["mu"])
+        pairs += (r["equality_residual"], r["zero_residual"], max(r["identity_residuals"].values()))
+    if set(map(type, pairs)) == {float}:
+        texts = _spell_distinct(pairs, _reprs)
+    else:
+        texts = list(map(str, pairs))
+    pair_cells = [",".join(texts[start:end]) for start, end in zip(starts, [*starts[1:], len(texts)])]
+    return _CSV_HEADER + "\r\n" + "".join(templates) % _interleave([seed_indices, seed_cells, pair_cells])

@@ -303,6 +303,26 @@ class TestUndecodableConfigExitCode:
         assert captured.err.startswith("config error:") and str(path) in captured.err
         assert captured.out == ""
 
+
+class TestSeedBoundsExitCode:
+    @pytest.mark.parametrize("overrides", [
+        {"seeds": "random:" + "9" * 5000},
+        {"seeds": "random:1000001"},
+        {"points": [[0.1 * i, 0.0, 0.0, 0.0] for i in range(11)], "seeds": "random:1000000"},
+    ], ids=["huge-digit-count", "above-the-seed-cap", "above-the-record-cap"])
+    def test_exits_2_before_any_seed_is_drawn(self, tmp_path, capsys, monkeypatch, overrides):
+        from circulant4 import reporting
+
+        def sample(rng, n):
+            raise AssertionError("a seed was drawn")
+        monkeypatch.setattr(reporting, "random_qbase_seeds", sample)
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: seeds")
+        assert not out.exists()
+
+
 class TestOutFile:
     def test_inspect_out_writes_the_printed_bytes(self, tmp_path, capsys):
         assert main(["inspect", "--coeffs", "3,1,2"]) == 0

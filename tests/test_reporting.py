@@ -389,3 +389,49 @@ class TestGridSize:
         assert RunConfig(_without("points", grid=_grid(count=[3, 4, 1, 1]))).points.shape == (12, 4)
         with pytest.raises(ConfigError, match=r"grid\.count"):
             RunConfig(_without("points", grid=_grid(count=[13, 1, 1, 1])))
+
+
+class TestSeedCount:
+    """"random:N" and points x seeds are bounded, and checked before any seed is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        from circulant4 import reporting
+
+        def sample(rng, n):
+            raise AssertionError("a seed was drawn")
+        monkeypatch.setattr(reporting, "random_qbase_seeds", sample)
+
+    def test_huge_digit_count_rejected(self):
+        with pytest.raises(ConfigError, match="seeds") as info:
+            RunConfig(base_config(seeds="random:" + "9" * 5000))
+        assert len(str(info.value)) < 200
+
+    def test_count_above_the_cap_rejected(self):
+        from circulant4 import reporting
+
+        with pytest.raises(ConfigError, match="seeds"):
+            RunConfig(base_config(seeds=f"random:{reporting._MAX_RANDOM_SEEDS + 1}"))
+
+    @pytest.mark.parametrize("seeds", ["random:5", [[1.0, 0.0, 0.0, 0.0]] * 5], ids=["random", "list"])
+    def test_records_above_the_cap_rejected(self, monkeypatch, seeds):
+        from circulant4 import reporting
+
+        monkeypatch.setattr(reporting, "_MAX_RECORDS", 9)  # 2 points x 5 seeds
+        with pytest.raises(ConfigError, match="seeds"):
+            RunConfig(base_config(seeds=seeds))
+
+    def test_count_at_the_caps_accepted(self, monkeypatch):
+        from circulant4 import reporting
+
+        monkeypatch.undo()  # draw the seeds for real
+        monkeypatch.setattr(reporting, "_MAX_RANDOM_SEEDS", 3)
+        monkeypatch.setattr(reporting, "_MAX_RECORDS", 6)  # 2 points x 3 seeds
+        assert RunConfig(base_config(seeds="random:3")).seeds.shape == (3, 4)
+        assert RunConfig(base_config(seeds="random:" + "0" * 5000 + "3")).seeds.shape == (3, 4)
+        assert len(RunConfig(base_config(seeds=[[1.0, 0.0, 0.0, 0.0]] * 3)).seeds) == 3
+        with pytest.raises(ConfigError, match="seeds"):
+            RunConfig(base_config(seeds="random:4"))
+        monkeypatch.setattr(reporting, "_MAX_RANDOM_SEEDS", 4)
+        with pytest.raises(ConfigError, match="seeds"):
+            RunConfig(base_config(seeds="random:4"))

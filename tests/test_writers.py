@@ -7,6 +7,7 @@ so those cases also run with the json.dumps fallback made to raise.
 
 import copy
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -197,3 +198,129 @@ class TestOtherLayouts:
         with pytest.raises(TypeError):
             report_json(report)
         assert report_to_csv(report) == csv_oracle(report)
+
+
+def pair_slots(record):
+    """The paths of a record's pair floats: the equality residual, the identity residuals, mu, the zero residual."""
+    return ([("equality_residual",)] + [("identity_residuals", name) for name in sorted(record["identity_residuals"])]
+            + [("mu", i) for i in range(6)] + [("zero_residual",)])
+
+
+def nan_with_payload(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class LoudFloat(float):
+    def __repr__(self):
+        return "loud"
+
+
+class TestDistinctSpelling:
+    """Pair floats are spelled once per distinct bit pattern; the bytes stay the stdlib's."""
+
+    def test_signed_zeros(self, no_fallback):
+        records = real_report()["records"]
+        paths = pair_slots(records[0])
+        for i, record in enumerate(records):
+            record = set_leaf(record, paths[i], 0.0)
+            records[i] = set_leaf(record, paths[-1 - i], -0.0)
+        assert_bytes({"records": records})
+        text = report_json({"records": records})
+        assert ": 0.0" in text and ": -0.0" in text
+
+    def test_nan_payloads_and_infinities(self, no_fallback):
+        specials = [nan_with_payload(0x7FF8000000000000), nan_with_payload(0x7FF8000000000001),
+                    nan_with_payload(0xFFF8000000000000), nan_with_payload(0x7FF0000000000001), math.inf, -math.inf]
+        assert len({struct.pack("<d", x) for x in specials}) == len(specials)
+        records = real_report()["records"]
+        paths = pair_slots(records[0])
+        for i, value in enumerate(specials):
+            records[i] = set_leaf(records[i], paths[3 * i], value)
+            records[-1] = set_leaf(records[-1], paths[i], value)
+        assert_bytes({"records": records})
+
+    @pytest.mark.parametrize("path", [("mu", 0), ("identity_residuals", "e_zero"), ("zero_residual",)],
+                             ids=lambda path: ".".join(map(str, path)))
+    def test_np_float64_and_float_in_one_slot(self, no_fallback, path):
+        records = real_report()["records"]
+        value = 0.1 + 0.2
+        for i, record in enumerate(records):
+            records[i] = set_leaf(record, path, np.float64(value) if i % 2 else value)
+        assert_bytes({"records": records})
+
+    @pytest.mark.parametrize("path", [("equality_residual",), ("mu", 5), ("identity_residuals", "e_zero"),
+                                      ("zero_residual",), ("coeffs", "A"), ("seed", 0)],
+                             ids=lambda path: ".".join(map(str, path)))
+    def test_float_subclass_falls_back(self, monkeypatch, path):
+        records = real_report()["records"]
+        records[1] = set_leaf(records[1], path, LoudFloat(0.25))
+        report = {"records": records}
+        assert_bytes(report)
+        monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
+        assert report_json(report) == "fallback"
+
+    @pytest.mark.parametrize("value", [1, True, None], ids=repr)
+    @pytest.mark.parametrize("path", [("equality_residual",), ("mu", 2), ("identity_residuals", "e_zero"),
+                                      ("zero_residual",)], ids=lambda path: ".".join(map(str, path)))
+    def test_non_float_in_the_last_record_falls_back(self, monkeypatch, path, value):
+        records = real_report()["records"]
+        records[-1] = set_leaf(records[-1], path, value)
+        report = {"records": records}
+        assert report_json(report) == json_oracle(report)
+        if value is not None:
+            assert report_to_csv(report) == csv_oracle(report)
+        monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
+        assert report_json(report) == "fallback"
+
+    def test_every_pair_float_equal(self, no_fallback):
+        records = real_report()["records"]
+        for i, record in enumerate(records):
+            for path in pair_slots(record):
+                record = set_leaf(record, path, 0.1)
+            records[i] = record
+        assert_bytes({"records": records})
+
+    @pytest.mark.parametrize("family", [S_WAVE, CONTROL], ids=["s_wave", "control"])
+    def test_single_record(self, no_fallback, family):
+        assert_bytes({"records": real_report(seeds="random:1", family=family)["records"][:1]})
+
+
+class TestSpelledOnce:
+    """Each distinct bit pattern among the pair floats is spelled once per report."""
+
+    def spelled(self, monkeypatch, write, report):
+        count = [0]
+
+        def reprs(values):
+            values = list(values)
+            count[0] += len(values)
+            return list(map(float.__repr__, values))
+
+        monkeypatch.setattr(reporting, "_reprs", reprs)
+        write(report)
+        return count[0]
+
+    @staticmethod
+    def distinct(values):
+        return len({struct.pack("<d", value) for value in values})
+
+    def test_json(self, monkeypatch, no_fallback):
+        records = real_report()["records"]
+        pairs = [value for record in records for value in (
+            record["equality_residual"], *(record["identity_residuals"][k] for k in sorted(record["identity_residuals"])),
+            *record["mu"], record["zero_residual"])]
+        assert self.distinct(pairs) < len(pairs)  # else this report cannot tell
+        # A point's leaves once per run of records holding its objects, a seed's once per (seed, index).
+        runs = 1 + sum(a["coeffs"] is not b["coeffs"] for a, b in zip(records, records[1:]))
+        point_leaves = 11 + len(records[0]["symmetry_residuals"])
+        seed_leaves = 4 * len({(id(r["seed"]), r["seed_index"]) for r in records})
+        spelled = self.spelled(monkeypatch, report_json, {"records": records})
+        assert spelled <= self.distinct(pairs) + runs * point_leaves + seed_leaves
+
+    def test_csv(self, monkeypatch):
+        records = real_report()["records"]
+        pairs = [value for record in records for value in (
+            *record["mu"], record["equality_residual"], record["zero_residual"],
+            max(record["identity_residuals"].values()))]
+        assert self.distinct(pairs) < len(pairs)
+        assert self.spelled(monkeypatch, report_to_csv, {"records": records}) <= self.distinct(pairs)
