@@ -11,10 +11,12 @@ so they can be exercised against arbitrary metrics in tests; inside a
 ``PointGeometry.from_field`` is the one pass from the block jet of a field
 to metric, Christoffel symbols and Riemann tensor; every entry of g is one
 of A, B, C, selected by the circulant offset (j - i) mod 4, and g^{-1} is
-circulant in closed form.  ``point_geometry`` and the public functions
-taking a coefficient-field spec and a chart point are views over a block
-of one.  Seed-level quantities read off R in the q-orbit basis
-(x, qx, q^2 x, q^3 x), one projection per point for all seeds.
+circulant in closed form.  Every quantity here is a function of the jet
+at a point alone, so the pass keeps one row per distinct jet of the block
+(bit for bit) and maps each point to its row.  ``point_geometry`` and the
+public functions taking a coefficient-field spec and a chart point are
+views over a block of one.  Seed-level quantities read off R in the
+q-orbit basis (x, qx, q^2 x, q^3 x), one projection per row for all seeds.
 
 Sign convention: the (0,4) tensor is oriented so that the sectional
 curvature R(x,y,x,y) / (g(x,x)g(y,y) - g(x,y)^2) of a round sphere is
@@ -174,7 +176,7 @@ class SectionalReport:
     Order: {x,qx}, {x,q2x}, {q3x,x}, {qx,q2x}, {qx,q3x}, {q2x,q3x}.
     equality_residual is the max pairwise spread of mu1, mu3, mu4, mu6;
     zero_residual is max(|mu2|, |mu5|).  From PointGeometry.seed_checks
-    every field carries leading (point, seed) axes.
+    every field carries leading (row, seed) axes.
     """
 
     mu: np.ndarray
@@ -185,27 +187,37 @@ class SectionalReport:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Geometry at a block of N chart points, each array with a leading N axis:
-    field values coeffs[n] = (A, B, C), their gradients grads[n] (3, 4),
-    metric g[n], Christoffel symbols gamma[n, k, i, j] and (0,4) Riemann
-    tensor r[n, i, j, k, l]."""
+    """Geometry at a block of N chart points, one row per distinct field jet.
+
+    Point n has row rows[n]; each other array has a leading axis over the
+    R rows: field values coeffs[m] = (A, B, C), their gradients grads[m]
+    (3, 4), metric g[m], Christoffel symbols gamma[m, k, i, j] and (0,4)
+    Riemann tensor r[m, i, j, k, l].  Rows are in the order their jets are
+    first seen, so a block of one has rows == [0]."""
 
     coeffs: np.ndarray
     grads: np.ndarray
     g: np.ndarray
     gamma: np.ndarray
     r: np.ndarray
+    rows: np.ndarray
 
     @classmethod
     def from_field(cls, spec: FieldFamilySpec, points: np.ndarray) -> "PointGeometry":
-        """Metric, connection and curvature of a coefficient field at chart points (N, 4), in one pass."""
+        """Metric, connection and curvature of a coefficient field at chart points (N, 4), once per distinct jet."""
         coeffs, grads, hessians = eval_jets(spec, points)
-        g, dg, ddg = _metric_arrays(coeffs, grads, hessians)
+        jets = np.concatenate([coeffs, grads.reshape(-1, 12), hessians.reshape(-1, 48)], axis=1)
+        keys = jets.view(f"V{jets.itemsize * jets.shape[1]}").ravel().tolist()  # each point's jet as bytes
+        first: Dict[bytes, int] = {}  # bit patterns, not values: 0.0 == -0.0, and a NaN equals nothing
+        rows = np.array([first.setdefault(key, len(first)) for key in keys], dtype=int)
+        take = np.unique(rows, return_index=True)[1]
+        coeffs, grads = coeffs[take], grads[take]
+        g, dg, ddg = _metric_arrays(coeffs, grads, hessians[take])
         gamma, r = _connection(g, dg, ddg, _circulant_inverse(coeffs))
-        return cls(coeffs=coeffs, grads=grads, g=g, gamma=gamma, r=r)
+        return cls(coeffs=coeffs, grads=grads, g=g, gamma=gamma, r=r, rows=rows)
 
     def nabla_q_residual(self) -> np.ndarray:
-        """(N,) max component of the covariant derivative of the affinor.
+        """(R,) max component of the covariant derivative of the affinor.
 
         (nabla_i q)_j^k = Gamma^k_im q_j^m - Gamma^m_ij q_m^k; the affinor has
         constant components, so there is no partial-derivative term.  With
@@ -216,19 +228,19 @@ class PointGeometry:
         return np.max(np.abs(diff), axis=(1, 2, 3))
 
     def symmetry_residuals(self) -> np.ndarray:
-        """(N, 4) Riemann symmetry residuals, columns in SYMMETRY_NAMES order."""
+        """(R, 4) Riemann symmetry residuals, columns in SYMMETRY_NAMES order."""
         return _symmetry_table(self.r)
 
     def seed_checks(self, seeds) -> Tuple[SectionalReport, np.ndarray]:
         """q-section curvatures and identity residuals of q-base seeds (S, 4).
 
-        Both read off rv[n, s, a, b, c, d] = R(q^a x, q^b x, q^c x, q^d x) at
-        point n for seed x = seeds[s], and the Gram matrices
-        gram[n, s, a, b] = g(q^a x, q^b x).  Viewing r as a 16x16 matrix
+        Both read off rv[m, s, a, b, c, d] = R(q^a x, q^b x, q^c x, q^d x) at
+        row m for seed x = seeds[s], and the Gram matrices
+        gram[m, s, a, b] = g(q^a x, q^b x).  Viewing r as a 16x16 matrix
         over index pairs, rv = (V (x) V) r (V (x) V)^T for the orbit basis V
         of a seed, of which only the rows and columns read are formed.  The
-        report's fields are (N, S, ...) arrays; identity residuals
-        (N, S, 19), in IDENTITY_NAMES order, are |lhs - rhs| (or |lhs| for
+        report's fields are (R, S, ...) arrays; identity residuals
+        (R, S, 19), in IDENTITY_NAMES order, are |lhs - rhs| (or |lhs| for
         a zero claim) normalized by max(1, |rho|).
         """
         seeds = np.asarray(seeds, dtype=float)

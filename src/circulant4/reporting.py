@@ -21,7 +21,7 @@ import math
 import operator
 import re
 import reprlib
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -214,64 +214,60 @@ def _check_keys(section: Dict[str, Any], known: tuple, prefix: str = "") -> None
 _BLOCK_POINTS, _BLOCK_PAIRS = 64, 4096
 
 
-def _point_records(geo: PointGeometry, frame_tol: float) -> List[Dict[str, Any]]:
-    """Point-level record fields for each point of a geometry block."""
-    rows = zip(geo.coeffs.tolist(), gradient_residual(geo.grads).tolist(), geo.nabla_q_residual().tolist(),
-               geo.symmetry_residuals().tolist(), spectral_frame_residuals(geo.coeffs).tolist())
+def _point_records(geo: PointGeometry, frame_tol: float) -> Tuple[List[Dict[str, Any]], List[float], bool]:
+    """Point-level record fields for each row of a geometry block; the rows' largest parallel, nabla-q,
+    symmetry and frame residuals; and whether every frame residual is within its tolerance."""
+    residuals = (gradient_residual(geo.grads), geo.nabla_q_residual(), geo.symmetry_residuals(),
+                 spectral_frame_residuals(geo.coeffs))
+    frame_tols = frame_tol * (1.0 + geo.coeffs[:, 0])
+    rows = zip(geo.coeffs.tolist(), *(r.tolist() for r in residuals), frame_tols.tolist())
     return [{
         "coeffs": {"A": a, "B": b, "C": c},
         "parallel_residual": parallel,
         "nabla_q_residual": nabla_q,
         "symmetry_residuals": dict(zip(SYMMETRY_NAMES, symmetry)),
         "frame_residual": frame,
-        "frame_tolerance": frame_tol * (1.0 + a),
-    } for (a, b, c), parallel, nabla_q, symmetry, frame in rows]
+        "frame_tolerance": frame_tolerance,
+    } for (a, b, c), parallel, nabla_q, symmetry, frame, frame_tolerance in rows
+    ], list(map(np.max, residuals)), bool(np.all(residuals[3] <= frame_tols))
 
 
 def run_verify(config: RunConfig) -> Dict[str, Any]:
     """Run the full verification pipeline and assemble the report.
 
     Points are evaluated in blocks: each point's jet is computed once, and
-    the block's connection, curvature and all seed-level checks are array
-    operations shared by its point records and all of their seeds.  Records
-    are assembled in deterministic (point, seed) order.  If an output path
-    is configured the report is also written there.
+    the block's geometry and seed-level checks are array operations over
+    its distinct jets.  Records of points whose jets are equal bit for bit
+    share their point-level objects and, per seed, the mu list and residual
+    objects; only their point and point index differ.  Records are in
+    (point, seed) order.  The summary's maxima come from the block arrays,
+    so a NaN residual makes its maximum NaN and fails its criterion.  If an
+    output path is configured the report is also written there.
     """
     tol = config.tolerances
     seeds = config.seeds.tolist()
     records: List[Dict[str, Any]] = []
-    bases: List[Dict[str, Any]] = []  # each point's fields, shared by its records
+    worst: List[List[float]] = []  # each block's largest residual per summary maximum
+    frame_ok = True
     size = max(1, min(_BLOCK_POINTS, _BLOCK_PAIRS // len(seeds)))
     for start in range(0, len(config.points), size):
         block = config.points[start:start + size]
         geo = PointGeometry.from_field(config.family, block)
         sections, identities = geo.seed_checks(config.seeds)
-        bases += _point_records(geo, tol["frame_tol"])
-        per_point = zip(block.tolist(), bases[start:], sections.mu.tolist(),
-                        sections.equality_residual.tolist(), sections.zero_residual.tolist(), identities.tolist())
-        for pi, (point, base, mu, equality, zero, identity) in enumerate(per_point, start):
-            for si, seed in enumerate(seeds):
-                records.append({
-                    "point_index": pi,
-                    "seed_index": si,
-                    "point": point,
-                    "seed": seed,
-                    **base,
-                    "mu": mu[si],
-                    "equality_residual": equality[si],
-                    "zero_residual": zero[si],
-                    "identity_residuals": dict(zip(IDENTITY_NAMES, identity[si])),
-                })
+        bases, point_worst, block_frame_ok = _point_records(geo, tol["frame_tol"])
+        frame_ok = frame_ok and block_frame_ok
+        pair_arrays = (sections.mu, sections.equality_residual, sections.zero_residual, identities)
+        worst.append([*point_worst, *map(np.max, pair_arrays[1:])])
+        pairs = [[{"mu": mu, "equality_residual": equality, "zero_residual": zero,
+                   "identity_residuals": dict(zip(IDENTITY_NAMES, identity))}
+                  for mu, equality, zero, identity in zip(*row)] for row in zip(*(a.tolist() for a in pair_arrays))]
+        for pi, point, row in zip(itertools.count(start), block.tolist(), geo.rows.tolist()):
+            base = bases[row]
+            records += [{"point_index": pi, "seed_index": si, "point": point, "seed": seed, **base, **pair}
+                        for si, (seed, pair) in enumerate(zip(seeds, pairs[row]))]
 
-    # Every point has a record per seed, and repeats of a value leave max and all as they are.
-    max_parallel = max(b["parallel_residual"] for b in bases)
-    max_nabla_q = max(b["nabla_q_residual"] for b in bases)
-    max_symmetry = max(max(b["symmetry_residuals"].values()) for b in bases)
-    max_frame = max(b["frame_residual"] for b in bases)
-    frame_ok = all(b["frame_residual"] <= b["frame_tolerance"] for b in bases)
-    max_equality = max(r["equality_residual"] for r in records)
-    max_zero = max(r["zero_residual"] for r in records)
-    max_identity = max(max(r["identity_residuals"].values()) for r in records)
+    (max_parallel, max_nabla_q, max_symmetry, max_frame,
+     max_equality, max_zero, max_identity) = np.max(worst, axis=0).tolist()
 
     parallel_ok = max_nabla_q <= tol["curvature_tol"]
     na = "not applicable (non-parallel)"
@@ -471,20 +467,26 @@ _CSV_POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "nabla_q_res
                                         "point_index", "symmetry_residuals")
 
 
+def _cell(value: Any) -> str:
+    """A cell's text as csv.writer spells it: empty for None, else ``str``."""
+    return "" if value is None else str(value)
+
+
 def _cells(values: Any) -> str:
-    """The values as csv.writer spells number cells, each after a comma."""
-    return "".join(["," + text for text in map(str, values)])
+    """The values as csv.writer spells cells that need no quotes, each after a comma."""
+    return "".join(["," + text for text in map(_cell, values)])
 
 
 def report_to_csv(report: Dict[str, Any]) -> str:
     """Flatten per-(point, seed) records to CSV, one row each.
 
     The text is what ``csv.writer`` (excel dialect) writes: every cell is a
-    number, which it spells with ``str`` and never quotes, and each row
-    ends in ``\\r\\n``.  Point and seed cells are reused as in ``_fill_records``.
-    When every pair cell (mu, the equality and zero residuals, the largest
-    identity residual) is a ``float``, whose ``str`` is its repr, they are
-    spelled once per distinct bit pattern; numpy's own ``str`` of an
+    number, which it spells with ``str`` and never quotes, or None, which
+    it writes as an empty cell, and each row ends in ``\\r\\n``.  Point
+    and seed cells are reused as in ``_fill_records``.  When every pair
+    cell (mu, the equality and zero residuals, the largest identity
+    residual) is a ``float``, whose ``str`` is its repr, they are spelled
+    once per distinct bit pattern; numpy's own ``str`` of an
     ``np.float64`` is not assumed to agree.
     """
     templates: List[str] = []
@@ -499,13 +501,13 @@ def report_to_csv(report: Dict[str, Any]) -> str:
         if point is None or not all(map(operator.is_, fields, point)):
             coeffs, frame, nabla_q, parallel, coords, index, symmetry = point = fields
             # A "%s" for the seed index, the seed's cells and the pair's; a number's text holds no "%".
-            template = "%s,%%s%s%%s%s,%%s,%s\r\n" % (index, _cells(coords), _cells(
-                [coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame]), max(symmetry.values()))
+            template = "%s,%%s%s%%s%s,%%s,%s\r\n" % (_cell(index), _cells(coords), _cells(
+                [coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame]), _cell(max(symmetry.values())))
         templates.append(template)
         seed = r["seed"]
         if id(seed) not in seeds:
             seeds[id(seed)] = (seed, _cells(seed))
-        seed_indices.append(r["seed_index"])
+        seed_indices.append(_cell(r["seed_index"]))
         seed_cells.append(seeds[id(seed)][1])
         starts.append(len(pairs))
         pairs.extend(r["mu"])
@@ -513,6 +515,6 @@ def report_to_csv(report: Dict[str, Any]) -> str:
     if set(map(type, pairs)) == {float}:
         texts = _spell_distinct(pairs, _reprs)
     else:
-        texts = list(map(str, pairs))
+        texts = list(map(_cell, pairs))
     pair_cells = [",".join(texts[start:end]) for start, end in zip(starts, [*starts[1:], len(texts)])]
     return _CSV_HEADER + "\r\n" + "".join(templates) % _interleave([seed_indices, seed_cells, pair_cells])

@@ -1,5 +1,6 @@
 """The block pass over points and seeds against per-point evaluation."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -30,9 +31,9 @@ from circulant4.curvature import (
     _circulant_inverse,
     symmetry_residuals,
 )
-from circulant4.fields import coeffs_at, eval_jet, gradient_residual
+from circulant4.fields import coeffs_at, eval_jet, eval_jets, gradient_residual
 from circulant4.frames import spectral_frame_residuals
-from circulant4 import reporting
+from circulant4 import curvature, reporting
 from circulant4.reporting import _BLOCK_POINTS
 from conftest import random_admissible
 
@@ -78,20 +79,21 @@ class TestBlockAgainstScalar:
         sections, identities = geo.seed_checks(seeds)
         symmetry = geo.symmetry_residuals()
         frame = spectral_frame_residuals(geo.coeffs)
-        assert sections.mu.shape == (len(points), len(seeds), 6)
-        assert identities.shape == (len(points), len(seeds), len(IDENTITY_NAMES))
+        assert sections.mu[geo.rows].shape == (len(points), len(seeds), 6)
+        assert identities[geo.rows].shape == (len(points), len(seeds), len(IDENTITY_NAMES))
         for n, p in enumerate(points):
+            m = geo.rows[n]
             for s, x in enumerate(seeds):
                 expected = _scalar_record(spec, p, x)
-                assert _close(geo.coeffs[n], expected["coeffs"])
-                assert _close(gradient_residual(geo.grads)[n], expected["parallel_residual"])
-                assert _close(geo.nabla_q_residual()[n], expected["nabla_q_residual"])
-                assert _close(symmetry[n], expected["symmetry_residuals"])
-                assert _close(frame[n], expected["frame_residual"])
-                assert _close(sections.mu[n, s], expected["mu"])
-                assert _close(sections.equality_residual[n, s], expected["equality_residual"])
-                assert _close(sections.zero_residual[n, s], expected["zero_residual"])
-                assert _close(identities[n, s], expected["identity_residuals"])
+                assert _close(geo.coeffs[m], expected["coeffs"])
+                assert _close(gradient_residual(geo.grads)[m], expected["parallel_residual"])
+                assert _close(geo.nabla_q_residual()[m], expected["nabla_q_residual"])
+                assert _close(symmetry[m], expected["symmetry_residuals"])
+                assert _close(frame[m], expected["frame_residual"])
+                assert _close(sections.mu[m, s], expected["mu"])
+                assert _close(sections.equality_residual[m, s], expected["equality_residual"])
+                assert _close(sections.zero_residual[m, s], expected["zero_residual"])
+                assert _close(identities[m, s], expected["identity_residuals"])
 
     @pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL)])
     def test_run_verify_across_a_block_boundary(self, name, params):
@@ -147,6 +149,82 @@ class TestBlockAgainstScalar:
         for a, b in zip(split, whole):
             assert _close(a["mu"], b["mu"]) and _close(list(a["identity_residuals"].values()),
                                                       list(b["identity_residuals"].values()))
+
+
+# Multiples of 1/8 in [-2, 2]: sums and differences of these are exact, so shifting a point by
+# (t, u, t, u) keeps x1 - x3 and x2 - x4 bit for bit.
+_eighths = st.integers(-16, 16).map(lambda k: k / 8)
+_dyadic_point = st.tuples(_eighths, _eighths, _eighths, _eighths)
+
+
+def _jet_bytes(spec, point):
+    return b"".join(part.tobytes() for part in eval_jets(spec, np.array([point], dtype=float)))
+
+
+class TestDistinctJets:
+    @pytest.mark.parametrize("name,params,count,rows", [("control", CONTROL, 4, [1, 1, 1, 1]),
+                                                        ("s_wave", S_WAVE, 2, [9])])
+    def test_connection_gets_one_row_per_distinct_jet(self, monkeypatch, name, params, count, rows):
+        # control depends on a point only through x1, the slowest grid axis, so each block of 64
+        # grid points has one jet; s_wave depends on x1 - x3 and x2 - x4, which take 3 x 3 values.
+        seen = []
+        original = curvature._connection
+
+        def counting(g, *args):
+            seen.append(len(g))
+            return original(g, *args)
+
+        monkeypatch.setattr(curvature, "_connection", counting)
+        run_verify(RunConfig({
+            "family": {"name": name, "params": list(params)},
+            "grid": {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [count] * 4},
+            "seeds": "random:8",
+            "rng_seed": 78,
+        }))
+        assert seen == rows
+
+    @pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL)])
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    @settings(max_examples=15, deadline=None)
+    @given(base=st.lists(_dyadic_point, min_size=1, max_size=3),
+           copies=st.lists(st.tuples(st.integers(0, 2), _eighths, _eighths), min_size=1, max_size=3),
+           seeds=st.lists(_seed, min_size=1, max_size=2), data=st.data())
+    def test_records_of_equal_jets_are_equal(self, name, params, mode, base, copies, seeds, data):
+        # Each copy repeats a base point, shifted by (t, u, t, u); a zero shift is a plain repeat.
+        points = base + [tuple(np.add(base[i % len(base)], (t, u, t, u))) for i, t, u in copies]
+        points = data.draw(st.permutations(points))
+        config = RunConfig({"family": {"name": name, "params": list(params)}, "points": [list(p) for p in points],
+                            "seeds": [list(x) for x in seeds], "derivative_mode": mode})
+        records = run_verify(config)["records"]
+        first = {}  # jet bytes -> the records of the first point with that jet
+        for n, p in enumerate(points):
+            mine = records[n * len(seeds):(n + 1) * len(seeds)]
+            others = first.setdefault(_jet_bytes(config.family, p), mine)
+            for r, other in zip(mine, others):
+                # json spells each float by its repr, which tells every finite bit pattern apart.
+                same = [json.dumps({k: v for k, v in rec.items() if k not in ("point", "point_index")}, sort_keys=True)
+                        for rec in (r, other)]
+                assert same[0] == same[1]
+                assert r["identity_residuals"] is other["identity_residuals"] and r["mu"] is other["mu"]
+        for r in records:
+            expected = _scalar_record(config.family, r["point"], r["seed"])
+            assert _close([r["coeffs"][k] for k in "ABC"], expected["coeffs"])
+            for key in ("parallel_residual", "nabla_q_residual", "frame_residual", "mu",
+                        "equality_residual", "zero_residual"):
+                assert _close(r[key], expected[key]), key
+            assert _close(list(r["symmetry_residuals"].values()), expected["symmetry_residuals"])
+            assert _close(list(r["identity_residuals"].values()), expected["identity_residuals"])
+
+    def test_jets_differing_in_the_sign_of_a_zero_are_separate_rows(self):
+        spec = make_custom_family(
+            lambda p: (3.0, 1.0, 2.0),
+            lambda p: np.full((3, 4), -0.0 if p[0] > 0.5 else 0.0),
+            lambda p: np.zeros((3, 4, 4)),
+        )
+        geo = PointGeometry.from_field(spec, np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [0.0, 1, 0, 0]]))
+        assert geo.rows.tolist() == [0, 1, 0]
+        assert len(geo.g) == len(geo.r) == 2
+        assert np.signbit(geo.grads[1]).all() and not np.signbit(geo.grads[0]).any()
 
 
 def _loop_fd_jet(spec, v):

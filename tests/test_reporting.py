@@ -1,10 +1,12 @@
 """Batch verification runs and report serialization."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
-from circulant4 import ConfigError, RunConfig, run_verify
+from circulant4 import ConfigError, RunConfig, make_custom_family, run_verify
 from circulant4.reporting import report_json, report_to_csv
 
 
@@ -112,6 +114,23 @@ class TestRunVerify:
         lines = report_to_csv(report).strip().splitlines()
         assert len(lines) == 1 + 2 * 3  # header + points x seeds
         assert lines[0].startswith("point_index,seed_index")
+
+
+class TestNaNVerdicts:
+    def test_nan_at_a_later_point_fails_its_criterion(self):
+        # A NaN Hessian at the second of two points makes its Riemann tensor NaN.
+        spec = make_custom_family(
+            lambda p: (3.0, 1.0, 2.0),
+            lambda p: np.zeros((3, 4)),
+            lambda p: np.full((3, 4, 4), np.nan if p[0] > 0.5 else 0.0),
+        )
+        config = RunConfig(base_config(family={"name": "constant", "params": [3, 1, 2]},
+                                       points=[[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+        config.family = spec
+        summary = run_verify(config)["summary"]
+        assert math.isnan(summary["max_symmetry_residual"])
+        assert summary["criteria"]["riemann_symmetries"] == "fail"
+        assert summary["status"] == "fail"
 
 
 class TestSeedValidation:

@@ -46,6 +46,17 @@ def assert_bytes(report):
     assert report_to_csv(report) == csv_oracle(report)
 
 
+def assert_csv_or_type_error(report):
+    """The CSV text is csv_oracle's; where the oracle raises TypeError (None under max), so does the writer."""
+    try:
+        expected = csv_oracle(report)
+    except TypeError:
+        with pytest.raises(TypeError):
+            report_to_csv(report)
+    else:
+        assert report_to_csv(report) == expected
+
+
 def changed(value):
     """An equal-shaped value that is a new object with other contents."""
     if isinstance(value, dict):
@@ -141,8 +152,7 @@ class TestLeaves:
         records[2] = set_leaf(records[2], path, value)
         report = {"records": records}
         assert report_json(report) == json_oracle(report)
-        if value is not None:
-            assert report_to_csv(report) == csv_oracle(report)
+        assert_csv_or_type_error(report)
         monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
         assert report_json(report) == "fallback"
 
@@ -267,8 +277,7 @@ class TestDistinctSpelling:
         records[-1] = set_leaf(records[-1], path, value)
         report = {"records": records}
         assert report_json(report) == json_oracle(report)
-        if value is not None:
-            assert report_to_csv(report) == csv_oracle(report)
+        assert_csv_or_type_error(report)
         monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
         assert report_json(report) == "fallback"
 
