@@ -208,10 +208,12 @@ def _check_keys(section: Dict[str, Any], known: tuple, prefix: str = "") -> None
             raise ConfigError(f"unknown config key '{prefix}{key}' (known: {', '.join(known)})")
 
 
-# Points per geometry block: at most 64, and at most 4096 (point, seed)
-# pairs, so the orbit projections of a block (about 1 kB per pair) stay
-# within a few MB however many seeds a config draws, with few numpy calls.
-_BLOCK_POINTS, _BLOCK_PAIRS = 64, 4096
+# Points per geometry block: at most 256, and at most 4096 (point, seed) pairs, so the orbit projections
+# of a block (about 1 kB per pair) stay within a few MB however many seeds a config draws.  Equal jets
+# share geometry within a block only, and a block's numpy calls are paid once.  For 2048 distinct random
+# s_wave points in finite-difference mode with one seed, run_verify took 160 ms at 64 points and 130 ms at
+# 256 (median CPU, 2-vCPU Xeon VM), at a tracemalloc peak of 6.4 and 9.2 MB; 512 took 131 ms at 13.1 MB.
+_BLOCK_POINTS, _BLOCK_PAIRS = 256, 4096
 
 
 def _point_records(geo: PointGeometry, frame_tol: float) -> Tuple[List[Dict[str, Any]], List[float], bool]:
@@ -235,14 +237,15 @@ def _point_records(geo: PointGeometry, frame_tol: float) -> Tuple[List[Dict[str,
 def run_verify(config: RunConfig) -> Dict[str, Any]:
     """Run the full verification pipeline and assemble the report.
 
-    Points are evaluated in blocks: each point's jet is computed once, and
-    the block's geometry and seed-level checks are array operations over
-    its distinct jets.  Records of points whose jets are equal bit for bit
-    share their point-level objects and, per seed, the mu list and residual
-    objects; only their point and point index differ.  Records are in
-    (point, seed) order.  The summary's maxima come from the block arrays,
-    so a NaN residual makes its maximum NaN and fails its criterion.  If an
-    output path is configured the report is also written there.
+    Points are evaluated in blocks of up to ``_BLOCK_POINTS``: each point's
+    jet is computed once, and the block's geometry and seed-level checks
+    are array operations over its distinct jets.  Records of points in one
+    block whose jets are equal bit for bit share their point-level objects
+    and, per seed, the mu list and residual objects, which the writers
+    spell once.  Records are in (point, seed) order.  The summary's maxima
+    come from the block arrays, so a NaN residual makes its maximum NaN
+    and fails its criterion.  If an output path is configured the report
+    is also written there.
     """
     tol = config.tolerances
     seeds = config.seeds.tolist()
@@ -338,13 +341,13 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The leaf types the writers spell with float.__repr__, as json.encoder does; a float subclass may spell
 # itself otherwise, and bool, int and None coerce silently into a float array.
 _FLOATS = {float, np.float64}
-# run_verify's record with a slot for each float or int leaf, dict keys sorted; the seed's slots and the
-# seed index's are marked apart.
-_SLOT, _SEED_SLOT = "\x00", "\x01"
+# run_verify's record with a slot for each float or int leaf, dict keys sorted; the slots of the seed and
+# the seed index, and those of the identity residuals and mu, are marked apart.
+_SLOT, _SEED_SLOT, _PAIR_SLOT = "\x00", "\x01", "\x02"
 _SKELETON = {
     "coeffs": dict.fromkeys("ABC", _SLOT), "symmetry_residuals": dict.fromkeys(sorted(SYMMETRY_NAMES), _SLOT),
-    "identity_residuals": dict.fromkeys(sorted(IDENTITY_NAMES), _SLOT),
-    "point": [_SLOT] * 4, "seed": [_SEED_SLOT] * 4, "seed_index": _SEED_SLOT, "mu": [_SLOT] * 6,
+    "identity_residuals": dict.fromkeys(sorted(IDENTITY_NAMES), _PAIR_SLOT),
+    "point": [_SLOT] * 4, "seed": [_SEED_SLOT] * 4, "seed_index": _SEED_SLOT, "mu": [_PAIR_SLOT] * 6,
     **dict.fromkeys(["point_index", "parallel_residual", "nabla_q_residual", "frame_residual",
                      "frame_tolerance", "equality_residual", "zero_residual"], _SLOT),
 }
@@ -352,21 +355,29 @@ _SKELETON = {
 
 def _templates() -> tuple:
     """``_RECORD``, the skeleton at depth 2 of the report with a "%s" per slot, where the text from the
-    seed's first slot to the seed index's is one "%s"; and ``_SEED``, that text with a "%s" per slot."""
+    seed's first slot to the seed index's is one "%s", and so is the text from the first identity
+    residual's slot to mu's last; and ``_SEED`` and ``_PAIR``, those two texts with a "%s" per slot."""
     text = json.dumps(_SKELETON, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT)
-    slot, seed_slot = json.dumps(_SLOT), json.dumps(_SEED_SLOT)
-    before, _, rest = text.partition(seed_slot)
-    seed, _, after = rest.rpartition(seed_slot)
-    return (before + slot + after).replace(slot, "%s"), "%s" + seed.replace(seed_slot, "%s") + "%s"
+    slot, *marks = map(json.dumps, (_SLOT, _SEED_SLOT, _PAIR_SLOT))
+    spans = []
+    for mark in marks:
+        before, _, rest = text.partition(mark)
+        span, _, after = rest.rpartition(mark)
+        text = before + slot + after
+        spans.append((mark + span + mark).replace(mark, "%s"))
+    return (text.replace(slot, "%s"), *spans)
 
 
-# In sorted key order, a record's point fields are interleaved with the pair's 27 floats (26 before the
-# seed's slot, the zero residual after it) and the seed's slot.
-_RECORD, _SEED = _templates()
-_PAIR_FLOATS = 27
-# A record's point-level fields in sorted key order: run_verify shares these objects between a point's records.
+# In sorted key order, a record's slots are the coefficients, the equality residual, the frame residual and
+# tolerance, the identity residuals with mu, the other point floats, the point index, the seed with its
+# index, the symmetry residuals and the zero residual.
+_RECORD, _SEED, _PAIR = _templates()
+# A record's fields that run_verify shares between the records of a point, and between those of a pair
+# group (points with equal jets, one seed), in sorted key order; and their float leaves' counts.
 _POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
                                     "parallel_residual", "point", "point_index", "symmetry_residuals")
+_PAIR_FIELDS = operator.itemgetter("equality_residual", "identity_residuals", "mu", "zero_residual")
+_POINT_FLOATS, _PAIR_FLOATS = 11 + len(SYMMETRY_NAMES), 8 + len(IDENTITY_NAMES)
 
 
 def _reprs(values: Any) -> List[str]:
@@ -374,10 +385,8 @@ def _reprs(values: Any) -> List[str]:
     return list(map(float.__repr__, values))
 
 
-def _spell(values: Any) -> List[str]:
-    """Each value's text as json.encoder writes a float; TypeError unless every value's type is in _FLOATS."""
-    if not set(map(type, values)) <= _FLOATS:
-        raise TypeError("a float leaf of the record is not a float")
+def _spell(values: List[float]) -> List[str]:
+    """Each float's text as json.encoder writes it."""
     texts = _reprs(values)
     if not _NON_FINITE.keys().isdisjoint(texts):
         texts = [_NON_FINITE.get(text, text) for text in texts]
@@ -420,16 +429,23 @@ def _fill_records(records: Any) -> str:
     depth 2 of the report, joined by ``_RECORD_SEPARATOR``; TypeError unless every record has
     run_verify's keys, lengths, float leaves and int (not bool) indices.
 
-    A point's fields are spelled into a copy of ``_RECORD`` once while consecutive records hold the
-    same objects in all of them, and a seed with its index into ``_SEED`` once per seed object and
-    index.  The pair floats of all records are spelled once per distinct bit pattern, and one ``%``
-    fills every record's template.
+    One pass gathers the float leaves of each point, once while consecutive records hold the same
+    objects in all its fields; of each seed object with its index; and of each pair group, the records
+    holding the same equality residual, identity residuals, mu and zero residual objects.  All are
+    spelled in one call, once per distinct bit pattern, into a copy of ``_RECORD`` per point, ``_SEED``
+    per seed and ``_PAIR`` per group.  One ``%`` then fills every record's template with four texts: its
+    group's equality residual, ``_PAIR`` and zero residual, and its seed's.
     """
-    templates: List[str] = []
-    pairs: List[Any] = []  # each record's pair floats in slot order
-    seed_texts: List[str] = []
+    values: List[Any] = []  # the float leaves of each distinct point, seed and pair group
+    points: List[tuple] = []  # (where its leaves start in values, its index) per distinct point
+    # Object ids -> (the objects, where their leaves start); holding the objects keeps their ids unique.
+    seeds: Dict[tuple, tuple] = {}
+    groups: Dict[tuple, tuple] = {}
+    # Each record's point number, and where its seed's and its pair group's leaves start.
+    record_points: List[int] = []
+    record_seeds: List[int] = []
+    record_groups: List[int] = []
     point: Optional[tuple] = None
-    seeds: Dict[tuple, tuple] = {}  # (id, index) -> (seed, its text); holding the seed keeps its id unique
     for record in records:
         if not (isinstance(record, dict) and record.keys() == _SKELETON.keys()
                 and type(record["point_index"]) is type(record["seed_index"]) is int):
@@ -437,25 +453,31 @@ def _fill_records(records: Any) -> str:
         fields = _POINT_FIELDS(record)
         if point is None or not all(map(operator.is_, fields, point)):
             coeffs, frame, frame_tol, nabla_q, parallel, coords, index, symmetry = point = fields
-            template = _RECORD % (
-                *_spell(_leaves(coeffs, "coeffs")), "%s", *_spell([frame, frame_tol]), *("%s",) * 25,
-                *_spell([nabla_q, parallel, *_leaves(coords, "point")]), index, "%s",
-                *_spell(_leaves(symmetry, "symmetry_residuals")), "%s")
-        templates.append(template)
-        seed, seed_index = record["seed"], record["seed_index"]
-        key = (id(seed), seed_index)
-        if key not in seeds:
-            seeds[key] = (seed, _SEED % (*_spell(_leaves(seed, "seed")), seed_index))
-        seed_texts.append(seeds[key][1])
-        pairs.append(record["equality_residual"])
-        pairs += _leaves(record["identity_residuals"], "identity_residuals")
-        pairs += _leaves(record["mu"], "mu")
-        pairs.append(record["zero_residual"])
-    if not set(map(type, pairs)) <= _FLOATS:  # before np.array, which would coerce them
-        raise TypeError("a pair float of a record is not a float")
-    texts = _spell_distinct(pairs, _spell)
-    columns = [texts[j::_PAIR_FLOATS] for j in range(_PAIR_FLOATS)]
-    return _RECORD_SEPARATOR.join(templates) % _interleave([*columns[:-1], seed_texts, columns[-1]])
+            points.append((len(values), index))
+            values += (*_leaves(coeffs, "coeffs"), frame, frame_tol, nabla_q, parallel, *_leaves(coords, "point"),
+                       *_leaves(symmetry, "symmetry_residuals"))
+        seed, pair = record["seed"], _PAIR_FIELDS(record)
+        seed_key, pair_key = (id(seed), record["seed_index"]), tuple(map(id, pair))
+        if seed_key not in seeds:
+            seeds[seed_key] = (seed, len(values))
+            values += _leaves(seed, "seed")
+        if pair_key not in groups:
+            groups[pair_key] = (pair, len(values))
+            values += (pair[0], *_leaves(pair[1], "identity_residuals"), *_leaves(pair[2], "mu"), pair[3])
+        record_points.append(len(points) - 1)
+        record_seeds.append(seeds[seed_key][1])
+        record_groups.append(groups[pair_key][1])
+    if not set(map(type, values)) <= _FLOATS:  # before np.array, which would coerce them
+        raise TypeError("a float leaf of a record is not a float")
+    texts = _spell_distinct(values, _spell)
+    templates = [_RECORD % (*t[:3], "%s", *t[3:5], "%s", *t[5:11], index, "%s", *t[11:], "%s")
+                 for t, index in [(texts[at:at + _POINT_FLOATS], index) for at, index in points]]
+    seed_texts = {at: _SEED % (*texts[at:at + 4], index) for (_, index), (_, at) in seeds.items()}
+    blocks = {at: _PAIR % tuple(texts[at + 1:at + _PAIR_FLOATS - 1]) for _, at in groups.values()}
+    zero = _PAIR_FLOATS - 1  # the zero residual's place among a group's leaves
+    return _RECORD_SEPARATOR.join([templates[n] for n in record_points]) % _interleave([
+        [texts[at] for at in record_groups], [blocks[at] for at in record_groups],
+        [seed_texts[at] for at in record_seeds], [texts[at + zero] for at in record_groups]])
 
 
 _CSV_HEADER = ",".join([
@@ -483,19 +505,23 @@ def report_to_csv(report: Dict[str, Any]) -> str:
     The text is what ``csv.writer`` (excel dialect) writes: every cell is a
     number, which it spells with ``str`` and never quotes, or None, which
     it writes as an empty cell, and each row ends in ``\\r\\n``.  Point
-    and seed cells are reused as in ``_fill_records``.  When every pair
-    cell (mu, the equality and zero residuals, the largest identity
-    residual) is a ``float``, whose ``str`` is its repr, they are spelled
-    once per distinct bit pattern; numpy's own ``str`` of an
-    ``np.float64`` is not assumed to agree.
+    and seed cells are reused as in ``_fill_records``, and the pair cells
+    (mu, the equality and zero residuals, the largest identity residual)
+    are made once per pair group as there.  When every pair cell is a
+    ``float``, whose ``str`` is its repr, they are spelled once per
+    distinct bit pattern; numpy's own ``str`` of an ``np.float64`` is not
+    assumed to agree.
     """
     templates: List[str] = []
-    pairs: List[Any] = []  # each row's pair cells in column order
-    starts: List[int] = []  # where each row's pair cells begin in pairs
+    pairs: List[Any] = []  # each pair group's cells in column order
     seed_indices: List[Any] = []
     seed_cells: List[str] = []
+    row_groups: List[int] = []  # where each row's pair cells start in pairs
     point: Optional[tuple] = None
-    seeds: Dict[int, tuple] = {}  # id -> (seed, its cells); holding the seed keeps its id unique
+    # Object ids -> (the objects, their cells or where they start and end in pairs, as mu's length may
+    # differ between groups); holding the objects keeps their ids unique.
+    seeds: Dict[int, tuple] = {}
+    groups: Dict[tuple, tuple] = {}
     for r in report["records"]:
         fields = _CSV_POINT_FIELDS(r)
         if point is None or not all(map(operator.is_, fields, point)):
@@ -504,17 +530,21 @@ def report_to_csv(report: Dict[str, Any]) -> str:
             template = "%s,%%s%s%%s%s,%%s,%s\r\n" % (_cell(index), _cells(coords), _cells(
                 [coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame]), _cell(max(symmetry.values())))
         templates.append(template)
-        seed = r["seed"]
+        seed, pair = r["seed"], _PAIR_FIELDS(r)
         if id(seed) not in seeds:
             seeds[id(seed)] = (seed, _cells(seed))
         seed_indices.append(_cell(r["seed_index"]))
         seed_cells.append(seeds[id(seed)][1])
-        starts.append(len(pairs))
-        pairs.extend(r["mu"])
-        pairs += (r["equality_residual"], r["zero_residual"], max(r["identity_residuals"].values()))
+        key = tuple(map(id, pair))
+        if key not in groups:
+            start = len(pairs)
+            pairs += (*pair[2], pair[0], pair[3], max(pair[1].values()))
+            groups[key] = (pair, start, len(pairs))
+        row_groups.append(groups[key][1])
     if set(map(type, pairs)) == {float}:
         texts = _spell_distinct(pairs, _reprs)
     else:
         texts = list(map(_cell, pairs))
-    pair_cells = [",".join(texts[start:end]) for start, end in zip(starts, [*starts[1:], len(texts)])]
+    cells = {start: ",".join(texts[start:end]) for _, start, end in groups.values()}
+    pair_cells = [cells[start] for start in row_groups]
     return _CSV_HEADER + "\r\n" + "".join(templates) % _interleave([seed_indices, seed_cells, pair_cells])

@@ -97,8 +97,8 @@ class TestBlockAgainstScalar:
 
     @pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL)])
     def test_run_verify_across_a_block_boundary(self, name, params):
-        # 67 points: one full block and a partial one, so records 128..133
-        # (points 64..66) come from the second block.
+        # _BLOCK_POINTS + 3 points: one full block and a partial one, so
+        # the last 6 records (the last 3 points) come from the second block.
         rng = np.random.default_rng(71)
         n_points = _BLOCK_POINTS + 3
         cfg = {
@@ -162,11 +162,16 @@ def _jet_bytes(spec, point):
 
 
 class TestDistinctJets:
-    @pytest.mark.parametrize("name,params,count,rows", [("control", CONTROL, 4, [1, 1, 1, 1]),
-                                                        ("s_wave", S_WAVE, 2, [9])])
-    def test_connection_gets_one_row_per_distinct_jet(self, monkeypatch, name, params, count, rows):
-        # control depends on a point only through x1, the slowest grid axis, so each block of 64
-        # grid points has one jet; s_wave depends on x1 - x3 and x2 - x4, which take 3 x 3 values.
+    @pytest.mark.parametrize("name,params,count,mode,seeds,rows", [
+        ("control", CONTROL, 4, "analytic", "random:8", [4]),
+        ("s_wave", S_WAVE, 2, "analytic", "random:8", [9]),
+        ("s_wave", S_WAVE, 4, "finite_difference", "random:1", [95]),
+    ])
+    def test_connection_gets_one_row_per_distinct_jet(self, monkeypatch, name, params, count, mode, seeds, rows):
+        # control depends on a point only through x1, which takes 4 values on the 4^4 grid, all in
+        # one block of 256 points; s_wave depends on x1 - x3 and x2 - x4, which take 3 x 3 values on
+        # the 2^4 grid.  The 256 points of the 4^4 grid hold 95 distinct finite-difference jets, which
+        # blocks of 64 points would split into 132 rows over four calls.
         seen = []
         original = curvature._connection
 
@@ -178,8 +183,9 @@ class TestDistinctJets:
         run_verify(RunConfig({
             "family": {"name": name, "params": list(params)},
             "grid": {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [count] * 4},
-            "seeds": "random:8",
+            "seeds": seeds,
             "rng_seed": 78,
+            "derivative_mode": mode,
         }))
         assert seen == rows
 

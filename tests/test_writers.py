@@ -333,3 +333,77 @@ class TestSpelledOnce:
             max(record["identity_residuals"].values()))]
         assert self.distinct(pairs) < len(pairs)
         assert self.spelled(monkeypatch, report_to_csv, {"records": records}) <= self.distinct(pairs)
+
+
+# The benchmark's three workload configs: many seeds at few points, finite-difference jets at many points, and
+# the non-parallel control family.
+WORKLOADS = {
+    "seeds_heavy": {"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]}, "count": 2, "seeds": "random:64"},
+    "points_fd": {"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]}, "count": 4, "seeds": "random:1",
+                  "derivative_mode": "finite_difference"},
+    "control": {"family": {"name": "control", "params": [4.0, 0.5, 1.0, 2.0]}, "count": 4, "seeds": "random:8"},
+}
+
+
+def workload_report(name, rng_seed=7):
+    config = dict(WORKLOADS[name])
+    count = config.pop("count")
+    config["grid"] = {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [count] * 4}
+    return run_verify(RunConfig({**config, "rng_seed": rng_seed}))
+
+
+def float_leaves(value):
+    """Every float leaf of a nested record value."""
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in float_leaves(v)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in float_leaves(v)]
+    return [value] if isinstance(value, float) else []
+
+
+class TestOneSpellingPass:
+    """report_json spells all float leaves of the records in one call, once per distinct bit pattern."""
+
+    @staticmethod
+    def spell_calls(monkeypatch, report):
+        calls = []
+
+        def reprs(values):
+            values = list(values)
+            calls.append(len(values))
+            return list(map(float.__repr__, values))
+
+        monkeypatch.setattr(reporting, "_reprs", reprs)
+        assert report_json(report) == json_oracle(report)
+        return calls
+
+    @staticmethod
+    def distinct(records):
+        return len({struct.pack("<d", leaf) for record in records for leaf in float_leaves(record)})
+
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    def test_workload_is_spelled_in_one_call(self, monkeypatch, no_fallback, name):
+        report = workload_report(name)
+        records = report["records"]
+        assert self.distinct(records) < sum(len(float_leaves(r)) for r in records)  # else this report cannot tell
+        assert self.spell_calls(monkeypatch, report) == [self.distinct(records)]
+
+    def test_signed_zero_coordinates(self, monkeypatch, no_fallback):
+        report = run_verify(RunConfig({
+            "family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]},
+            "points": [[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+            "seeds": "random:2", "rng_seed": 5,
+        }))
+        signs = [[math.copysign(1.0, x) for x in r["point"]] for r in report["records"][::2]]
+        assert signs == [[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0], [1.0] * 4]
+        assert self.spell_calls(monkeypatch, report) == [self.distinct(report["records"])]
+
+    @pytest.mark.parametrize("field", ["parallel_residual", "nabla_q_residual", "frame_residual"])
+    def test_nan_point_residual(self, monkeypatch, no_fallback, field):
+        records = real_report()["records"]
+        # The three records of the second point keep sharing their point objects, with one residual NaN.
+        nan_point = {**records[3], field: math.nan}
+        records[3:6] = [{**r, **{k: nan_point[k] for k in POINT_FIELDS}} for r in records[3:6]]
+        report = {"records": records}
+        assert "NaN" in report_json(report)
+        assert self.spell_calls(monkeypatch, report) == [self.distinct(records)]
