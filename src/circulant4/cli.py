@@ -11,7 +11,8 @@ Subcommands:
   curvatures for a configured family, regrouped from the verify records.
 * ``verify``     the full batch pipeline from a JSON config.
 
-Exit codes: 0 pass, 1 verification failure, 2 config error.
+Exit codes: 0 pass, 1 verification failure, 2 config error or an output
+file that cannot be written.
 Set CML_LOG=debug|info for diagnostics.
 """
 
@@ -40,7 +41,7 @@ from .algebra import (
 )
 from .frames import closed_form_frame, spectral_frame, verify_frame
 from .pyramid import pyramid_report
-from .reporting import ConfigError, RunConfig, report_json, report_to_csv, run_verify
+from .reporting import WRITERS, ConfigError, RunConfig, run_verify
 
 log = logging.getLogger("circulant4")
 
@@ -177,10 +178,7 @@ def _cmd_verify(args) -> int:
         config.output_format = args.format
     report = run_verify(config)
     if not config.output_path:
-        if config.output_format == "csv":
-            sys.stdout.write(report_to_csv(report))
-        else:
-            sys.stdout.write(report_json(report))
+        sys.stdout.write(WRITERS[config.output_format](report))
     status = report["summary"]["status"]
     log.info("verification status: %s", status)
     return 0 if status == "pass" else 1
@@ -193,7 +191,7 @@ _FLAGS = {
     "point": {"help": "chart point x1,x2,x3,x4"},
     "seed-vector": {"help": "seed vector v1,v2,v3,v4"},
     "mode": {"choices": ["analytic", "fd"], "help": "derivative mode override"},
-    "format": {"choices": ["json", "csv"], "help": "report format"},
+    "format": {"choices": list(WRITERS), "help": "report format"},
     "out": {"help": "output file path (default: stdout)"},
 }
 
@@ -230,7 +228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out or output.path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

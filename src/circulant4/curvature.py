@@ -296,7 +296,11 @@ def riemann(spec: FieldFamilySpec, p) -> CurvatureTensor:
     return CurvatureTensor(r=point_geometry(spec, p).r[0])
 
 
-def sectional(spec: FieldFamilySpec, p, x, y, denom_tol: float = 1e-12) -> float:
+# A 2-section is degenerate when its Gram determinant is at most this times max(1, g(x,x) g(y,y)).
+_SECTION_DENOM_TOL = 1e-12
+
+
+def sectional(spec: FieldFamilySpec, p, x, y) -> float:
     """Sectional curvature of the 2-section spanned by x and y."""
     geo = point_geometry(spec, p)
     g = geo.g[0]
@@ -304,7 +308,7 @@ def sectional(spec: FieldFamilySpec, p, x, y, denom_tol: float = 1e-12) -> float
     y = as_vector4(y)
     gxx, gyy, gxy = x @ g @ x, y @ g @ y, x @ g @ y
     denom = float(gxx * gyy - gxy**2)
-    if denom <= denom_tol * max(1.0, abs(float(gxx * gyy))):
+    if denom <= _SECTION_DENOM_TOL * max(1.0, abs(float(gxx * gyy))):
         raise ValueError(f"degenerate 2-section: Gram determinant {denom} below tolerance")
     return float(np.einsum("ijkl,i,j,k,l->", geo.r[0], x, y, x, y)) / denom
 
@@ -342,11 +346,15 @@ def q_invariance_residual(spec: FieldFamilySpec, p, vectors: Sequence) -> float:
     return worst
 
 
-def random_qbase_seeds(rng: np.random.Generator, n: int, min_poly: float = 1e-3) -> np.ndarray:
+# Smallest |P(x)|, the q-base independence polynomial, a random seed may have.
+_MIN_QBASE_POLY = 1e-3
+
+
+def random_qbase_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
     """Rejection-sample seeds from the unit cube away from degenerate orbits."""
     seeds = []
     while len(seeds) < n:
         x = rng.uniform(-1.0, 1.0, size=4)
-        if abs(qbase_polynomial(x)) >= min_poly:
+        if abs(qbase_polynomial(x)) >= _MIN_QBASE_POLY:
             seeds.append(x)
     return np.stack(seeds)

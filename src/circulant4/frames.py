@@ -107,7 +107,11 @@ def spectral_frame(c: CirculantCoeffs) -> QFrame:
     return QFrame(seed=seed, vectors=q_orbit(seed), coeffs=c)
 
 
-def closed_form_frame(c: CirculantCoeffs, tol: float = 1e-9) -> ClosedFormFrameReport:
+# Largest Gram deviation of the closed-form candidate that closed_form_frame reports as "ok".
+_CLOSED_FORM_TOL = 1e-9
+
+
+def closed_form_frame(c: CirculantCoeffs) -> ClosedFormFrameReport:
     """Evaluate the radical construction verbatim and audit the result.
 
     Sets x^4 = 0, takes x^2 and x^1 + x^3 from the shared radical
@@ -145,7 +149,7 @@ def closed_form_frame(c: CirculantCoeffs, tol: float = 1e-9) -> ClosedFormFrameR
     x3 = 0.5 * (sum13 - root)
     candidate = np.array([x1, x2, x3, 0.0])
     residual = verify_frame(c, candidate)
-    status = "ok" if residual.max_deviation <= tol else "residual_exceeds_tolerance"
+    status = "ok" if residual.max_deviation <= _CLOSED_FORM_TOL else "residual_exceeds_tolerance"
     return ClosedFormFrameReport(
         x2=x2, sum_x1_x3=sum13, prod_x1_x3=prod13, discriminant=disc,
         candidate=candidate, residual=residual, status=status,

@@ -8,9 +8,11 @@ set of q-base seed vectors and records, per (point, seed):
 * the six q-section curvatures, their equality/zero residuals, and the
   curvature identity suite (seed level).
 
-Reports are plain dicts, serialized as canonical JSON (sorted keys, fixed
-indentation) so identical configs with identical RNG seeds produce
-byte-identical files.
+Reports are plain dicts.  ``WRITERS`` maps each output format to its
+writer: canonical JSON (sorted keys, fixed indentation, so identical configs
+with identical RNG seeds give byte-identical files) or CSV.  Both make one
+``_layout`` pass to find the points, seeds and pair groups whose objects
+the records share, and spell each of those once.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ class RunConfig:
             raise ConfigError(f"'output' must be an object {{\"format\": ..., \"path\": ...}}, got {out!r}")
         _check_keys(out, ("format", "path"), "output.")
         self.output_format = out.get("format", "json")
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"output.format must be 'json' or 'csv', got {self.output_format!r}")
+        if not (isinstance(self.output_format, str) and self.output_format in WRITERS):
+            raise ConfigError(f"output.format must be {' or '.join(map(repr, WRITERS))}, got {self.output_format!r}")
         self.output_path = out.get("path")
         if not (self.output_path is None or isinstance(self.output_path, str)):
             raise ConfigError(f"output.path must be a file path string, got {self.output_path!r}")
@@ -248,7 +250,7 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
     is also written there.
     """
     tol = config.tolerances
-    seeds = config.seeds.tolist()
+    seeds = list(enumerate(config.seeds.tolist()))  # the records of one seed share its index object too
     records: List[Dict[str, Any]] = []
     worst: List[List[float]] = []  # each block's largest residual per summary maximum
     frame_ok = True
@@ -267,7 +269,7 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
         for pi, point, row in zip(itertools.count(start), block.tolist(), geo.rows.tolist()):
             base = bases[row]
             records += [{"point_index": pi, "seed_index": si, "point": point, "seed": seed, **base, **pair}
-                        for si, (seed, pair) in enumerate(zip(seeds, pairs[row]))]
+                        for (si, seed), pair in zip(seeds, pairs[row])]
 
     (max_parallel, max_nabla_q, max_symmetry, max_frame,
      max_equality, max_zero, max_identity) = np.max(worst, axis=0).tolist()
@@ -303,7 +305,7 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
         },
     }
     if config.output_path:
-        text = report_json(report) if config.output_format == "json" else report_to_csv(report)
+        text = WRITERS[config.output_format](report)
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return report
@@ -312,8 +314,8 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
 def report_json(report: Dict[str, Any]) -> str:
     """Canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
 
-    Records laid out as ``run_verify`` makes them fill ``_RECORD`` (``_fill_records``), around
-    ``json.dumps`` of the rest; a report with any other record goes through ``json.dumps`` whole.
+    Records laid out as ``run_verify``'s fill ``_RECORD`` from their ``_layout`` (``_fill_records``),
+    around ``json.dumps`` of the rest; a report with any other record goes through ``json.dumps`` whole.
     """
     records = report.get("records")
     if not (isinstance(records, (list, tuple)) and records):
@@ -373,11 +375,10 @@ def _templates() -> tuple:
 # index, the symmetry residuals and the zero residual.
 _RECORD, _SEED, _PAIR = _templates()
 # A record's fields that run_verify shares between the records of a point, and between those of a pair
-# group (points with equal jets, one seed), in sorted key order; and their float leaves' counts.
+# group (points with equal jets, one seed), in sorted key order.
 _POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
                                     "parallel_residual", "point", "point_index", "symmetry_residuals")
 _PAIR_FIELDS = operator.itemgetter("equality_residual", "identity_residuals", "mu", "zero_residual")
-_POINT_FLOATS, _PAIR_FLOATS = 11 + len(SYMMETRY_NAMES), 8 + len(IDENTITY_NAMES)
 
 
 def _reprs(values: Any) -> List[str]:
@@ -393,21 +394,24 @@ def _spell(values: List[float]) -> List[str]:
     return texts
 
 
-def _spell_distinct(values: List[float], spell: Callable[[List[float]], List[str]]) -> List[str]:
-    """``spell(values)``, calling ``spell`` on each distinct float64 bit pattern of the values once.
+def _spell_distinct(items: List[Any], spell: Callable[[List[float]], List[str]]) -> List[List[str]]:
+    """Each item's floats as spelled by one ``spell`` call on the distinct float64 bit patterns of them all.
 
     Bit patterns, not values: 0.0 == -0.0 while their texts differ, and a NaN equals nothing.
     """
-    bits, inverse = np.unique(np.array(values, dtype=np.float64).view(np.uint64), return_inverse=True)
-    return np.array(spell(bits.view(np.float64).tolist()), dtype=object)[inverse].tolist()
+    values = np.array(list(itertools.chain.from_iterable(items)), dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(spell(bits.view(np.float64).tolist()), dtype=object)[inverse].tolist()
+    ends = list(itertools.accumulate(map(len, items)))
+    return [texts[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def _interleave(columns: List[List[Any]]) -> tuple:
-    """The rows of equal-length columns, one after another, as one flat tuple."""
-    args: List[Any] = [None] * (len(columns) * len(columns[0]))
-    for j, column in enumerate(columns):
-        args[j::len(columns)] = column
-    return tuple(args)
+def _fill(separator: str, templates: List[str], record_points: List[int], columns: List[tuple]) -> str:
+    """Each record's point template, joined by ``separator``, filled with its text in each (texts, numbers) column."""
+    args: List[Any] = [None] * (len(columns) * len(record_points))
+    for j, (texts, numbers) in enumerate(columns):
+        args[j::len(columns)] = map(texts.__getitem__, numbers)
+    return separator.join(map(templates.__getitem__, record_points)) % tuple(args)
 
 
 # A dict field's leaves in key order.
@@ -424,60 +428,62 @@ def _leaves(value: Any, field: str) -> Any:
     raise TypeError(f"record field {field!r} is not laid out as run_verify's")
 
 
+def _layout(records: Any, point_fields: Callable[[Any], tuple]) -> tuple:
+    """How the records share objects, in one pass: their distinct points, seeds and pair groups, and three
+    flat lists of each record's number in each.
+
+    A point is the ``point_fields`` objects of a run of consecutive records; a seed the (seed, seed_index)
+    objects and a pair group the ``_PAIR_FIELDS`` objects, wherever they recur.  Equal copies count apart.
+    """
+    points: List[tuple] = []
+    # Object ids -> (number, the objects); holding the objects keeps their ids unique.
+    seeds: Dict[tuple, tuple] = {}
+    groups: Dict[tuple, tuple] = {}
+    record_points: List[int] = []
+    record_seeds: List[int] = []
+    record_groups: List[int] = []
+    for record in records:
+        fields = point_fields(record)
+        if not (points and all(map(operator.is_, fields, points[-1]))):
+            points.append(fields)
+        seed, index, pair = record["seed"], record["seed_index"], _PAIR_FIELDS(record)
+        record_points.append(len(points) - 1)
+        record_seeds.append(seeds.setdefault((id(seed), id(index)), (len(seeds), seed, index))[0])
+        record_groups.append(groups.setdefault(tuple(map(id, pair)), (len(groups), pair))[0])
+    return (points, [seed[1:] for seed in seeds.values()], [pair for _, pair in groups.values()],
+            record_points, record_seeds, record_groups)
+
+
 def _fill_records(records: Any) -> str:
     """The records' text as ``json.dumps(records, sort_keys=True, indent=2)`` writes their items at
     depth 2 of the report, joined by ``_RECORD_SEPARATOR``; TypeError unless every record has
     run_verify's keys, lengths, float leaves and int (not bool) indices.
 
-    One pass gathers the float leaves of each point, once while consecutive records hold the same
-    objects in all its fields; of each seed object with its index; and of each pair group, the records
-    holding the same equality residual, identity residuals, mu and zero residual objects.  All are
+    The float leaves of the distinct points, seeds and pair groups of the records' ``_layout`` are
     spelled in one call, once per distinct bit pattern, into a copy of ``_RECORD`` per point, ``_SEED``
     per seed and ``_PAIR`` per group.  One ``%`` then fills every record's template with four texts: its
     group's equality residual, ``_PAIR`` and zero residual, and its seed's.
     """
-    values: List[Any] = []  # the float leaves of each distinct point, seed and pair group
-    points: List[tuple] = []  # (where its leaves start in values, its index) per distinct point
-    # Object ids -> (the objects, where their leaves start); holding the objects keeps their ids unique.
-    seeds: Dict[tuple, tuple] = {}
-    groups: Dict[tuple, tuple] = {}
-    # Each record's point number, and where its seed's and its pair group's leaves start.
-    record_points: List[int] = []
-    record_seeds: List[int] = []
-    record_groups: List[int] = []
-    point: Optional[tuple] = None
-    for record in records:
-        if not (isinstance(record, dict) and record.keys() == _SKELETON.keys()
-                and type(record["point_index"]) is type(record["seed_index"]) is int):
-            raise TypeError("record keys or indices are not run_verify's")
-        fields = _POINT_FIELDS(record)
-        if point is None or not all(map(operator.is_, fields, point)):
-            coeffs, frame, frame_tol, nabla_q, parallel, coords, index, symmetry = point = fields
-            points.append((len(values), index))
-            values += (*_leaves(coeffs, "coeffs"), frame, frame_tol, nabla_q, parallel, *_leaves(coords, "point"),
-                       *_leaves(symmetry, "symmetry_residuals"))
-        seed, pair = record["seed"], _PAIR_FIELDS(record)
-        seed_key, pair_key = (id(seed), record["seed_index"]), tuple(map(id, pair))
-        if seed_key not in seeds:
-            seeds[seed_key] = (seed, len(values))
-            values += _leaves(seed, "seed")
-        if pair_key not in groups:
-            groups[pair_key] = (pair, len(values))
-            values += (pair[0], *_leaves(pair[1], "identity_residuals"), *_leaves(pair[2], "mu"), pair[3])
-        record_points.append(len(points) - 1)
-        record_seeds.append(seeds[seed_key][1])
-        record_groups.append(groups[pair_key][1])
-    if not set(map(type, values)) <= _FLOATS:  # before np.array, which would coerce them
-        raise TypeError("a float leaf of a record is not a float")
-    texts = _spell_distinct(values, _spell)
+    if not all(isinstance(record, dict) and record.keys() == _SKELETON.keys() for record in records):
+        raise TypeError("record keys are not run_verify's")
+    points, seeds, groups, record_points, record_seeds, record_groups = _layout(records, _POINT_FIELDS)
+    leaves = [(*_leaves(coeffs, "coeffs"), frame, frame_tol, nabla_q, parallel, *_leaves(coords, "point"),
+               *_leaves(symmetry, "symmetry_residuals"))
+              for coeffs, frame, frame_tol, nabla_q, parallel, coords, _, symmetry in points]
+    leaves += [_leaves(seed, "seed") for seed, _ in seeds]
+    leaves += [(equality, *_leaves(identity, "identity_residuals"), *_leaves(mu, "mu"), zero)
+               for equality, identity, mu, zero in groups]
+    indices = [point[6] for point in points] + [index for _, index in seeds]
+    if not (set(map(type, itertools.chain.from_iterable(leaves))) <= _FLOATS and set(map(type, indices)) <= {int}):
+        raise TypeError("a float leaf or an index of a record is not a float or an int")
+    texts, n = _spell_distinct(leaves, _spell), len(points)
     templates = [_RECORD % (*t[:3], "%s", *t[3:5], "%s", *t[5:11], index, "%s", *t[11:], "%s")
-                 for t, index in [(texts[at:at + _POINT_FLOATS], index) for at, index in points]]
-    seed_texts = {at: _SEED % (*texts[at:at + 4], index) for (_, index), (_, at) in seeds.items()}
-    blocks = {at: _PAIR % tuple(texts[at + 1:at + _PAIR_FLOATS - 1]) for _, at in groups.values()}
-    zero = _PAIR_FLOATS - 1  # the zero residual's place among a group's leaves
-    return _RECORD_SEPARATOR.join([templates[n] for n in record_points]) % _interleave([
-        [texts[at] for at in record_groups], [blocks[at] for at in record_groups],
-        [seed_texts[at] for at in record_seeds], [texts[at + zero] for at in record_groups]])
+                 for t, index in zip(texts[:n], indices)]
+    seed_texts = [_SEED % (*t, index) for t, index in zip(texts[n:], indices[n:])]
+    pairs = texts[n + len(seeds):]
+    return _fill(_RECORD_SEPARATOR, templates, record_points, [
+        ([t[0] for t in pairs], record_groups), ([_PAIR % tuple(t[1:-1]) for t in pairs], record_groups),
+        (seed_texts, record_seeds), ([t[-1] for t in pairs], record_groups)])
 
 
 _CSV_HEADER = ",".join([
@@ -504,47 +510,26 @@ def report_to_csv(report: Dict[str, Any]) -> str:
 
     The text is what ``csv.writer`` (excel dialect) writes: every cell is a
     number, which it spells with ``str`` and never quotes, or None, which
-    it writes as an empty cell, and each row ends in ``\\r\\n``.  Point
-    and seed cells are reused as in ``_fill_records``, and the pair cells
-    (mu, the equality and zero residuals, the largest identity residual)
-    are made once per pair group as there.  When every pair cell is a
+    it writes as an empty cell, and each row ends in ``\\r\\n``.  The point,
+    seed and pair cells (mu, the equality and zero residuals, the largest
+    identity residual) are made once per distinct point, seed and pair
+    group of the records' ``_layout``.  When every pair cell is a
     ``float``, whose ``str`` is its repr, they are spelled once per
     distinct bit pattern; numpy's own ``str`` of an ``np.float64`` is not
     assumed to agree.
     """
-    templates: List[str] = []
-    pairs: List[Any] = []  # each pair group's cells in column order
-    seed_indices: List[Any] = []
-    seed_cells: List[str] = []
-    row_groups: List[int] = []  # where each row's pair cells start in pairs
-    point: Optional[tuple] = None
-    # Object ids -> (the objects, their cells or where they start and end in pairs, as mu's length may
-    # differ between groups); holding the objects keeps their ids unique.
-    seeds: Dict[int, tuple] = {}
-    groups: Dict[tuple, tuple] = {}
-    for r in report["records"]:
-        fields = _CSV_POINT_FIELDS(r)
-        if point is None or not all(map(operator.is_, fields, point)):
-            coeffs, frame, nabla_q, parallel, coords, index, symmetry = point = fields
-            # A "%s" for the seed index, the seed's cells and the pair's; a number's text holds no "%".
-            template = "%s,%%s%s%%s%s,%%s,%s\r\n" % (_cell(index), _cells(coords), _cells(
-                [coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame]), _cell(max(symmetry.values())))
-        templates.append(template)
-        seed, pair = r["seed"], _PAIR_FIELDS(r)
-        if id(seed) not in seeds:
-            seeds[id(seed)] = (seed, _cells(seed))
-        seed_indices.append(_cell(r["seed_index"]))
-        seed_cells.append(seeds[id(seed)][1])
-        key = tuple(map(id, pair))
-        if key not in groups:
-            start = len(pairs)
-            pairs += (*pair[2], pair[0], pair[3], max(pair[1].values()))
-            groups[key] = (pair, start, len(pairs))
-        row_groups.append(groups[key][1])
-    if set(map(type, pairs)) == {float}:
-        texts = _spell_distinct(pairs, _reprs)
-    else:
-        texts = list(map(_cell, pairs))
-    cells = {start: ",".join(texts[start:end]) for _, start, end in groups.values()}
-    pair_cells = [cells[start] for start in row_groups]
-    return _CSV_HEADER + "\r\n" + "".join(templates) % _interleave([seed_indices, seed_cells, pair_cells])
+    points, seeds, groups, record_points, record_seeds, record_groups = _layout(report["records"], _CSV_POINT_FIELDS)
+    # A "%s" for the seed index, the seed's cells and the pair's; a number's text holds no "%".
+    templates = ["%s,%%s%s%%s%s,%%s,%s\r\n" % (_cell(index), _cells(coords), _cells(
+        [coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame]), _cell(max(symmetry.values())))
+        for coeffs, frame, nabla_q, parallel, coords, index, symmetry in points]
+    # Each group's cells in column order; mu's length may differ between groups.
+    pairs = [(*mu, equality, zero, max(identity.values())) for equality, identity, mu, zero in groups]
+    floats = set(map(type, itertools.chain.from_iterable(pairs))) == {float}
+    texts = _spell_distinct(pairs, _reprs) if floats else [list(map(_cell, pair)) for pair in pairs]
+    return _CSV_HEADER + "\r\n" + _fill("", templates, record_points, [
+        ([_cell(index) for _, index in seeds], record_seeds), ([_cells(seed) for seed, _ in seeds], record_seeds),
+        (list(map(",".join, texts)), record_groups)])
+
+
+WRITERS: Dict[str, Callable[[Dict[str, Any]], str]] = {"json": report_json, "csv": report_to_csv}

@@ -331,3 +331,19 @@ class TestOutFile:
         assert main(["inspect", "--coeffs", "3,1,2", "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode("utf-8")
+
+    @pytest.mark.parametrize("command", [["inspect", "--coeffs", "3,1,2"], ["verify"], ["verify", "--format", "csv"]],
+                             ids=["inspect", "verify", "verify-csv"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "report.json"
+        if command[0] == "verify":
+            command = [*command, "--config", write_config(tmp_path)]
+        assert main([*command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["verify", "--config", write_config(tmp_path, output={"path": str(out)})]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err

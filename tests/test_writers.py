@@ -407,3 +407,58 @@ class TestOneSpellingPass:
         report = {"records": records}
         assert "NaN" in report_json(report)
         assert self.spell_calls(monkeypatch, report) == [self.distinct(records)]
+
+
+PAIR_FIELDS = ["equality_residual", "identity_residuals", "mu", "zero_residual"]
+
+
+class TestPairGroupReuse:
+    @pytest.mark.parametrize("field", PAIR_FIELDS)
+    def test_each_pair_field_alone_breaks_a_group(self, no_fallback, field):
+        # Record 1 shares every pair-level object with record 0 but this one.
+        records = real_report()["records"]
+        records[1] = {**records[1], **{f: records[0][f] for f in PAIR_FIELDS if f != field}}
+        assert_bytes({"records": records})
+
+
+class TestOneLayoutPass:
+    """Each writer walks the records once, in reporting._layout, and both writers find the same sharing."""
+
+    @staticmethod
+    def layout_counts(monkeypatch, report):
+        """Per writer, the (points, seeds, pair groups) counts of each _layout call it makes."""
+        layout, calls = reporting._layout, []
+
+        def hooked(records, point_fields):
+            result = layout(records, point_fields)
+            calls[-1].append(tuple(map(len, result[:3])))
+            return result
+
+        monkeypatch.setattr(reporting, "_layout", hooked)
+        for write, oracle in ((report_json, json_oracle), (report_to_csv, csv_oracle)):
+            calls.append([])
+            assert write(report) == oracle(report)
+        return calls
+
+    @staticmethod
+    def shared(records):
+        """The counts of runs of records holding the same point objects, of distinct (seed, seed index)
+        objects and of distinct pair groups' objects."""
+        runs = 1 + sum(any(a[f] is not b[f] for f in POINT_FIELDS) for a, b in zip(records, records[1:]))
+        return (runs, len({(id(r["seed"]), id(r["seed_index"])) for r in records}),
+                len({tuple(id(r[field]) for field in PAIR_FIELDS) for r in records}))
+
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    def test_each_writer_lays_out_once(self, monkeypatch, no_fallback, name):
+        report = workload_report(name)
+        json_calls, csv_calls = self.layout_counts(monkeypatch, report)
+        assert json_calls == csv_calls == [self.shared(report["records"])]
+        points, seeds, _ = json_calls[0]  # one per chart point and one per seed vector
+        indices = [{r[index] for r in report["records"]} for index in ("point_index", "seed_index")]
+        assert (points, seeds) == tuple(map(len, indices))
+
+    def test_seed_indices_past_the_small_int_cache_are_shared(self, monkeypatch, no_fallback):
+        # CPython caches ints up to 256 only; run_verify still gives each seed's records one index object.
+        report = real_report(seeds="random:300")
+        json_calls, csv_calls = self.layout_counts(monkeypatch, report)
+        assert json_calls == csv_calls == [(3, 300, 900)]
