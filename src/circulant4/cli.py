@@ -12,19 +12,21 @@ Subcommands:
 * ``verify``     the full batch pipeline from a JSON config.
 
 Exit codes: 0 pass, 1 verification failure, 2 config error or an output
-file that cannot be written.
-Set CML_LOG=debug|info for diagnostics.
+file that cannot be written.  Output goes to ``--out`` (``verify``: else the
+config's ``output.path``) or stdout, opened before any point is evaluated.
+Set CML_LOG=info (or debug) for verify's status line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
 import os
 import sys
-from typing import List, Optional
+from typing import ContextManager, List, Optional, TextIO
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .algebra import (
 )
 from .frames import closed_form_frame, spectral_frame, verify_frame
 from .pyramid import pyramid_report
-from .reporting import WRITERS, ConfigError, RunConfig, run_verify
+from .reporting import _DERIVATIVE_MODES, WRITERS, ConfigError, RunConfig, run_verify
 
 log = logging.getLogger("circulant4")
 
@@ -69,13 +71,18 @@ def _coeffs(args) -> CirculantCoeffs:
     return CirculantCoeffs(*_parse_tuple(args.coeffs, 3, "--coeffs"))
 
 
+def _output(path: Optional[str]) -> ContextManager[TextIO]:
+    """Where all output goes: the file at ``path`` (opened "w", UTF-8, newline="") or, without a path, stdout."""
+    return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(_json(payload))
 
 
 def _cmd_inspect(args) -> int:
@@ -156,15 +163,15 @@ def _cmd_curvature(args) -> int:
         seed = np.array(_parse_tuple(args.seed_vector, 4, "--seed-vector"))
         RunConfig.check_seed(seed, "--seed-vector")
         config.seeds = seed[None]
-    config.output_path = None  # the regrouping below is the output, not the verify report
-    points = []
-    for rec in run_verify(config)["records"]:
-        if rec["seed_index"] == 0:
-            points.append({k: rec[k] for k in _CURVATURE_POINT_KEYS})
-            points[-1]["sections"] = []
-        points[-1]["sections"].append({k: rec[k] for k in _CURVATURE_SECTION_KEYS})
-    family = config.family
-    _emit({"family": {"name": family.family, "params": list(family.params)}, "points": points}, args.out)
+    with _output(args.out) as out:  # the regrouping is the output; the config's output.path is not read
+        points = []
+        for rec in run_verify(config)["records"]:
+            if rec["seed_index"] == 0:
+                points.append({k: rec[k] for k in _CURVATURE_POINT_KEYS})
+                points[-1]["sections"] = []
+            points[-1]["sections"].append({k: rec[k] for k in _CURVATURE_SECTION_KEYS})
+        family = config.family
+        out.write(_json({"family": {"name": family.family, "params": list(family.params)}, "points": points}))
     return 0
 
 
@@ -172,13 +179,9 @@ def _cmd_verify(args) -> int:
     if args.config is None:
         raise ConfigError("--config PATH is required")
     config = RunConfig.from_file(args.config)
-    if args.out:
-        config.output_path = args.out
-    if args.format:
-        config.output_format = args.format
-    report = run_verify(config)
-    if not config.output_path:
-        sys.stdout.write(WRITERS[config.output_format](report))
+    with _output(args.out or config.output_path) as out:
+        report = run_verify(config)
+        out.write(WRITERS[args.format or config.output_format](report))
     status = report["summary"]["status"]
     log.info("verification status: %s", status)
     return 0 if status == "pass" else 1
@@ -190,7 +193,7 @@ _FLAGS = {
     "coeffs": {"help": "metric generators A,B,C"},
     "point": {"help": "chart point x1,x2,x3,x4"},
     "seed-vector": {"help": "seed vector v1,v2,v3,v4"},
-    "mode": {"choices": ["analytic", "fd"], "help": "derivative mode override"},
+    "mode": {"choices": list(_DERIVATIVE_MODES), "help": "derivative mode override"},
     "format": {"choices": list(WRITERS), "help": "report format"},
     "out": {"help": "output file path (default: stdout)"},
 }

@@ -63,8 +63,8 @@ __all__ = [
     "parallel_residual",
 ]
 
-# Fixed step of the second differences (the gradient step is spec.fd_step).
-FD_HESSIAN_STEP = 1e-4
+# Finite-difference steps of the gradients and of the Hessians (see _stencil_jet).
+FD_GRADIENT_STEP, FD_HESSIAN_STEP = 1e-5, 1e-4
 _E, _DIAG = np.eye(4), np.arange(4)
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 # Finite-difference stencil rows: 0 and (+-1/2, +-1) e_i in units of the
@@ -106,7 +106,6 @@ class FieldFamilySpec:
     family: str
     params: Tuple[float, ...]
     derivative_mode: str = "analytic"
-    fd_step: float = 1e-5
     # custom family only
     value_fn: Optional[Callable[[np.ndarray], Tuple[float, float, float]]] = field(default=None, compare=False)
     grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False)
@@ -141,7 +140,7 @@ def gradient_residual(grads: np.ndarray) -> np.ndarray:
     return np.maximum(np.max(np.abs(res_a), axis=-1), np.max(np.abs(res_b), axis=-1))
 
 
-def make_family(family: str, params, derivative_mode: str = "analytic", fd_step: float = 1e-5) -> FieldFamilySpec:
+def make_family(family: str, params, derivative_mode: str = "analytic") -> FieldFamilySpec:
     """Validate parameters (interval check over the whole chart) and build a spec."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; use make_custom_family for custom fields")
@@ -161,7 +160,7 @@ def make_family(family: str, params, derivative_mode: str = "analytic", fd_step:
         raise ValueError(f"{family}: B range up to {b_hi} overlaps C range from {c_lo} (need B < C)")
     if c_hi >= a_lo:
         raise ValueError(f"{family}: C range up to {c_hi} overlaps A range from {a_lo} (need C < A)")
-    return FieldFamilySpec(family=family, params=params, derivative_mode=derivative_mode, fd_step=fd_step)
+    return FieldFamilySpec(family=family, params=params, derivative_mode=derivative_mode)
 
 
 def make_custom_family(value_fn, grad_fn, hess_fn) -> FieldFamilySpec:
@@ -212,9 +211,9 @@ def _wave_derivatives(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarra
 
 def _stencil_jet(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, gradients and Hessians at points (N, 4) from one evaluation of the (N, 49, 4) stencil:
-    central differences with one Richardson level for the gradients (step spec.fd_step) and nested
+    central differences with one Richardson level for the gradients (step FD_GRADIENT_STEP) and nested
     central second differences for the Hessians (step FD_HESSIAN_STEP)."""
-    h, k = spec.fd_step, FD_HESSIAN_STEP
+    h, k = FD_GRADIENT_STEP, FD_HESSIAN_STEP
     f = np.moveaxis(_values(spec, pts[:, None] + np.concatenate([h * _GRAD_STENCIL, _HESSIAN_STENCIL])), 1, 0)
     half_p, half_m, full_p, full_m = f[1:17].reshape(4, 4, -1, 3)
     hp, hm = f[17:25].reshape(2, 4, -1, 3)

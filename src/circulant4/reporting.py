@@ -8,11 +8,11 @@ set of q-base seed vectors and records, per (point, seed):
 * the six q-section curvatures, their equality/zero residuals, and the
   curvature identity suite (seed level).
 
-Reports are plain dicts.  ``WRITERS`` maps each output format to its
-writer: canonical JSON (sorted keys, fixed indentation, so identical configs
-with identical RNG seeds give byte-identical files) or CSV.  Both make one
-``_layout`` pass to find the points, seeds and pair groups whose objects
-the records share, and spell each of those once.
+Reports are plain dicts; this module writes no file.  ``WRITERS`` maps each
+output format to its writer: canonical JSON (sorted keys, fixed indentation,
+so identical configs with identical RNG seeds give byte-identical text) or
+CSV.  Both make one ``_layout`` pass to find the points, seeds and pair
+groups whose objects the records share, and spell each of those once.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ _MAX_GRID_POINTS = 10**6
 # Most seeds "random:N" may draw, and most (point, seed) records a run may make; both are checked before any
 # seed is drawn.
 _MAX_RANDOM_SEEDS, _MAX_RECORDS = 10**6, 10**7
+# Each spelling of derivative_mode (in the config and in `curvature --mode`) and the mode it names.
+_DERIVATIVE_MODES = {"analytic": "analytic", "finite_difference": "finite_difference", "fd": "finite_difference"}
 _CONFIG_KEYS = ("family", "points", "grid", "seeds", "rng_seed", "tolerances", "derivative_mode", "output")
 
 
@@ -67,8 +69,8 @@ class RunConfig:
             raise ConfigError("config field 'family' must be {\"name\": ..., \"params\": [...]}")
         _check_keys(fam, ("name", "params"), "family.")
         given_mode = raw.get("derivative_mode", "analytic")
-        mode = "finite_difference" if given_mode == "fd" else given_mode
-        if mode not in ("analytic", "finite_difference"):
+        mode = _DERIVATIVE_MODES.get(given_mode) if isinstance(given_mode, str) else None
+        if mode is None:
             raise ConfigError(f"derivative_mode must be 'analytic', 'finite_difference' or 'fd', got {given_mode!r}")
         params = _floats(fam["params"], "family.params")
         try:
@@ -246,8 +248,7 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
     and, per seed, the mu list and residual objects, which the writers
     spell once.  Records are in (point, seed) order.  The summary's maxima
     come from the block arrays, so a NaN residual makes its maximum NaN
-    and fails its criterion.  If an output path is configured the report
-    is also written there.
+    and fails its criterion.  It writes no file; ``circulant4 verify`` does.
     """
     tol = config.tolerances
     seeds = list(enumerate(config.seeds.tolist()))  # the records of one seed share its index object too
@@ -286,7 +287,7 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
     }
     status = "fail" if any(v == "fail" for v in criteria.values()) else "pass"
 
-    report = {
+    return {
         "tool": "circulant4",
         "version": __version__,
         "config": config.raw,
@@ -304,11 +305,6 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
             "status": status,
         },
     }
-    if config.output_path:
-        text = WRITERS[config.output_format](report)
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return report
 
 
 def report_json(report: Dict[str, Any]) -> str:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from circulant4 import RunConfig, cli
 from circulant4.cli import main
 
 
@@ -254,6 +255,14 @@ class TestInputValidationExitCode:
             residuals[mode] = json.loads(capsys.readouterr().out)["points"][0]["symmetry_residuals"]
         assert residuals["analytic"] != residuals["fd"]
 
+    def test_curvature_mode_accepts_every_config_spelling(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        printed = {}
+        for mode in ("fd", "finite_difference"):
+            assert main(["curvature", "--config", cfg, "--mode", mode, "--point", "0.1,0.2,0.3,0.4"]) == 0
+            printed[mode] = capsys.readouterr().out
+        assert printed["finite_difference"] == printed["fd"]
+
 
 class TestNumberValidationExitCode:
     """Numbers that used to be coerced, or overflowed a float, are a config error with exit 2."""
@@ -347,3 +356,40 @@ class TestOutFile:
         assert main(["verify", "--config", write_config(tmp_path, output={"path": str(out)})]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+
+
+class TestOutputOpenedBeforeTheRun:
+    """The CLI opens its one output before the run; run_verify itself writes nothing."""
+
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def run_verify(config):
+            raise AssertionError("a point was evaluated")
+        monkeypatch.setattr(cli, "run_verify", run_verify)
+
+    @pytest.mark.parametrize("command", ["verify --out", "verify output.path", "curvature --out"])
+    def test_unwritable_output_exits_2_before_the_run(self, tmp_path, capsys, no_run, command):
+        out = tmp_path / "missing" / "report.json"
+        name, where = command.split()
+        overrides = {"output": {"path": str(out)}} if where == "output.path" else {}
+        argv = [name, "--config", write_config(tmp_path, **overrides)]
+        if where == "--out":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert captured.out == ""
+
+    def test_run_verify_writes_no_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        config = RunConfig.from_file(write_config(tmp_path, output={"path": str(out)}))
+        assert cli.run_verify(config)["summary"]["status"] == "pass"
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
+
+    def test_curvature_writes_only_out(self, tmp_path, capsys):
+        ignored, out = tmp_path / "ignored.json", tmp_path / "curvature.json"
+        cfg = write_config(tmp_path, output={"path": str(ignored)})
+        assert main(["curvature", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["family"]["name"] == "s_wave"
+        assert not ignored.exists()

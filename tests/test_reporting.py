@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from circulant4 import ConfigError, RunConfig, make_custom_family, run_verify
+from circulant4.cli import main
 from circulant4.reporting import report_json, report_to_csv
 
 
@@ -20,6 +21,13 @@ def base_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def verify_from_file(tmp_path, cfg):
+    """``circulant4 verify`` on ``cfg`` written to a config file; returns its exit code."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    return main(["verify", "--config", str(path)])
 
 
 class TestRunConfig:
@@ -106,6 +114,7 @@ class TestRunVerify:
     def test_report_written_to_path(self, tmp_path):
         out = tmp_path / "report.json"
         cfg = base_config(output={"format": "json", "path": str(out)})
+        assert verify_from_file(tmp_path, cfg) == 0
         report = run_verify(RunConfig(cfg))
         assert json.loads(out.read_text())["summary"] == json.loads(report_json(report))["summary"]
 
@@ -272,6 +281,7 @@ _REJECTIONS = {
     "seeds-bool": (base_config(seeds=[[True, False, False, False]]), "'seeds'"),
     "derivative-mode": (base_config(derivative_mode="symbolic"), "derivative_mode"),
     "derivative-mode-case": (base_config(derivative_mode="FD"), "derivative_mode"),
+    "derivative-mode-list": (base_config(derivative_mode=["fd"]), "derivative_mode"),
     "rng-seed-float": (base_config(rng_seed=1.5), "rng_seed"),
     "rng-seed-integral-float": (base_config(rng_seed=7.0), "rng_seed"),
     "rng-seed-string": (base_config(rng_seed="x"), "rng_seed"),
@@ -310,7 +320,9 @@ class TestConfigRejections:
 
     def test_csv_report_written_to_path(self, tmp_path):
         out = tmp_path / "report.csv"
-        report = run_verify(RunConfig(base_config(output={"format": "csv", "path": str(out)})))
+        cfg = base_config(output={"format": "csv", "path": str(out)})
+        assert verify_from_file(tmp_path, cfg) == 0
+        report = run_verify(RunConfig(cfg))
         assert out.read_bytes() == report_to_csv(report).encode("utf-8")
 
 
