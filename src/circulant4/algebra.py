@@ -100,9 +100,9 @@ def metric_eigenvalues(c: CirculantCoeffs) -> np.ndarray:
 
 
 def is_admissible(c: CirculantCoeffs) -> bool:
-    """Strict chain 0 < B < C < A (sufficient for positive definiteness)."""
+    """Strict chain 0 < B < C < A with A finite (sufficient for positive definiteness)."""
     a, b, cc = c
-    return bool(0.0 < b < cc < a)
+    return bool(0.0 < b < cc < a < np.inf)
 
 
 def inner(c: CirculantCoeffs, x, y) -> float:

@@ -8,12 +8,14 @@ Subcommands:
   frame constructions (spectral and closed-form audit).
 * ``pyramid``    the tetrahedron report for (coeffs, seed).
 * ``curvature``  per-point connection/curvature residuals and q-section
-  curvatures for a configured family, regrouped from the verify records.
+  curvatures for a configured family, regrouped from the verify records;
+  ``--mode``/``--point``/``--seed-vector`` edit the config before its one parse.
 * ``verify``     the full batch pipeline from a JSON config.
 
-Exit codes: 0 pass, 1 verification failure, 2 config error or an output
-file that cannot be written.  Output goes to ``--out`` (``verify``: else the
-config's ``output.path``) or stdout, opened before any point is evaluated.
+Exit codes: 0 pass, 1 verification failure, 2 config error (a non-finite
+number flag too) or an output file that cannot be written.  Output goes to
+``--out`` (``verify``: else the config's ``output.path``) or stdout, opened
+before any point is evaluated.
 Set CML_LOG=info (or debug) for verify's status line on stderr.
 """
 
@@ -24,11 +26,10 @@ import contextlib
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from typing import ContextManager, List, Optional, TextIO
-
-import numpy as np
 
 from . import __version__
 from .algebra import (
@@ -43,7 +44,7 @@ from .algebra import (
 )
 from .frames import closed_form_frame, spectral_frame, verify_frame
 from .pyramid import pyramid_report
-from .reporting import _DERIVATIVE_MODES, WRITERS, ConfigError, RunConfig, run_verify
+from .reporting import _DERIVATIVE_MODES, WRITERS, ConfigError, RunConfig, read_config, run_verify
 
 log = logging.getLogger("circulant4")
 
@@ -60,9 +61,12 @@ def _parse_tuple(text: str, n: int, what: str) -> List[float]:
     if len(parts) != n:
         raise ConfigError(f"{what} needs {n} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{what} = {values} is not finite")
+    return values
 
 
 def _coeffs(args) -> CirculantCoeffs:
@@ -152,17 +156,16 @@ def _cmd_curvature(args) -> int:
     """Point-level residuals and q-sections, regrouped from the verify records."""
     if args.config is None:
         raise ConfigError("--config PATH is required (supplies the coefficient family)")
-    config = RunConfig.from_file(args.config)
-    if args.mode:  # stands in for the config's derivative_mode
-        config = RunConfig({**config.raw, "derivative_mode": args.mode})
-    if args.point:
-        point = np.array(_parse_tuple(args.point, 4, "--point"))
-        RunConfig.check_point(point, "--point")
-        config.points = point[None]
-    if args.seed_vector:
-        seed = np.array(_parse_tuple(args.seed_vector, 4, "--seed-vector"))
-        RunConfig.check_seed(seed, "--seed-vector")
-        config.seeds = seed[None]
+    raw = read_config(args.config)
+    if isinstance(raw, dict):  # the flags edit the config before its one parse; else RunConfig names the root
+        if args.mode:
+            raw["derivative_mode"] = args.mode
+        if args.point:
+            raw.pop("grid", None)
+            raw["points"] = [_parse_tuple(args.point, 4, "--point")]
+        if args.seed_vector:
+            raw["seeds"] = [_parse_tuple(args.seed_vector, 4, "--seed-vector")]
+    config = RunConfig(raw)
     with _output(args.out) as out:  # the regrouping is the output; the config's output.path is not read
         points = []
         for rec in run_verify(config)["records"]:

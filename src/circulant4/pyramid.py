@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import CirculantCoeffs, apply_q, as_vector4, inner, qbase_predicate
+from .algebra import CirculantCoeffs, apply_q, as_vector4, inner, metric_eigenvalues, qbase_predicate
 
 __all__ = ["PyramidReport", "pyramid_report"]
 
@@ -33,9 +33,12 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
 
     cos(alpha) = g(x, qx)/g(x, x) and cos(beta) = g(x, q^2 x)/g(x, x) are
     well defined because every q-iterate has the same norm.  Raises on
-    degenerate input (seed not a q-base, or qx parallel to x).
+    degenerate input (g not positive definite, seed not a q-base, or qx parallel to x).
     """
     c = CirculantCoeffs(*c)
+    eigenvalues = metric_eigenvalues(c)
+    if not all(eigenvalues > 0.0):
+        raise ValueError(f"metric is not positive definite: eigenvalues {eigenvalues.tolist()}")
     x = as_vector4(x)
     if not qbase_predicate(x):
         raise ValueError("seed vector does not generate a q-base")

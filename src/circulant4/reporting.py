@@ -106,38 +106,23 @@ class RunConfig:
             raise ConfigError(f"output.path must be a file path string, got {self.output_path!r}")
 
     @staticmethod
-    def check_point(point: np.ndarray, field: str) -> None:
-        """Raise ConfigError naming ``field`` unless every coordinate of the chart point is finite."""
-        if not np.all(np.isfinite(point)):
-            raise ConfigError(f"{field} = {point.tolist()} is not finite")
-
-    @staticmethod
-    def check_seed(seed: np.ndarray, field: str) -> None:
-        """Raise ConfigError naming ``field`` unless the seed is finite and generates a q-base."""
-        if not (np.all(np.isfinite(seed)) and qbase_predicate(seed)):
-            raise ConfigError(f"{field} = {seed.tolist()} is not finite or does not generate a q-base")
-
-    @staticmethod
-    def _vectors(value: Any, field: str, check_row) -> np.ndarray:
+    def _vectors(value: Any, field: str) -> np.ndarray:
         """``value``, a non-empty list of lists of 4 finite numbers (not strings, booleans or nulls), as an
-        (N, 4) float array whose row ``i`` passes ``check_row(row, "field[i]")``; else ConfigError."""
+        (N, 4) float array; else ConfigError."""
         message = f"'{field}' must be a non-empty list of lists of 4 numbers"
         if not (isinstance(value, (list, tuple)) and value):
             raise ConfigError(message)
         try:
-            arr = np.array([_floats(row, f"{field}[{i}]", 4) for i, row in enumerate(value)])
+            return np.array([_floats(row, f"{field}[{i}]", 4) for i, row in enumerate(value)])
         except ConfigError as exc:
             raise ConfigError(f"{message}: {exc}") from None
-        for i, row in enumerate(arr):
-            check_row(row, f"{field}[{i}]")
-        return arr
 
     @classmethod
     def _parse_points(cls, raw: Dict[str, Any]) -> np.ndarray:
         if "points" in raw and "grid" in raw:
             raise ConfigError("config has both 'points' and 'grid'; give exactly one")
         if "points" in raw:
-            return cls._vectors(raw["points"], "points", cls.check_point)
+            return cls._vectors(raw["points"], "points")
         if "grid" in raw:
             grid = raw["grid"]
             if not (isinstance(grid, dict) and {"min", "max", "count"} <= grid.keys()):
@@ -175,20 +160,28 @@ class RunConfig:
             raise ConfigError(f"seeds: {n} seeds at {len(self.points)} points make more than {_MAX_RECORDS} records")
         if isinstance(seeds, str):
             return random_qbase_seeds(np.random.default_rng(self.rng_seed), n)
-        return self._vectors(seeds, "seeds", self.check_seed)
+        vectors = self._vectors(seeds, "seeds")
+        for i, seed in enumerate(vectors):
+            if not qbase_predicate(seed):
+                raise ConfigError(f"seeds[{i}] = {seed.tolist()} does not generate a q-base")
+        return vectors
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
-        except (ValueError, RecursionError) as exc:  # not UTF-8, an integer too long to convert, or nested too deep
-            raise ConfigError(f"config {path} cannot be decoded: {exc}") from exc
-        return cls(raw)
+        return cls(read_config(path))
+
+
+def read_config(path: str) -> Any:
+    """The JSON value in the config file at ``path``, unchecked; else ConfigError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an integer too long to convert, or nested too deep
+        raise ConfigError(f"config {path} cannot be decoded: {exc}") from exc
 
 
 def _floats(values: Any, field: str, size: Optional[int] = None) -> List[float]:

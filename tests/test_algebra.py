@@ -1,5 +1,6 @@
 """Pointwise q-action, metric assembly, and independence criteria."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from circulant4 import (
     CirculantCoeffs,
     apply_q,
+    closed_form_frame,
     det_qorbit,
     inner,
     is_admissible,
@@ -18,6 +20,7 @@ from circulant4 import (
     metric_matrix,
     qbase_polynomial,
     qbase_predicate,
+    spectral_frame,
 )
 from circulant4.algebra import Q_MATRIX
 
@@ -140,6 +143,14 @@ class TestAdmissibility:
     )
     def test_chain(self, coeffs, expected):
         assert is_admissible(CirculantCoeffs(*coeffs)) is expected
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_a_is_not_admissible(self, a):
+        c = CirculantCoeffs(a, 1, 2)
+        assert is_admissible(c) is False
+        for frame in (spectral_frame, closed_form_frame):
+            with pytest.raises(ValueError, match="violate 0 < B < C < A"):
+                frame(c)
 
 
 class TestInner:

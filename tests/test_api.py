@@ -69,3 +69,9 @@ def test_removed_members_stay_removed():
     assert not hasattr(circulant4.CirculantCoeffs, "admissible")
     assert not hasattr(circulant4.FieldJet, "parallel_residual")
     assert not hasattr(PointGeometry, "from_jets")
+
+
+def test_config_has_one_parse():
+    # Points and seeds are checked when the config is parsed; no check is left for after it.
+    assert not hasattr(circulant4.RunConfig, "check_point")
+    assert not hasattr(circulant4.RunConfig, "check_seed")

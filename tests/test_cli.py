@@ -63,6 +63,15 @@ class TestPyramid:
     def test_degenerate_seed_exits_2(self, capsys):
         assert main(["pyramid", "--coeffs", "3,1,2", "--seed-vector", "1,1,1,1"]) == 2
 
+    @pytest.mark.parametrize("coeffs,eigenvalues", [
+        ("3,2,1", "[8.0, 0.0, 2.0, 2.0]"), ("1,3,2", "[9.0, -3.0, -1.0, -1.0]"),
+    ])
+    def test_metric_not_positive_definite_exits_2(self, capsys, coeffs, eigenvalues):
+        assert main(["pyramid", "--coeffs", coeffs, "--seed-vector", "1,0.5,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: metric is not positive definite: eigenvalues {eigenvalues}\n"
+        assert captured.out == ""
+
 
 class TestCurvature:
     def test_point_override(self, tmp_path, capsys):
@@ -182,8 +191,102 @@ class TestCurvatureOverrideValidation:
         ("--point", "0,0,-inf,0"),
     ])
     def test_bad_override_is_a_config_error(self, tmp_path, capsys, flag, value):
+        # A finite seed that is not a q-base is checked as the config field it replaces.
+        field = "seeds[0]" if (flag, value) == ("--seed-vector", "1,1,1,1") else flag
         cfg = write_config(tmp_path)
         assert main(["curvature", "--config", cfg, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {field} = ")
+        assert captured.out == ""
+
+
+_CURVATURE_FLAGS = {
+    "none": [], "mode": ["--mode", "fd"], "point": ["--point", "0,0,0,0"],
+    "seed-vector": ["--seed-vector", "1,0.2,-0.3,0.4"],
+    "all": ["--mode", "fd", "--point", "0,0,0,0", "--seed-vector", "1,0.2,-0.3,0.4"],
+}
+
+
+class TestCurvatureSingleParse:
+    """The curvature flags edit the config before its one parse; the fields they replace are not read."""
+
+    @pytest.mark.parametrize("flags", list(_CURVATURE_FLAGS))
+    def test_one_run_config_per_call(self, tmp_path, capsys, monkeypatch, flags):
+        built = []
+        init = RunConfig.__init__
+
+        def counting_init(self, raw):
+            built.append(raw)
+            init(self, raw)
+        monkeypatch.setattr(RunConfig, "__init__", counting_init)
+        assert main(["curvature", "--config", write_config(tmp_path), *_CURVATURE_FLAGS[flags]]) == 0
+        assert len(built) == 1
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert len(points) == (1 if "--point" in _CURVATURE_FLAGS[flags] else 2)
+
+    def test_seed_vector_draws_no_random_seeds(self, tmp_path, capsys, monkeypatch):
+        from circulant4 import reporting
+
+        def sample(rng, n):
+            raise AssertionError("a seed was drawn")
+        monkeypatch.setattr(reporting, "random_qbase_seeds", sample)
+        cfg = write_config(tmp_path, seeds="random:1000")
+        assert main(["curvature", "--config", cfg, "--seed-vector", "1,0.2,-0.3,0.4"]) == 0
+        sections = [p["sections"] for p in json.loads(capsys.readouterr().out)["points"]]
+        assert [[s["seed"] for s in point] for point in sections] == [[[1.0, 0.2, -0.3, 0.4]]] * 2
+
+    def test_point_replaces_a_grid_over_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]},
+            "grid": {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [1001, 1000, 1, 1]},
+            "seeds": "random:1", "rng_seed": 7,
+        }))
+        assert main(["curvature", "--config", str(path), "--point", "0.1,0.2,0.3,0.4"]) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [p["point"] for p in points] == [[0.1, 0.2, 0.3, 0.4]]
+        assert main(["curvature", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "grid.count" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", list(_CURVATURE_FLAGS))
+    def test_unknown_key_is_still_rejected(self, tmp_path, capsys, flags):
+        cfg = write_config(tmp_path, tolernces={"section_tol": 1e-9})
+        assert main(["curvature", "--config", cfg, *_CURVATURE_FLAGS[flags]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: unknown config key 'tolernces'")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", list(_CURVATURE_FLAGS))
+    @pytest.mark.parametrize("root", ["[1, 2]", '"run"', "null"])
+    def test_non_object_root_exits_2(self, tmp_path, capsys, flags, root):
+        path = tmp_path / "run.json"
+        path.write_text(root)
+        assert main(["curvature", "--config", str(path), *_CURVATURE_FLAGS[flags]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: config root must be a JSON object\n"
+        assert captured.out == ""
+
+
+# Each command's flags that take comma-separated numbers, with a valid value for each.
+_NUMBER_FLAGS = {
+    "inspect": {"--coeffs": "3,1,2"},
+    "qbase": {"--coeffs": "3,1,2", "--seed-vector": "1,0,0,0"},
+    "pyramid": {"--coeffs": "3,1,2", "--seed-vector": "1,0,0,0"},
+    "curvature": {"--point": "0,0,0,0", "--seed-vector": "1,0.2,-0.3,0.4"},
+}
+_NON_FINITE = [(command, flag, bad) for command, flags in _NUMBER_FLAGS.items() for flag in flags
+               for bad in ("nan", "inf", "-inf")]
+
+
+class TestNonFiniteFlagValue:
+    @pytest.mark.parametrize("command,flag,bad", _NON_FINITE, ids=[f"{c}{f}={b}" for c, f, b in _NON_FINITE])
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, bad):
+        argv = [command] + (["--config", write_config(tmp_path)] if command == "curvature" else [])
+        for name, value in _NUMBER_FLAGS[command].items():  # "--flag=-inf,...": argparse reads "-inf,..." as a flag
+            argv.append(f"{name}={value if name != flag else bad + value[value.index(','):]}")
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {flag} = ")
         assert captured.out == ""

@@ -1,6 +1,7 @@
 """Tetrahedron edge lengths and face angles of a q-orbit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,28 @@ class TestExampleValues:
     def test_degenerate_seed_rejected(self):
         with pytest.raises(ValueError):
             pyramid_report(CirculantCoeffs(3, 1, 2), [1, 1, 1, 1])
+
+
+class TestPositiveDefiniteMetric:
+    @pytest.mark.parametrize("coeffs,eigenvalues", [
+        ((3.0, 2.0, 1.0), "[8.0, 0.0, 2.0, 2.0]"),       # semi-definite
+        ((1.0, 3.0, 2.0), "[9.0, -3.0, -1.0, -1.0]"),    # indefinite
+        ((math.nan, 1, 2), "[nan, nan, nan, nan]"),
+    ])
+    @pytest.mark.parametrize("seed", [[1, 0.5, 0, 0], [1, 1, 1, 1]], ids=["qbase", "not-qbase"])
+    def test_rejected_naming_the_eigenvalues_before_the_seed(self, coeffs, eigenvalues, seed):
+        message = f"metric is not positive definite: eigenvalues {eigenvalues}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pyramid_report(CirculantCoeffs(*coeffs), seed)
+
+    def test_positive_definite_but_not_admissible_is_accepted(self):
+        # B < 0 breaks 0 < B < C < A, but the eigenvalues (3, 5, 2, 2) are positive.
+        c, x = CirculantCoeffs(3, -0.5, 1), [1, 0.5, 0, 0]
+        rep = pyramid_report(c, x)
+        cos_gamma, cos_delta = law_of_cosines_angles(c, x)
+        assert rep.cos_gamma == pytest.approx(cos_gamma, abs=1e-12)
+        assert rep.cos_delta == pytest.approx(cos_delta, abs=1e-12)
+        assert rep.angle_sum_residual <= 1e-12
 
 
 class TestOracleAgreement:
