@@ -31,6 +31,8 @@ import os
 import sys
 from typing import ContextManager, List, Optional, TextIO
 
+import numpy as np
+
 from . import __version__
 from .algebra import (
     CirculantCoeffs,
@@ -69,6 +71,15 @@ def _parse_tuple(text: str, n: int, what: str) -> List[float]:
     return values
 
 
+def _seed(args) -> List[float]:
+    """``--seed-vector``, refused unless its q-orbit's independence polynomial is a finite float."""
+    seed = _parse_tuple(args.seed_vector, 4, "--seed-vector")
+    with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: the error below names the seed
+        if not math.isfinite(qbase_polynomial(seed)):
+            raise ConfigError(f"--seed-vector = {seed}: its independence polynomial overflows a float")
+    return seed
+
+
 def _coeffs(args) -> CirculantCoeffs:
     if args.coeffs is None:
         raise ConfigError("--coeffs A,B,C is required")
@@ -91,11 +102,19 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 def _cmd_inspect(args) -> int:
     c = _coeffs(args)
+    try:
+        det = metric_det_closed(c)
+    except OverflowError:  # float ** raises where + and * give inf
+        det = math.inf
+    eigenvalues = metric_eigenvalues(c).tolist()
+    for name, values in (("eigenvalues", eigenvalues), ("det_closed_form", [det])):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"--coeffs {list(c)}: a float overflows in {name}")
     _emit({
         "coeffs": {"A": c.a, "B": c.b, "C": c.c},
         "metric": metric_matrix(c).tolist(),
-        "eigenvalues": metric_eigenvalues(c).tolist(),
-        "det_closed_form": metric_det_closed(c),
+        "eigenvalues": eigenvalues,
+        "det_closed_form": det,
         "admissible": is_admissible(c),
     }, args.out)
     return 0
@@ -105,7 +124,7 @@ def _cmd_qbase(args) -> int:
     c = _coeffs(args)
     payload: dict = {"coeffs": {"A": c.a, "B": c.b, "C": c.c}}
     if args.seed_vector:
-        seed = _parse_tuple(args.seed_vector, 4, "--seed-vector")
+        seed = _seed(args)
         payload["seed"] = {
             "vector": seed,
             "independence_polynomial": qbase_polynomial(seed),
@@ -141,7 +160,7 @@ def _cmd_pyramid(args) -> int:
     c = _coeffs(args)
     if args.seed_vector is None:
         raise ConfigError("--seed-vector v1,v2,v3,v4 is required")
-    seed = _parse_tuple(args.seed_vector, 4, "--seed-vector")
+    seed = _seed(args)
     rep = pyramid_report(c, seed)
     _emit({"coeffs": {"A": c.a, "B": c.b, "C": c.c}, "seed": seed, **dataclasses.asdict(rep)}, args.out)
     return 0
@@ -228,7 +247,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     _setup_logging()
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads a value that starts with "-" as a flag, so "--point -0.1,0,0,0" becomes "--point=-0.1,0,0,0".
+    tokens: List[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in ("--coeffs", "--point", "--seed-vector") and token[:1] == "-" and token[:2] != "--":
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = parser.parse_args(tokens)
     try:
         return _COMMANDS[args.command][0](args)
     except ConfigError as exc:

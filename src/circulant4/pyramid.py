@@ -33,7 +33,8 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
 
     cos(alpha) = g(x, qx)/g(x, x) and cos(beta) = g(x, q^2 x)/g(x, x) are
     well defined because every q-iterate has the same norm.  Raises on
-    degenerate input (g not positive definite, seed not a q-base, or qx parallel to x).
+    degenerate input (g not positive definite, seed not a q-base, g(x, x) not a positive
+    finite float, or qx parallel to x).
     """
     c = CirculantCoeffs(*c)
     eigenvalues = metric_eigenvalues(c)
@@ -43,8 +44,8 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
     if not qbase_predicate(x):
         raise ValueError("seed vector does not generate a q-base")
     norm_sq = inner(c, x, x)
-    if norm_sq <= 0.0:
-        raise ValueError("seed has non-positive squared length under g")
+    if not 0.0 < norm_sq < math.inf:  # also an overflow to inf or NaN
+        raise ValueError(f"seed {x.tolist()} has squared length {norm_sq} under g, not a positive finite float")
     cos_alpha = inner(c, x, apply_q(x, 1)) / norm_sq
     cos_beta = inner(c, x, apply_q(x, 2)) / norm_sq
     if cos_alpha >= 1.0 - 1e-12:

@@ -236,12 +236,13 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
 
     Points are evaluated in blocks of up to ``_BLOCK_POINTS``: each point's
     jet is computed once, and the block's geometry and seed-level checks
-    are array operations over its distinct jets.  Records of points in one
-    block whose jets are equal bit for bit share their point-level objects
-    and, per seed, the mu list and residual objects, which the writers
-    spell once.  Records are in (point, seed) order.  The summary's maxima
-    come from the block arrays, so a NaN residual makes its maximum NaN
-    and fails its criterion.  It writes no file; ``circulant4 verify`` does.
+    are array operations over its distinct jets.  Points in one block whose
+    jets are equal bit for bit form a row: their records share the row's
+    point-level objects and, per seed, the mu list and residual objects,
+    and the writers spell each of those once.  Records are in (point, seed)
+    order.  The summary's maxima come from the block arrays, so a NaN
+    residual makes its maximum NaN and fails its criterion.  It writes no
+    file; ``circulant4 verify`` does.
     """
     tol = config.tolerances
     seeds = list(enumerate(config.seeds.tolist()))  # the records of one seed share its index object too
@@ -332,24 +333,24 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The leaf types the writers spell with float.__repr__, as json.encoder does; a float subclass may spell
 # itself otherwise, and bool, int and None coerce silently into a float array.
 _FLOATS = {float, np.float64}
-# run_verify's record with a slot for each float or int leaf, dict keys sorted; the slots of the seed and
-# the seed index, and those of the identity residuals and mu, are marked apart.
-_SLOT, _SEED_SLOT, _PAIR_SLOT = "\x00", "\x01", "\x02"
+# run_verify's record with a slot for each float or int leaf, dict keys sorted; the slots of the point with
+# its index, of the seed with its index, and of the identity residuals with mu are marked apart.
+_SLOT, _POINT_SLOT, _SEED_SLOT, _PAIR_SLOT = "\x00", "\x01", "\x02", "\x03"
 _SKELETON = {
     "coeffs": dict.fromkeys("ABC", _SLOT), "symmetry_residuals": dict.fromkeys(sorted(SYMMETRY_NAMES), _SLOT),
     "identity_residuals": dict.fromkeys(sorted(IDENTITY_NAMES), _PAIR_SLOT),
-    "point": [_SLOT] * 4, "seed": [_SEED_SLOT] * 4, "seed_index": _SEED_SLOT, "mu": [_PAIR_SLOT] * 6,
-    **dict.fromkeys(["point_index", "parallel_residual", "nabla_q_residual", "frame_residual",
-                     "frame_tolerance", "equality_residual", "zero_residual"], _SLOT),
+    "point": [_POINT_SLOT] * 4, "point_index": _POINT_SLOT, "seed": [_SEED_SLOT] * 4, "seed_index": _SEED_SLOT,
+    "mu": [_PAIR_SLOT] * 6, **dict.fromkeys(["parallel_residual", "nabla_q_residual", "frame_residual",
+                                             "frame_tolerance", "equality_residual", "zero_residual"], _SLOT),
 }
 
 
 def _templates() -> tuple:
-    """``_RECORD``, the skeleton at depth 2 of the report with a "%s" per slot, where the text from the
-    seed's first slot to the seed index's is one "%s", and so is the text from the first identity
-    residual's slot to mu's last; and ``_SEED`` and ``_PAIR``, those two texts with a "%s" per slot."""
+    """``_RECORD``, the skeleton at depth 2 of the report with a "%s" per slot, where the text from the first
+    to the last slot of each mark (the point's, the seed's and the pair's) is one "%s"; and ``_POINT``,
+    ``_SEED`` and ``_PAIR``, those three texts with a "%s" per slot."""
     text = json.dumps(_SKELETON, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT)
-    slot, *marks = map(json.dumps, (_SLOT, _SEED_SLOT, _PAIR_SLOT))
+    slot, *marks = map(json.dumps, (_SLOT, _POINT_SLOT, _SEED_SLOT, _PAIR_SLOT))
     spans = []
     for mark in marks:
         before, _, rest = text.partition(mark)
@@ -360,13 +361,13 @@ def _templates() -> tuple:
 
 
 # In sorted key order, a record's slots are the coefficients, the equality residual, the frame residual and
-# tolerance, the identity residuals with mu, the other point floats, the point index, the seed with its
-# index, the symmetry residuals and the zero residual.
-_RECORD, _SEED, _PAIR = _templates()
-# A record's fields that run_verify shares between the records of a point, and between those of a pair
-# group (points with equal jets, one seed), in sorted key order.
+# tolerance, the identity residuals with mu, the nabla-q and parallel residuals, the point with its index,
+# the seed with its index, the symmetry residuals and the zero residual.
+_RECORD, _POINT, _SEED, _PAIR = _templates()
+# A record's fields that run_verify shares between the records of a point (those of its row, then the point
+# and its index), and between those of a pair group (a row's records for one seed), in sorted key order.
 _POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
-                                    "parallel_residual", "point", "point_index", "symmetry_residuals")
+                                    "parallel_residual", "symmetry_residuals", "point", "point_index")
 _PAIR_FIELDS = operator.itemgetter("equality_residual", "identity_residuals", "mu", "zero_residual")
 
 
@@ -423,6 +424,7 @@ def _layout(records: Any, point_fields: Callable[[Any], tuple]) -> tuple:
 
     A point is the ``point_fields`` objects of a run of consecutive records; a seed the (seed, seed_index)
     objects and a pair group the ``_PAIR_FIELDS`` objects, wherever they recur.  Equal copies count apart.
+    The writers then group the points into rows (``_rows``), once per point, not once per record.
     """
     points: List[tuple] = []
     # Object ids -> (number, the objects); holding the objects keeps their ids unique.
@@ -443,32 +445,44 @@ def _layout(records: Any, point_fields: Callable[[Any], tuple]) -> tuple:
             record_points, record_seeds, record_groups)
 
 
+def _rows(points: List[tuple]) -> tuple:
+    """The distinct rows of ``_layout``'s points, and each point's row number.  A row is a point's objects
+    but its last two (coordinates and index), wherever they recur; equal copies count apart."""
+    rows: Dict[tuple, tuple] = {}  # object ids -> (number, the objects)
+    numbers = [rows.setdefault(tuple(map(id, point[:-2])), (len(rows), point[:-2]))[0] for point in points]
+    return [row for _, row in rows.values()], numbers
+
+
 def _fill_records(records: Any) -> str:
     """The records' text as ``json.dumps(records, sort_keys=True, indent=2)`` writes their items at
     depth 2 of the report, joined by ``_RECORD_SEPARATOR``; TypeError unless every record has
     run_verify's keys, lengths, float leaves and int (not bool) indices.
 
-    The float leaves of the distinct points, seeds and pair groups of the records' ``_layout`` are
-    spelled in one call, once per distinct bit pattern, into a copy of ``_RECORD`` per point, ``_SEED``
-    per seed and ``_PAIR`` per group.  One ``%`` then fills every record's template with four texts: its
+    The float leaves of the distinct rows, points, seeds and pair groups of the records' ``_layout`` and
+    ``_rows`` are spelled in one call, once per distinct bit pattern, into a copy of ``_RECORD`` per row,
+    ``_POINT`` per point, ``_SEED`` per seed and ``_PAIR`` per group.  A point's template is its row's copy
+    with its ``_POINT`` text spliced in.  One ``%`` then fills every record's template with four texts: its
     group's equality residual, ``_PAIR`` and zero residual, and its seed's.
     """
     if not all(isinstance(record, dict) and record.keys() == _SKELETON.keys() for record in records):
         raise TypeError("record keys are not run_verify's")
     points, seeds, groups, record_points, record_seeds, record_groups = _layout(records, _POINT_FIELDS)
-    leaves = [(*_leaves(coeffs, "coeffs"), frame, frame_tol, nabla_q, parallel, *_leaves(coords, "point"),
-               *_leaves(symmetry, "symmetry_residuals"))
-              for coeffs, frame, frame_tol, nabla_q, parallel, coords, _, symmetry in points]
+    rows, point_rows = _rows(points)
+    leaves = [(*_leaves(coeffs, "coeffs"), *values, *_leaves(symmetry, "symmetry_residuals"))
+              for coeffs, *values, symmetry in rows]
+    leaves += [_leaves(point[-2], "point") for point in points]
     leaves += [_leaves(seed, "seed") for seed, _ in seeds]
     leaves += [(equality, *_leaves(identity, "identity_residuals"), *_leaves(mu, "mu"), zero)
                for equality, identity, mu, zero in groups]
-    indices = [point[6] for point in points] + [index for _, index in seeds]
+    indices = [point[-1] for point in points] + [index for _, index in seeds]
     if not (set(map(type, itertools.chain.from_iterable(leaves))) <= _FLOATS and set(map(type, indices)) <= {int}):
         raise TypeError("a float leaf or an index of a record is not a float or an int")
-    texts, n = _spell_distinct(leaves, _spell), len(points)
-    templates = [_RECORD % (*t[:3], "%s", *t[3:5], "%s", *t[5:11], index, "%s", *t[11:], "%s")
-                 for t, index in zip(texts[:n], indices)]
-    seed_texts = [_SEED % (*t, index) for t, index in zip(texts[n:], indices[n:])]
+    texts, r, n = _spell_distinct(leaves, _spell), len(rows), len(rows) + len(points)
+    # Each row's text, split where a point's text goes; no number's text holds the mark.
+    row_texts = [(_RECORD % (*t[:3], "%s", *t[3:5], "%s", *t[5:7], _POINT_SLOT, "%s", *t[7:], "%s"))
+                 .split(_POINT_SLOT) for t in texts[:r]]
+    templates = [(_POINT % (*t, i)).join(row_texts[row]) for t, i, row in zip(texts[r:n], indices, point_rows)]
+    seed_texts = [_SEED % (*t, index) for t, index in zip(texts[n:], indices[len(points):])]
     pairs = texts[n + len(seeds):]
     return _fill(_RECORD_SEPARATOR, templates, record_points, [
         ([t[0] for t in pairs], record_groups), ([_PAIR % tuple(t[1:-1]) for t in pairs], record_groups),
@@ -479,9 +493,9 @@ _CSV_HEADER = ",".join([
     "point_index", "seed_index", *(f"point_{i}" for i in range(1, 5)), *(f"seed_{i}" for i in range(1, 5)),
     "A", "B", "C", "parallel_residual", "nabla_q_residual", "frame_residual", *(f"mu_{i}" for i in range(1, 7)),
     "equality_residual", "zero_residual", "max_identity_residual", "max_symmetry_residual"])
-# The fields of a row's point-level cells.
-_CSV_POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "nabla_q_residual", "parallel_residual", "point",
-                                        "point_index", "symmetry_residuals")
+# The fields of a CSV line's point-level cells: the row's, then the point and its index.
+_CSV_POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "nabla_q_residual", "parallel_residual",
+                                        "symmetry_residuals", "point", "point_index")
 
 
 def _cell(value: Any) -> str:
@@ -489,9 +503,9 @@ def _cell(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def _cells(values: Any) -> str:
-    """The values as csv.writer spells cells that need no quotes, each after a comma."""
-    return "".join(["," + text for text in map(_cell, values)])
+def _cells(texts: List[str]) -> str:
+    """The cells' texts, each after a comma."""
+    return "".join(["," + text for text in texts])
 
 
 def report_to_csv(report: Dict[str, Any]) -> str:
@@ -499,26 +513,30 @@ def report_to_csv(report: Dict[str, Any]) -> str:
 
     The text is what ``csv.writer`` (excel dialect) writes: every cell is a
     number, which it spells with ``str`` and never quotes, or None, which
-    it writes as an empty cell, and each row ends in ``\\r\\n``.  The point,
-    seed and pair cells (mu, the equality and zero residuals, the largest
-    identity residual) are made once per distinct point, seed and pair
-    group of the records' ``_layout``.  When every pair cell is a
-    ``float``, whose ``str`` is its repr, they are spelled once per
-    distinct bit pattern; numpy's own ``str`` of an ``np.float64`` is not
+    it writes as an empty cell, and each row ends in ``\\r\\n``.  The cells
+    of each distinct row (the coefficients and point residuals), point, seed
+    and pair group (mu and the seed-level residuals) of the records'
+    ``_layout`` and ``_rows`` are made once.  When every such cell is a
+    ``float``, whose ``str`` is its repr, they are spelled in one call, once
+    per distinct bit pattern; numpy's ``str`` of an ``np.float64`` is not
     assumed to agree.
     """
     points, seeds, groups, record_points, record_seeds, record_groups = _layout(report["records"], _CSV_POINT_FIELDS)
+    rows, point_rows = _rows(points)
+    # Each row's, point's, seed's and group's cells in column order; mu's length may differ between groups.
+    cells = [(coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame, max(symmetry.values()))
+             for coeffs, frame, nabla_q, parallel, symmetry in rows]
+    cells += [point[-2] for point in points] + [seed for seed, _ in seeds]
+    cells += [(*mu, equality, zero, max(identity.values())) for equality, identity, mu, zero in groups]
+    floats = set(map(type, itertools.chain.from_iterable(cells))) == {float}
+    texts = _spell_distinct(cells, _reprs) if floats else [list(map(_cell, item)) for item in cells]
+    r, n, s = len(rows), len(rows) + len(points), len(rows) + len(points) + len(seeds)
     # A "%s" for the seed index, the seed's cells and the pair's; a number's text holds no "%".
-    templates = ["%s,%%s%s%%s%s,%%s,%s\r\n" % (_cell(index), _cells(coords), _cells(
-        [coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame]), _cell(max(symmetry.values())))
-        for coeffs, frame, nabla_q, parallel, coords, index, symmetry in points]
-    # Each group's cells in column order; mu's length may differ between groups.
-    pairs = [(*mu, equality, zero, max(identity.values())) for equality, identity, mu, zero in groups]
-    floats = set(map(type, itertools.chain.from_iterable(pairs))) == {float}
-    texts = _spell_distinct(pairs, _reprs) if floats else [list(map(_cell, pair)) for pair in pairs]
+    row_texts = [f"{_cells(t[:-1])},%s,{t[-1]}\r\n" for t in texts[:r]]
+    templates = [f"{_cell(p[-1])},%s{_cells(t)}%s{row_texts[row]}" for p, t, row in zip(points, texts[r:n], point_rows)]
     return _CSV_HEADER + "\r\n" + _fill("", templates, record_points, [
-        ([_cell(index) for _, index in seeds], record_seeds), ([_cells(seed) for seed, _ in seeds], record_seeds),
-        (list(map(",".join, texts)), record_groups)])
+        ([_cell(index) for _, index in seeds], record_seeds), (list(map(_cells, texts[n:s])), record_seeds),
+        (list(map(",".join, texts[s:])), record_groups)])
 
 
 WRITERS: Dict[str, Callable[[Dict[str, Any]], str]] = {"json": report_json, "csv": report_to_csv}

@@ -36,6 +36,18 @@ class TestInspect:
     def test_malformed_coeffs_exits_2(self):
         assert main(["inspect", "--coeffs", "3,1"]) == 2
 
+    @pytest.mark.parametrize("coeffs,quantity", [
+        ("1e308,1e308,1e307", "eigenvalues"), ("1e200,1,0", "det_closed_form"),
+    ])
+    def test_overflow_exits_2_naming_the_quantity(self, tmp_path, capsys, coeffs, quantity):
+        out, given = tmp_path / "inspect.json", [float(v) for v in coeffs.split(",")]
+        for argv in (["inspect", "--coeffs", coeffs], ["inspect", "--coeffs", coeffs, "--out", str(out)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --coeffs {given}: a float overflows in {quantity}\n"
+            assert captured.out == ""
+        assert not out.exists()
+
 
 class TestQbase:
     def test_seed_report(self, capsys):
@@ -46,6 +58,14 @@ class TestQbase:
         assert payload["closed_form_frame"]["status"] in (
             "ok", "sqrt_domain_failure", "residual_exceeds_tolerance",
         )
+
+    @pytest.mark.parametrize("command", ["qbase", "pyramid"])
+    def test_overflowing_seed_exits_2_naming_it(self, capsys, command):
+        assert main([command, "--coeffs", "3,1,2", "--seed-vector", "1e200,1,0,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: --seed-vector = [1e+200, 1.0, 0.0, 0.0]: "
+                                "its independence polynomial overflows a float\n")
+        assert captured.out == ""
 
     def test_inadmissible_coeffs_exit_1(self, capsys):
         assert main(["qbase", "--coeffs", "1,2,3", "--seed-vector", "1,0,0,0"]) == 1
@@ -280,11 +300,30 @@ _NON_FINITE = [(command, flag, bad) for command, flags in _NUMBER_FLAGS.items() 
                for bad in ("nan", "inf", "-inf")]
 
 
+# A value for each number flag whose first number is negative.
+_NEGATIVE = {"--coeffs": "-3,1,2", "--point": "-0.1,0,0,0", "--seed-vector": "-1,0.2,-0.3,0.4"}
+_NUMBER_FLAG_CASES = [(command, flag) for command, flags in _NUMBER_FLAGS.items() for flag in flags]
+
+
+class TestNegativeFirstValue:
+    @pytest.mark.parametrize("command,flag", _NUMBER_FLAG_CASES, ids=[f"{c}{f}" for c, f in _NUMBER_FLAG_CASES])
+    def test_space_separated_value_reads_as_the_equals_form(self, tmp_path, capsys, command, flag):
+        head = [command] + (["--config", write_config(tmp_path)] if command == "curvature" else [])
+        rest = [f"{name}={value}" for name, value in _NUMBER_FLAGS[command].items() if name != flag]
+        results = []
+        for given in ([flag, _NEGATIVE[flag]], [f"{flag}={_NEGATIVE[flag]}"]):
+            code = main(head + given + rest)
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert str(float(_NEGATIVE[flag].split(",")[0])) in out + err  # the value was read
+
+
 class TestNonFiniteFlagValue:
     @pytest.mark.parametrize("command,flag,bad", _NON_FINITE, ids=[f"{c}{f}={b}" for c, f, b in _NON_FINITE])
     def test_exits_2_naming_the_flag(self, tmp_path, capsys, command, flag, bad):
         argv = [command] + (["--config", write_config(tmp_path)] if command == "curvature" else [])
-        for name, value in _NUMBER_FLAGS[command].items():  # "--flag=-inf,...": argparse reads "-inf,..." as a flag
+        for name, value in _NUMBER_FLAGS[command].items():  # TestNegativeFirstValue covers "--flag value"
             argv.append(f"{name}={value if name != flag else bad + value[value.index(','):]}")
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -326,14 +326,6 @@ class TestSpelledOnce:
         spelled = self.spelled(monkeypatch, report_json, {"records": records})
         assert spelled <= self.distinct(pairs) + runs * point_leaves + seed_leaves
 
-    def test_csv(self, monkeypatch):
-        records = real_report()["records"]
-        pairs = [value for record in records for value in (
-            *record["mu"], record["equality_residual"], record["zero_residual"],
-            max(record["identity_residuals"].values()))]
-        assert self.distinct(pairs) < len(pairs)
-        assert self.spelled(monkeypatch, report_to_csv, {"records": records}) <= self.distinct(pairs)
-
 
 # The benchmark's three workload configs: many seeds at few points, finite-difference jets at many points, and
 # the non-parallel control family.
@@ -352,6 +344,18 @@ def workload_report(name, rng_seed=7):
     return run_verify(RunConfig({**config, "rng_seed": rng_seed}))
 
 
+def bit_pattern(value):
+    return struct.pack("<d", value)
+
+
+def csv_float_cells(record):
+    """A record's CSV cells that hold floats: every cell but the two indices."""
+    return [*record["point"], *record["seed"], *(record["coeffs"][k] for k in "ABC"), record["parallel_residual"],
+            record["nabla_q_residual"], record["frame_residual"], *record["mu"], record["equality_residual"],
+            record["zero_residual"], max(record["identity_residuals"].values()),
+            max(record["symmetry_residuals"].values())]
+
+
 def float_leaves(value):
     """Every float leaf of a nested record value."""
     if isinstance(value, dict):
@@ -362,31 +366,42 @@ def float_leaves(value):
 
 
 class TestOneSpellingPass:
-    """report_json spells all float leaves of the records in one call, once per distinct bit pattern."""
+    """Each writer spells all float leaves (report_json) or float cells (report_to_csv) of the records in
+    one call, with exactly their distinct bit patterns."""
 
     @staticmethod
-    def spell_calls(monkeypatch, report):
+    def spell_calls(monkeypatch, report, write=report_json, oracle=json_oracle):
+        """The sorted bit patterns of the values of each _reprs call the writer makes."""
         calls = []
 
         def reprs(values):
             values = list(values)
-            calls.append(len(values))
+            calls.append(sorted(map(bit_pattern, values)))
             return list(map(float.__repr__, values))
 
         monkeypatch.setattr(reporting, "_reprs", reprs)
-        assert report_json(report) == json_oracle(report)
+        assert write(report) == oracle(report)
         return calls
 
     @staticmethod
-    def distinct(records):
-        return len({struct.pack("<d", leaf) for record in records for leaf in float_leaves(record)})
+    def distinct(records, floats=float_leaves):
+        """The sorted distinct bit patterns of the records' floats."""
+        return sorted({bit_pattern(value) for record in records for value in floats(record)})
 
     @pytest.mark.parametrize("name", list(WORKLOADS))
     def test_workload_is_spelled_in_one_call(self, monkeypatch, no_fallback, name):
         report = workload_report(name)
         records = report["records"]
-        assert self.distinct(records) < sum(len(float_leaves(r)) for r in records)  # else this report cannot tell
+        assert len(self.distinct(records)) < sum(len(float_leaves(r)) for r in records)  # else this cannot tell
         assert self.spell_calls(monkeypatch, report) == [self.distinct(records)]
+
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    def test_csv_workload_is_spelled_in_one_call(self, monkeypatch, name):
+        report = workload_report(name)
+        records = report["records"]
+        distinct = self.distinct(records, csv_float_cells)
+        assert len(distinct) < sum(len(csv_float_cells(r)) for r in records)  # else this cannot tell
+        assert self.spell_calls(monkeypatch, report, report_to_csv, csv_oracle) == [distinct]
 
     def test_signed_zero_coordinates(self, monkeypatch, no_fallback):
         report = run_verify(RunConfig({
@@ -462,3 +477,39 @@ class TestOneLayoutPass:
         report = real_report(seeds="random:300")
         json_calls, csv_calls = self.layout_counts(monkeypatch, report)
         assert json_calls == csv_calls == [(3, 300, 900)]
+
+
+ROW_FIELDS = ["coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual", "parallel_residual",
+              "symmetry_residuals"]
+
+
+def with_row(records, point_index, row):
+    """The records, with those of the point at ``point_index`` holding the ``row`` objects."""
+    return [{**r, **row} if r["point_index"] == point_index else r for r in records]
+
+
+class TestRowReuse:
+    """Points share a row's text only when they share every one of its objects (run_verify's points with
+    equal jets); their coordinates and index are spelled apart."""
+
+    def test_points_with_other_coordinates_share_a_row(self, no_fallback):
+        records = real_report()["records"]
+        row = {field: records[0][field] for field in ROW_FIELDS}
+        # Points 0 and 2 hold one row, with point 1's own row between them.
+        records = with_row(records, 2, row)
+        assert records[0]["point"] != records[6]["point"]
+        assert_bytes({"records": records})
+
+    @pytest.mark.parametrize("field", ROW_FIELDS)
+    def test_each_row_field_alone_breaks_a_row(self, no_fallback, field):
+        # Point 1 shares every row object with point 0 but this one, which holds another value.
+        records = real_report()["records"]
+        row = {f: records[0][f] if f != field else changed(records[0][f]) for f in ROW_FIELDS}
+        assert_bytes({"records": with_row(records, 1, row)})
+
+    def test_run_verify_shares_a_row_per_distinct_jet(self):
+        # The control workload's 256 points hold 4 distinct jets; each (row, seed) shares its seed and pair objects.
+        records = workload_report("control")["records"]
+        rows = {tuple(id(r[f]) for f in ROW_FIELDS) for r in records}
+        groups = {tuple(id(r[f]) for f in ["seed", "seed_index", *PAIR_FIELDS]) for r in records}
+        assert (len(rows), len(groups)) == (4, 4 * 8)
