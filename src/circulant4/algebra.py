@@ -129,6 +129,16 @@ def qbase_polynomials(xs: np.ndarray) -> np.ndarray:
     return ((x1 - x3) ** 2 + (x2 - x4) ** 2) * (x1 - x2 + x3 - x4) * (x1 + x2 + x3 + x4)
 
 
+def _finite_qbase_polynomials(xs: np.ndarray, name: str, error: type = ValueError) -> np.ndarray:
+    """qbase_polynomials of the vectors xs (N, 4), made without numpy warnings; ``error`` naming the first
+    vector, as ``name.format(its index)``, whose polynomial overflows a float to inf, or to NaN as inf * 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        polys = qbase_polynomials(xs)
+    for i in np.flatnonzero(~np.isfinite(polys))[:1]:
+        raise error(f"{name.format(i)} = {xs[i].tolist()}: its independence polynomial overflows a float")
+    return polys
+
+
 def qbase_predicate(x) -> bool:
     """True iff the orbit {x, qx, q^2 x, q^3 x} spans the tangent space."""
     return bool(qbase_polynomial(x) != 0.0)

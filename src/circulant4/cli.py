@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .algebra import (
     CirculantCoeffs,
+    _finite_qbase_polynomials,
     det_qorbit,
     is_admissible,
     metric_det_closed,
@@ -74,9 +75,7 @@ def _parse_tuple(text: str, n: int, what: str) -> List[float]:
 def _seed(args) -> List[float]:
     """``--seed-vector``, refused unless its q-orbit's independence polynomial is a finite float."""
     seed = _parse_tuple(args.seed_vector, 4, "--seed-vector")
-    with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: the error below names the seed
-        if not math.isfinite(qbase_polynomial(seed)):
-            raise ConfigError(f"--seed-vector = {seed}: its independence polynomial overflows a float")
+    _finite_qbase_polynomials(np.array([seed]), "--seed-vector", ConfigError)
     return seed
 
 

@@ -36,12 +36,12 @@ from .algebra import (
     CIRCULANT_INDEX,
     ORBIT_INDEX,
     CirculantCoeffs,
+    _finite_qbase_polynomials,
     apply_q,
     as_vector4,
     metric_eigenvalues,
     orbit_gram,
     qbase_polynomial,
-    qbase_polynomials,
 )
 from .fields import FieldFamilySpec, FieldJet, eval_jets
 
@@ -244,7 +244,7 @@ class PointGeometry:
         a zero claim) normalized by max(1, |rho|).
         """
         seeds = np.asarray(seeds, dtype=float)
-        if not np.all(qbase_polynomials(seeds) != 0.0):
+        if not np.all(_finite_qbase_polynomials(seeds, "seeds[{}]") != 0.0):
             raise ValueError("seed vector does not generate a q-base (independence polynomial is zero)")
         gram = orbit_gram(self.coeffs[:, None], seeds)
         v = seeds[:, ORBIT_INDEX]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import CirculantCoeffs, apply_q, as_vector4, inner, metric_eigenvalues, qbase_predicate
 
 __all__ = ["PyramidReport", "pyramid_report"]
@@ -43,7 +45,8 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
     x = as_vector4(x)
     if not qbase_predicate(x):
         raise ValueError("seed vector does not generate a q-base")
-    norm_sq = inner(c, x, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
+        norm_sq = inner(c, x, x)
     if not 0.0 < norm_sq < math.inf:  # also an overflow to inf or NaN
         raise ValueError(f"seed {x.tolist()} has squared length {norm_sq} under g, not a positive finite float")
     cos_alpha = inner(c, x, apply_q(x, 1)) / norm_sq

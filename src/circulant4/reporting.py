@@ -11,8 +11,8 @@ set of q-base seed vectors and records, per (point, seed):
 Reports are plain dicts; this module writes no file.  ``WRITERS`` maps each
 output format to its writer: canonical JSON (sorted keys, fixed indentation,
 so identical configs with identical RNG seeds give byte-identical text) or
-CSV.  Both make one ``_layout`` pass to find the points, seeds and pair
-groups whose objects the records share, and spell each of those once.
+CSV.  Both make one ``_columns`` pass over the records' fields to find
+each field's distinct objects, by identity, and write each of those once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .algebra import qbase_predicate
+from .algebra import _finite_qbase_polynomials
 from .curvature import IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
 from .fields import FieldFamilySpec, gradient_residual, make_family
 from .frames import spectral_frame_residuals
@@ -161,9 +161,8 @@ class RunConfig:
         if isinstance(seeds, str):
             return random_qbase_seeds(np.random.default_rng(self.rng_seed), n)
         vectors = self._vectors(seeds, "seeds")
-        for i, seed in enumerate(vectors):
-            if not qbase_predicate(seed):
-                raise ConfigError(f"seeds[{i}] = {seed.tolist()} does not generate a q-base")
+        for i in np.flatnonzero(_finite_qbase_polynomials(vectors, "seeds[{}]", ConfigError) == 0.0)[:1]:
+            raise ConfigError(f"seeds[{i}] = {vectors[i].tolist()} does not generate a q-base")
         return vectors
 
     @classmethod
@@ -304,8 +303,9 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
 def report_json(report: Dict[str, Any]) -> str:
     """Canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
 
-    Records laid out as ``run_verify``'s fill ``_RECORD`` from their ``_layout`` (``_fill_records``),
-    around ``json.dumps`` of the rest; a report with any other record goes through ``json.dumps`` whole.
+    Records with ``run_verify``'s fields and leaf types are written by ``_fill_records``, one text per
+    distinct object of each field, around ``json.dumps`` of the rest; a report with any other record goes
+    through ``json.dumps`` whole.
     """
     records = report.get("records")
     if not (isinstance(records, (list, tuple)) and records):
@@ -333,42 +333,30 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The leaf types the writers spell with float.__repr__, as json.encoder does; a float subclass may spell
 # itself otherwise, and bool, int and None coerce silently into a float array.
 _FLOATS = {float, np.float64}
-# run_verify's record with a slot for each float or int leaf, dict keys sorted; the slots of the point with
-# its index, of the seed with its index, and of the identity residuals with mu are marked apart.
-_SLOT, _POINT_SLOT, _SEED_SLOT, _PAIR_SLOT = "\x00", "\x01", "\x02", "\x03"
+# run_verify's record with a slot for each leaf; the two indices are ints, every other leaf a float.
+_SLOT = "\x00"
+_INDICES = ("point_index", "seed_index")
 _SKELETON = {
     "coeffs": dict.fromkeys("ABC", _SLOT), "symmetry_residuals": dict.fromkeys(sorted(SYMMETRY_NAMES), _SLOT),
-    "identity_residuals": dict.fromkeys(sorted(IDENTITY_NAMES), _PAIR_SLOT),
-    "point": [_POINT_SLOT] * 4, "point_index": _POINT_SLOT, "seed": [_SEED_SLOT] * 4, "seed_index": _SEED_SLOT,
-    "mu": [_PAIR_SLOT] * 6, **dict.fromkeys(["parallel_residual", "nabla_q_residual", "frame_residual",
-                                             "frame_tolerance", "equality_residual", "zero_residual"], _SLOT),
+    "identity_residuals": dict.fromkeys(sorted(IDENTITY_NAMES), _SLOT),
+    "point": [_SLOT] * 4, "seed": [_SLOT] * 4, "mu": [_SLOT] * 6,
+    **dict.fromkeys(["parallel_residual", "nabla_q_residual", "frame_residual", "frame_tolerance",
+                     "equality_residual", "zero_residual", *_INDICES], _SLOT),
 }
+_FIELDS = tuple(sorted(_SKELETON))
 
 
-def _templates() -> tuple:
-    """``_RECORD``, the skeleton at depth 2 of the report with a "%s" per slot, where the text from the first
-    to the last slot of each mark (the point's, the seed's and the pair's) is one "%s"; and ``_POINT``,
-    ``_SEED`` and ``_PAIR``, those three texts with a "%s" per slot."""
-    text = json.dumps(_SKELETON, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT)
-    slot, *marks = map(json.dumps, (_SLOT, _POINT_SLOT, _SEED_SLOT, _PAIR_SLOT))
-    spans = []
-    for mark in marks:
-        before, _, rest = text.partition(mark)
-        span, _, after = rest.rpartition(mark)
-        text = before + slot + after
-        spans.append((mark + span + mark).replace(mark, "%s"))
-    return (text.replace(slot, "%s"), *spans)
+def _template(like: Any, indent: str) -> str:
+    """``like`` as json.dumps writes it with sorted keys and indent=2, each line break followed by ``indent``,
+    with a "%s" per slot."""
+    return json.dumps(like, sort_keys=True, indent=2).replace("\n", _RECORD_INDENT + indent).replace(
+        json.dumps(_SLOT), "%s")
 
 
-# In sorted key order, a record's slots are the coefficients, the equality residual, the frame residual and
-# tolerance, the identity residuals with mu, the nabla-q and parallel residuals, the point with its index,
-# the seed with its index, the symmetry residuals and the zero residual.
-_RECORD, _POINT, _SEED, _PAIR = _templates()
-# A record's fields that run_verify shares between the records of a point (those of its row, then the point
-# and its index), and between those of a pair group (a row's records for one seed), in sorted key order.
-_POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
-                                    "parallel_residual", "symmetry_residuals", "point", "point_index")
-_PAIR_FIELDS = operator.itemgetter("equality_residual", "identity_residuals", "mu", "zero_residual")
+# A record's text at depth 2 of the report with a "%s" per field, and each field's with a "%s" per leaf, in
+# sorted key order; a scalar field's template is "%s".
+_RECORD = _template(dict.fromkeys(_FIELDS, _SLOT), "")
+_FIELD_TEMPLATES = [_template(_SKELETON[field], "  ") for field in _FIELDS]
 
 
 def _reprs(values: Any) -> List[str]:
@@ -396,61 +384,44 @@ def _spell_distinct(items: List[Any], spell: Callable[[List[float]], List[str]])
     return [texts[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def _fill(separator: str, templates: List[str], record_points: List[int], columns: List[tuple]) -> str:
-    """Each record's point template, joined by ``separator``, filled with its text in each (texts, numbers) column."""
-    args: List[Any] = [None] * (len(columns) * len(record_points))
-    for j, (texts, numbers) in enumerate(columns):
-        args[j::len(columns)] = map(texts.__getitem__, numbers)
-    return separator.join(map(templates.__getitem__, record_points)) % tuple(args)
+def _columns(records: Any, fields: Tuple[str, ...]) -> Tuple[List[List[Any]], np.ndarray]:
+    """The one pass over the records' fields: each field's distinct objects, told apart by identity (equal
+    copies count apart), and a (record, field) array of each record's number among them."""
+    flat = list(itertools.chain.from_iterable(map(operator.itemgetter(*fields), records)))
+    # The records hold the objects, so no two of them share an id.
+    ids = np.fromiter(map(id, flat), np.uint64, len(flat)).reshape(-1, len(fields))
+    distinct = []
+    numbers = np.empty(ids.shape, dtype=np.intp)
+    for j, column in enumerate(ids.T):
+        _, first, numbers[:, j] = np.unique(column, return_index=True, return_inverse=True)
+        distinct.append(list(map(flat.__getitem__, (first * len(fields) + j).tolist())))
+    return distinct, numbers
 
 
-# A dict field's leaves in key order.
-_DICT_LEAVES = {field: operator.itemgetter(*like) for field, like in _SKELETON.items() if isinstance(like, dict)}
+def _fill(template: str, separator: str, texts: List[List[str]], numbers: np.ndarray) -> str:
+    """``template`` once per record, joined by ``separator``, filled with the text of its object in each
+    field: ``texts[j][numbers[i, j]]`` for record i."""
+    offsets = np.cumsum([0, *map(len, texts[:-1])])
+    args = np.array(list(itertools.chain.from_iterable(texts)), dtype=object)[numbers + offsets]
+    return separator.join([template] * len(numbers)) % tuple(args.ravel().tolist())
 
 
-def _leaves(value: Any, field: str) -> Any:
-    """The leaves of a record field laid out as in ``_SKELETON`` (a dict's in key order); else TypeError."""
+def _leaves(values: List[Any], field: str) -> List[Any]:
+    """The float leaves of a field's objects, one object after another, each laid out as in ``_SKELETON`` (a
+    dict's in key order; an int index has none); else TypeError."""
     like = _SKELETON[field]
-    if isinstance(like, dict) and isinstance(value, dict) and value.keys() == like.keys():
-        return _DICT_LEAVES[field](value)
-    if isinstance(like, list) and isinstance(value, (list, tuple)) and len(value) == len(like):
-        return value
+    if field in _INDICES:
+        if all(type(value) is int for value in values):  # json.dumps spells a bool otherwise
+            return []
+    elif isinstance(like, dict):
+        if all(isinstance(value, dict) and value.keys() == like.keys() for value in values):
+            return list(itertools.chain.from_iterable(map(operator.itemgetter(*like), values)))
+    elif isinstance(like, list):
+        if all(isinstance(value, (list, tuple)) and len(value) == len(like) for value in values):
+            return list(itertools.chain.from_iterable(values))
+    else:
+        return values
     raise TypeError(f"record field {field!r} is not laid out as run_verify's")
-
-
-def _layout(records: Any, point_fields: Callable[[Any], tuple]) -> tuple:
-    """How the records share objects, in one pass: their distinct points, seeds and pair groups, and three
-    flat lists of each record's number in each.
-
-    A point is the ``point_fields`` objects of a run of consecutive records; a seed the (seed, seed_index)
-    objects and a pair group the ``_PAIR_FIELDS`` objects, wherever they recur.  Equal copies count apart.
-    The writers then group the points into rows (``_rows``), once per point, not once per record.
-    """
-    points: List[tuple] = []
-    # Object ids -> (number, the objects); holding the objects keeps their ids unique.
-    seeds: Dict[tuple, tuple] = {}
-    groups: Dict[tuple, tuple] = {}
-    record_points: List[int] = []
-    record_seeds: List[int] = []
-    record_groups: List[int] = []
-    for record in records:
-        fields = point_fields(record)
-        if not (points and all(map(operator.is_, fields, points[-1]))):
-            points.append(fields)
-        seed, index, pair = record["seed"], record["seed_index"], _PAIR_FIELDS(record)
-        record_points.append(len(points) - 1)
-        record_seeds.append(seeds.setdefault((id(seed), id(index)), (len(seeds), seed, index))[0])
-        record_groups.append(groups.setdefault(tuple(map(id, pair)), (len(groups), pair))[0])
-    return (points, [seed[1:] for seed in seeds.values()], [pair for _, pair in groups.values()],
-            record_points, record_seeds, record_groups)
-
-
-def _rows(points: List[tuple]) -> tuple:
-    """The distinct rows of ``_layout``'s points, and each point's row number.  A row is a point's objects
-    but its last two (coordinates and index), wherever they recur; equal copies count apart."""
-    rows: Dict[tuple, tuple] = {}  # object ids -> (number, the objects)
-    numbers = [rows.setdefault(tuple(map(id, point[:-2])), (len(rows), point[:-2]))[0] for point in points]
-    return [row for _, row in rows.values()], numbers
 
 
 def _fill_records(records: Any) -> str:
@@ -458,54 +429,44 @@ def _fill_records(records: Any) -> str:
     depth 2 of the report, joined by ``_RECORD_SEPARATOR``; TypeError unless every record has
     run_verify's keys, lengths, float leaves and int (not bool) indices.
 
-    The float leaves of the distinct rows, points, seeds and pair groups of the records' ``_layout`` and
-    ``_rows`` are spelled in one call, once per distinct bit pattern, into a copy of ``_RECORD`` per row,
-    ``_POINT`` per point, ``_SEED`` per seed and ``_PAIR`` per group.  A point's template is its row's copy
-    with its ``_POINT`` text spliced in.  One ``%`` then fills every record's template with four texts: its
-    group's equality residual, ``_PAIR`` and zero residual, and its seed's.
+    ``_columns`` finds each field's distinct objects.  Their float leaves are spelled in one call, once
+    per distinct bit pattern, and each object's text is made once from its field's template: a scalar's
+    is its spelled leaf and an index's its ``str``.  One ``%`` then fills ``_RECORD`` once per record
+    with the text of its object in each field.
     """
     if not all(isinstance(record, dict) and record.keys() == _SKELETON.keys() for record in records):
         raise TypeError("record keys are not run_verify's")
-    points, seeds, groups, record_points, record_seeds, record_groups = _layout(records, _POINT_FIELDS)
-    rows, point_rows = _rows(points)
-    leaves = [(*_leaves(coeffs, "coeffs"), *values, *_leaves(symmetry, "symmetry_residuals"))
-              for coeffs, *values, symmetry in rows]
-    leaves += [_leaves(point[-2], "point") for point in points]
-    leaves += [_leaves(seed, "seed") for seed, _ in seeds]
-    leaves += [(equality, *_leaves(identity, "identity_residuals"), *_leaves(mu, "mu"), zero)
-               for equality, identity, mu, zero in groups]
-    indices = [point[-1] for point in points] + [index for _, index in seeds]
-    if not (set(map(type, itertools.chain.from_iterable(leaves))) <= _FLOATS and set(map(type, indices)) <= {int}):
-        raise TypeError("a float leaf or an index of a record is not a float or an int")
-    texts, r, n = _spell_distinct(leaves, _spell), len(rows), len(rows) + len(points)
-    # Each row's text, split where a point's text goes; no number's text holds the mark.
-    row_texts = [(_RECORD % (*t[:3], "%s", *t[3:5], "%s", *t[5:7], _POINT_SLOT, "%s", *t[7:], "%s"))
-                 .split(_POINT_SLOT) for t in texts[:r]]
-    templates = [(_POINT % (*t, i)).join(row_texts[row]) for t, i, row in zip(texts[r:n], indices, point_rows)]
-    seed_texts = [_SEED % (*t, index) for t, index in zip(texts[n:], indices[len(points):])]
-    pairs = texts[n + len(seeds):]
-    return _fill(_RECORD_SEPARATOR, templates, record_points, [
-        ([t[0] for t in pairs], record_groups), ([_PAIR % tuple(t[1:-1]) for t in pairs], record_groups),
-        (seed_texts, record_seeds), ([t[-1] for t in pairs], record_groups)])
+    distinct, numbers = _columns(records, _FIELDS)
+    leaves = list(map(_leaves, distinct, _FIELDS))
+    if not set(map(type, itertools.chain.from_iterable(leaves))) <= _FLOATS:
+        raise TypeError("a float leaf of a record is not a float")
+    texts = _spell_distinct(leaves, _spell)
+    for j, (field, template, values) in enumerate(zip(_FIELDS, _FIELD_TEMPLATES, distinct)):
+        if field in _INDICES:
+            texts[j] = list(map(str, values))
+        elif template != "%s":  # else a scalar, whose text is its spelled leaf
+            texts[j] = [template % leaf_texts for leaf_texts in zip(*[iter(texts[j])] * len(_SKELETON[field]))]
+    return _fill(_RECORD, _RECORD_SEPARATOR, texts, numbers)
 
 
 _CSV_HEADER = ",".join([
     "point_index", "seed_index", *(f"point_{i}" for i in range(1, 5)), *(f"seed_{i}" for i in range(1, 5)),
     "A", "B", "C", "parallel_residual", "nabla_q_residual", "frame_residual", *(f"mu_{i}" for i in range(1, 7)),
     "equality_residual", "zero_residual", "max_identity_residual", "max_symmetry_residual"])
-# The fields of a CSV line's point-level cells: the row's, then the point and its index.
-_CSV_POINT_FIELDS = operator.itemgetter("coeffs", "frame_residual", "nabla_q_residual", "parallel_residual",
-                                        "symmetry_residuals", "point", "point_index")
+# The field of each group of CSV columns after the two indices, and that field's cells.
+_CSV_CELLS: Dict[str, Callable[[Any], Any]] = {
+    "point": list, "seed": list, "coeffs": operator.itemgetter("A", "B", "C"),
+    **dict.fromkeys(["parallel_residual", "nabla_q_residual", "frame_residual"], lambda value: (value,)),
+    "mu": list, **dict.fromkeys(["equality_residual", "zero_residual"], lambda value: (value,)),
+    **dict.fromkeys(["identity_residuals", "symmetry_residuals"], lambda value: (max(value.values()),)),
+}
+_CSV_FIELDS = (*_INDICES, *_CSV_CELLS)
+_CSV_LINE = ",".join(["%s"] * len(_CSV_FIELDS)) + "\r\n"
 
 
 def _cell(value: Any) -> str:
     """A cell's text as csv.writer spells it: empty for None, else ``str``."""
     return "" if value is None else str(value)
-
-
-def _cells(texts: List[str]) -> str:
-    """The cells' texts, each after a comma."""
-    return "".join(["," + text for text in texts])
 
 
 def report_to_csv(report: Dict[str, Any]) -> str:
@@ -514,29 +475,19 @@ def report_to_csv(report: Dict[str, Any]) -> str:
     The text is what ``csv.writer`` (excel dialect) writes: every cell is a
     number, which it spells with ``str`` and never quotes, or None, which
     it writes as an empty cell, and each row ends in ``\\r\\n``.  The cells
-    of each distinct row (the coefficients and point residuals), point, seed
-    and pair group (mu and the seed-level residuals) of the records'
-    ``_layout`` and ``_rows`` are made once.  When every such cell is a
-    ``float``, whose ``str`` is its repr, they are spelled in one call, once
-    per distinct bit pattern; numpy's ``str`` of an ``np.float64`` is not
-    assumed to agree.
+    of each distinct object of each field that ``_columns`` finds are made
+    once.  When every such cell but the indices is a ``float``, whose
+    ``str`` is its repr, they are spelled in one call, once per distinct bit
+    pattern; numpy's ``str`` of an ``np.float64`` is not assumed to agree.
     """
-    points, seeds, groups, record_points, record_seeds, record_groups = _layout(report["records"], _CSV_POINT_FIELDS)
-    rows, point_rows = _rows(points)
-    # Each row's, point's, seed's and group's cells in column order; mu's length may differ between groups.
-    cells = [(coeffs["A"], coeffs["B"], coeffs["C"], parallel, nabla_q, frame, max(symmetry.values()))
-             for coeffs, frame, nabla_q, parallel, symmetry in rows]
-    cells += [point[-2] for point in points] + [seed for seed, _ in seeds]
-    cells += [(*mu, equality, zero, max(identity.values())) for equality, identity, mu, zero in groups]
-    floats = set(map(type, itertools.chain.from_iterable(cells))) == {float}
-    texts = _spell_distinct(cells, _reprs) if floats else [list(map(_cell, item)) for item in cells]
-    r, n, s = len(rows), len(rows) + len(points), len(rows) + len(points) + len(seeds)
-    # A "%s" for the seed index, the seed's cells and the pair's; a number's text holds no "%".
-    row_texts = [f"{_cells(t[:-1])},%s,{t[-1]}\r\n" for t in texts[:r]]
-    templates = [f"{_cell(p[-1])},%s{_cells(t)}%s{row_texts[row]}" for p, t, row in zip(points, texts[r:n], point_rows)]
-    return _CSV_HEADER + "\r\n" + _fill("", templates, record_points, [
-        ([_cell(index) for _, index in seeds], record_seeds), (list(map(_cells, texts[n:s])), record_seeds),
-        (list(map(",".join, texts[s:])), record_groups)])
+    distinct, numbers = _columns(report["records"], _CSV_FIELDS)
+    cells = [[_CSV_CELLS[field](value) for value in values] for field, values in zip(_CSV_CELLS, distinct[2:])]
+    items = list(itertools.chain.from_iterable(cells))
+    floats = set(map(type, itertools.chain.from_iterable(items))) == {float}
+    spelled = iter(_spell_distinct(items, _reprs) if floats else [list(map(_cell, item)) for item in items])
+    texts = [list(map(_cell, values)) for values in distinct[:2]]
+    texts += [[",".join(next(spelled)) for _ in field_cells] for field_cells in cells]
+    return _CSV_HEADER + "\r\n" + _fill(_CSV_LINE, "", texts, numbers)
 
 
 WRITERS: Dict[str, Callable[[Dict[str, Any]], str]] = {"json": report_json, "csv": report_to_csv}

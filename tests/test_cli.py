@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, output stability."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +96,18 @@ class TestPyramid:
         assert captured.err == f"error: metric is not positive definite: eigenvalues {eigenvalues}\n"
         assert captured.out == ""
 
+    def test_overflowing_squared_length_prints_only_the_error(self):
+        # A subprocess, so a numpy RuntimeWarning would reach stderr as it does for a user.
+        argv = ["pyramid", "--coeffs", "1e308,1e300,1e301", "--seed-vector", "1e10,1,0,0"]
+        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "circulant4.cli", *argv], capture_output=True, text=True,
+                                env=env, check=False)
+        assert result.returncode == 2
+        assert result.stderr == ("error: seed [10000000000.0, 1.0, 0.0, 0.0] has squared length nan under g, "
+                                 "not a positive finite float\n")
+        assert result.stdout == ""
+
 
 class TestCurvature:
     def test_point_override(self, tmp_path, capsys):
@@ -161,6 +177,18 @@ class TestSeedValidationExitCode:
         assert "config error: seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_seed_exits_2_naming_it(self, tmp_path, capsys):
+        # Not a q-base (x1 - x2 + x3 - x4 = 0), yet its polynomial is inf * 0 = NaN, which is not 0.
+        out = tmp_path / "report.json"
+        cfg = write_config(tmp_path, seeds=[[1.0, 0.0, 0.0, 0.0], [1e200, 0, -1e200, 0]])
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: seeds[1] = [1e+200, 0.0, -1e+200, 0.0]: "
+                                "its independence polynomial overflows a float\n")
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestParseTimeValidationExitCode:
     @pytest.mark.parametrize("overrides,field", [
@@ -217,6 +245,15 @@ class TestCurvatureOverrideValidation:
         assert main(["curvature", "--config", cfg, flag, value]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {field} = ")
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_seed_vector_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["curvature", "--config", cfg, "--seed-vector", "1e200,0,-1e200,0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: seeds[0] = [1e+200, 0.0, -1e+200, 0.0]: "
+                                "its independence polynomial overflows a float\n")
         assert captured.out == ""
 
 

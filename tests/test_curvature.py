@@ -1,5 +1,7 @@
 """Connection, curvature tensor, q-sections, and the identity suite."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,15 @@ class TestQSections:
         spec = make_family("constant", CONSTANT)
         with pytest.raises(ValueError, match="q-base"):
             q_section_curvatures(spec, [0, 0, 0, 0], [1, 1, 1, 1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [[1e200, 0, -1e200, 0], [1e200, 1, 0, 0]], ids=["nan", "inf"])
+    def test_rejects_seed_whose_polynomial_overflows(self, seed):
+        # x1 - x2 + x3 - x4 = 0 makes the first a non-q-base whose polynomial is inf * 0 = NaN, not 0.
+        spec = make_family("s_wave", S_WAVE)
+        message = f"seeds[0] = {[float(v) for v in seed]}: its independence polynomial overflows a float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            q_section_curvatures(spec, [0, 0, 0, 0], seed)
 
     def test_denominators_positive(self):
         spec = make_family("s_wave", S_WAVE)

@@ -337,10 +337,13 @@ WORKLOADS = {
 }
 
 
-def workload_report(name, rng_seed=7):
+def workload_report(name, rng_seed=7, mode=None):
+    """The report of a workload config at ``rng_seed``, in its own derivative mode or in ``mode``."""
     config = dict(WORKLOADS[name])
     count = config.pop("count")
     config["grid"] = {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [count] * 4}
+    if mode is not None:
+        config["derivative_mode"] = mode
     return run_verify(RunConfig({**config, "rng_seed": rng_seed}))
 
 
@@ -436,47 +439,55 @@ class TestPairGroupReuse:
         assert_bytes({"records": records})
 
 
-class TestOneLayoutPass:
-    """Each writer walks the records once, in reporting._layout, and both writers find the same sharing."""
+JSON_FIELDS = ["coeffs", "equality_residual", "frame_residual", "frame_tolerance", "identity_residuals", "mu",
+               "nabla_q_residual", "parallel_residual", "point", "point_index", "seed", "seed_index",
+               "symmetry_residuals", "zero_residual"]
+CSV_FIELDS = [field for field in JSON_FIELDS if field != "frame_tolerance"]  # the CSV has no tolerance column
+
+
+class TestOneFieldPass:
+    """Each writer makes one pass over the records' fields, in reporting._columns, and finds there the distinct
+    objects of each field by identity."""
 
     @staticmethod
-    def layout_counts(monkeypatch, report):
-        """Per writer, the (points, seeds, pair groups) counts of each _layout call it makes."""
-        layout, calls = reporting._layout, []
+    def one_pass(monkeypatch, report):
+        """The count of distinct objects per field that report_json's one _columns call finds, after checking
+        that each writer makes one such call, finds the counts made here by identity, and writes the oracles'
+        bytes."""
+        columns, calls, records = reporting._columns, [], report["records"]
 
-        def hooked(records, point_fields):
-            result = layout(records, point_fields)
-            calls[-1].append(tuple(map(len, result[:3])))
-            return result
+        def hooked(records, fields):
+            distinct, numbers = columns(records, fields)
+            calls[-1].append(dict(zip(fields, map(len, distinct))))
+            return distinct, numbers
 
-        monkeypatch.setattr(reporting, "_layout", hooked)
-        for write, oracle in ((report_json, json_oracle), (report_to_csv, csv_oracle)):
+        monkeypatch.setattr(reporting, "_columns", hooked)
+        for write, oracle, fields in ((report_json, json_oracle, JSON_FIELDS), (report_to_csv, csv_oracle, CSV_FIELDS)):
             calls.append([])
             assert write(report) == oracle(report)
-        return calls
+            assert calls[-1] == [{field: len({id(r[field]) for r in records}) for field in fields}]
+        return calls[0][0]
 
-    @staticmethod
-    def shared(records):
-        """The counts of runs of records holding the same point objects, of distinct (seed, seed index)
-        objects and of distinct pair groups' objects."""
-        runs = 1 + sum(any(a[f] is not b[f] for f in POINT_FIELDS) for a, b in zip(records, records[1:]))
-        return (runs, len({(id(r["seed"]), id(r["seed_index"])) for r in records}),
-                len({tuple(id(r[field]) for field in PAIR_FIELDS) for r in records}))
-
-    @pytest.mark.parametrize("name", list(WORKLOADS))
-    def test_each_writer_lays_out_once(self, monkeypatch, no_fallback, name):
-        report = workload_report(name)
-        json_calls, csv_calls = self.layout_counts(monkeypatch, report)
-        assert json_calls == csv_calls == [self.shared(report["records"])]
-        points, seeds, _ = json_calls[0]  # one per chart point and one per seed vector
-        indices = [{r[index] for r in report["records"]} for index in ("point_index", "seed_index")]
-        assert (points, seeds) == tuple(map(len, indices))
+    # Every workload at three RNG seeds in both derivative modes, so both writers' bytes are checked at full size.
+    @pytest.mark.parametrize("name,rng_seed,mode", [
+        (name, rng_seed, mode) for name in WORKLOADS for rng_seed in (7, 101, 2001)
+        for mode in ("analytic", "finite_difference")])
+    def test_each_writer_makes_one_pass(self, monkeypatch, no_fallback, name, rng_seed, mode):
+        report = workload_report(name, rng_seed, mode)
+        found, records = self.one_pass(monkeypatch, report), report["records"]
+        # One point object per chart point and one seed object per seed vector.
+        indices = [{r[index] for r in records} for index in ("point_index", "seed_index")]
+        assert (found["point"], found["seed"]) == tuple(map(len, indices))
 
     def test_seed_indices_past_the_small_int_cache_are_shared(self, monkeypatch, no_fallback):
         # CPython caches ints up to 256 only; run_verify still gives each seed's records one index object.
-        report = real_report(seeds="random:300")
-        json_calls, csv_calls = self.layout_counts(monkeypatch, report)
-        assert json_calls == csv_calls == [(3, 300, 900)]
+        found = self.one_pass(monkeypatch, real_report(seeds="random:300"))
+        assert [found[field] for field in ("point", "seed", "seed_index", "mu")] == [3, 300, 300, 900]
+
+    def test_one_list_as_point_and_seed(self, monkeypatch, no_fallback):
+        # Each point's coordinate list is also its records' seed; each field still finds it on its own.
+        found = self.one_pass(monkeypatch, {"records": [{**r, "seed": r["point"]} for r in real_report()["records"]]})
+        assert (found["point"], found["seed"]) == (3, 3)
 
 
 ROW_FIELDS = ["coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual", "parallel_residual",
