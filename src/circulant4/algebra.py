@@ -8,7 +8,7 @@ Everything in this module is a pure function of its arguments.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -99,10 +99,21 @@ def metric_eigenvalues(c: CirculantCoeffs) -> np.ndarray:
     return np.array([a + 2 * b + cc, a - 2 * b + cc, a - cc, a - cc])
 
 
+def _first_inadmissible(rows: np.ndarray) -> Optional[Tuple[int, str]]:
+    """None if every generator row (N, 3) of (A, B, C) keeps 0 < B < C < A < inf, else the first row that breaks
+    it and a text naming its first broken link; each link is tested in positive form, so a NaN breaks it."""
+    a, b, c = rows.T
+    holds = np.array([0.0 < b, b < c, c < a, a < np.inf])
+    for n in np.flatnonzero(~holds.all(axis=0))[:1]:
+        a, b, c = rows[n].tolist()
+        return int(n), (f"B = {b} (need 0 < B)", f"B = {b}, C = {c} (need B < C)", f"C = {c}, A = {a} (need C < A)",
+                        f"A = {a} (need A finite)")[np.argmin(holds[:, n])]
+    return None
+
+
 def is_admissible(c: CirculantCoeffs) -> bool:
     """Strict chain 0 < B < C < A with A finite (sufficient for positive definiteness)."""
-    a, b, cc = c
-    return bool(0.0 < b < cc < a < np.inf)
+    return _first_inadmissible(np.array([c], dtype=float)) is None
 
 
 def inner(c: CirculantCoeffs, x, y) -> float:
@@ -140,8 +151,8 @@ def _finite_qbase_polynomials(xs: np.ndarray, name: str, error: type = ValueErro
 
 
 def qbase_predicate(x) -> bool:
-    """True iff the orbit {x, qx, q^2 x, q^3 x} spans the tangent space."""
-    return bool(qbase_polynomial(x) != 0.0)
+    """True iff the orbit {x, qx, q^2 x, q^3 x} spans the tangent space; ValueError if its polynomial overflows."""
+    return bool(_finite_qbase_polynomials(as_vector4(x)[None], "x")[0] != 0.0)
 
 
 def det_qorbit(x) -> float:

@@ -130,11 +130,12 @@ def _cmd_qbase(args) -> int:
             "orbit_determinant": det_qorbit(seed),
             "is_qbase": qbase_predicate(seed),
         }
-    if not is_admissible(c):
-        payload["frames"] = "not available: coefficients violate 0 < B < C < A"
+    try:
+        frame = spectral_frame(c)
+    except ValueError as exc:  # c breaks the admissibility rule; the text says where
+        payload["frames"] = f"not available: {exc}"
         _emit(payload, args.out)
         return 1
-    frame = spectral_frame(c)
     residual = verify_frame(c, frame.seed)
     audit = closed_form_frame(c)
     payload["spectral_frame"] = {

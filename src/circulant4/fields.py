@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .algebra import ORBIT_INDEX, CirculantCoeffs, as_vector4
+from .algebra import ORBIT_INDEX, CirculantCoeffs, _first_inadmissible, as_vector4
 
 __all__ = [
     "FieldFamilySpec",
@@ -150,16 +150,12 @@ def make_family(family: str, params, derivative_mode: str = "analytic") -> Field
     names, base, wave = _FAMILIES[family]
     if len(params) != len(names):
         raise ValueError(f"{family} family takes params ({', '.join(names)})")
-    # Enforce 0 < B < C < A over the ranges of (A, B, C) on the whole chart.
-    base = np.take(params, base)
-    spread = 0.0 if wave is None else abs(params[wave.amp]) * np.abs(wave.direction) * sum(1.0 / wave.divisors)
-    (a_lo, b_lo, c_lo), (_, b_hi, c_hi) = (base - spread).tolist(), (base + spread).tolist()
-    if b_lo <= 0.0:
-        raise ValueError(f"{family}: B can reach {b_lo} <= 0 (need 0 < B)")
-    if b_hi >= c_lo:
-        raise ValueError(f"{family}: B range up to {b_hi} overlaps C range from {c_lo} (need B < C)")
-    if c_hi >= a_lo:
-        raise ValueError(f"{family}: C range up to {c_hi} overlaps A range from {a_lo} (need C < A)")
+    # The rule holds on the chart's ranges of (A, B, C) iff it holds at (A_lo, B_lo, C_hi) and (A_lo, B_hi, C_lo).
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound breaks the rule
+        spread = 0.0 if wave is None else abs(params[wave.amp]) * np.abs(wave.direction) * sum(1.0 / wave.divisors)
+        corners = np.take(params, base) + spread * np.array([[-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
+    if broken := _first_inadmissible(corners):
+        raise ValueError(f"{family}: {broken[1]}")
     return FieldFamilySpec(family=family, params=params, derivative_mode=derivative_mode)
 
 
@@ -242,16 +238,8 @@ def eval_jets(spec: FieldFamilySpec, points: np.ndarray) -> Tuple[np.ndarray, np
         values, (grads, hessians) = _values(spec, points), _wave_derivatives(spec, points)
     else:
         values, grads, hessians = _stencil_jet(spec, points)
-    a, b, c = values.T
-    admissible = (b > 0) & (b < c) & (c < a)
-    if not admissible.all():
-        n = int(np.argmin(admissible))
-        (a, b, c), at = values[n].tolist(), points[n].tolist()
-        if not b > 0:
-            raise ValueError(f"inadmissible at {at}: B = {b} (need 0 < B)")
-        if not b < c:
-            raise ValueError(f"inadmissible at {at}: B = {b}, C = {c} (need B < C)")
-        raise ValueError(f"inadmissible at {at}: C = {c}, A = {a} (need C < A)")
+    if broken := _first_inadmissible(values):
+        raise ValueError(f"inadmissible at {points[broken[0]].tolist()}: {broken[1]}")
     return values, grads, hessians
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import CirculantCoeffs, as_vector4, is_admissible, orbit_gram, q_orbit
+from .algebra import CirculantCoeffs, _first_inadmissible, as_vector4, orbit_gram, q_orbit
 
 __all__ = [
     "QFrame",
@@ -101,8 +101,8 @@ def spectral_frame(c: CirculantCoeffs) -> QFrame:
     forces the whole 4x4 Gram matrix to be the identity.
     """
     c = CirculantCoeffs(*c)
-    if not is_admissible(c):
-        raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A")
+    if broken := _first_inadmissible(np.array([c], dtype=float)):
+        raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A: {broken[1]}")
     seed = _spectral_seeds(np.array(c, dtype=float))
     return QFrame(seed=seed, vectors=q_orbit(seed), coeffs=c)
 
@@ -121,9 +121,8 @@ def closed_form_frame(c: CirculantCoeffs) -> ClosedFormFrameReport:
     not well-formed).  x^1 takes the larger root.  Domain failures are
     statuses, not exceptions, so batch sweeps survive them.
     """
-    c = CirculantCoeffs(*c)
-    if not is_admissible(c):
-        raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A")
+    if broken := _first_inadmissible(np.array([c], dtype=float)):
+        raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A: {broken[1]}")
     a, b, cc = c
     r_minus = a + b - 2.0 * cc
     r_plus = a + b + 2.0 * cc

@@ -1,6 +1,7 @@
 """Pointwise q-action, metric assembly, and independence criteria."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,8 @@ from circulant4 import (
     det_qorbit,
     inner,
     is_admissible,
+    make_custom_family,
+    make_family,
     metric_det_closed,
     metric_eigenvalues,
     metric_matrix,
@@ -23,6 +26,7 @@ from circulant4 import (
     spectral_frame,
 )
 from circulant4.algebra import Q_MATRIX
+from circulant4.fields import eval_jets
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 vec4 = st.tuples(finite, finite, finite, finite)
@@ -152,6 +156,26 @@ class TestAdmissibility:
             with pytest.raises(ValueError, match="violate 0 < B < C < A"):
                 frame(c)
 
+    @pytest.mark.parametrize("coeffs,suffix", [
+        ((math.inf, 1, 2), "A = inf (need A finite)"),
+        ((math.nan, 1, 2), "C = 2.0, A = nan (need C < A)"),
+        ((3, math.nan, 2), "B = nan (need 0 < B)"),
+        ((3, 1, math.nan), "B = 1.0, C = nan (need B < C)"),
+    ])
+    def test_non_finite_triple_is_refused_everywhere_with_one_text(self, coeffs, suffix):
+        assert is_admissible(CirculantCoeffs(*coeffs)) is False
+        custom = make_custom_family(lambda p: coeffs, lambda p: np.zeros((3, 4)), lambda p: np.zeros((3, 4, 4)))
+        refusals = [
+            (lambda: make_family("constant", coeffs), "constant: "),
+            (lambda: eval_jets(custom, np.zeros((1, 4))), "inadmissible at [0.0, 0.0, 0.0, 0.0]: "),
+            (lambda: spectral_frame(coeffs), f"coefficients {coeffs} violate 0 < B < C < A: "),
+            (lambda: closed_form_frame(coeffs), f"coefficients {coeffs} violate 0 < B < C < A: "),
+        ]
+        for refuse, prefix in refusals:
+            with pytest.raises(ValueError) as info:
+                refuse()
+            assert str(info.value) == prefix + suffix
+
 
 class TestInner:
     def test_reads_entries(self):
@@ -191,6 +215,14 @@ class TestQBasePredicate:
 
     def test_alternating_degenerate(self):
         assert not qbase_predicate([1, 0, 1, 0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [[1e200, 0, -1e200, 0], [1e200, 1, 0, 0]], ids=["nan", "inf"])
+    def test_overflowing_polynomial_raises_naming_x(self, x):
+        # The exact polynomial of the first is 0 (x1 - x2 + x3 - x4 = 0); its float is inf * 0 = NaN, and NaN != 0.
+        message = f"x = {[float(v) for v in x]}: its independence polynomial overflows a float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qbase_predicate(x)
 
     def test_orbit_determinant_examples(self):
         assert abs(det_qorbit([1, 0, 0, 0])) == pytest.approx(1.0, rel=1e-14)

@@ -25,6 +25,14 @@ def write_config(tmp_path, name="run.json", **overrides):
     return str(path)
 
 
+def run_in_subprocess(*argv):
+    """The CLI in a subprocess, so a numpy RuntimeWarning would reach stderr as it does for a user."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "circulant4.cli", *argv], capture_output=True, text=True,
+                          env=env, check=False)
+
+
 class TestInspect:
     def test_basic(self, capsys):
         assert main(["inspect", "--coeffs", "3,1,2"]) == 0
@@ -97,12 +105,7 @@ class TestPyramid:
         assert captured.out == ""
 
     def test_overflowing_squared_length_prints_only_the_error(self):
-        # A subprocess, so a numpy RuntimeWarning would reach stderr as it does for a user.
-        argv = ["pyramid", "--coeffs", "1e308,1e300,1e301", "--seed-vector", "1e10,1,0,0"]
-        src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-m", "circulant4.cli", *argv], capture_output=True, text=True,
-                                env=env, check=False)
+        result = run_in_subprocess("pyramid", "--coeffs", "1e308,1e300,1e301", "--seed-vector", "1e10,1,0,0")
         assert result.returncode == 2
         assert result.stderr == ("error: seed [10000000000.0, 1.0, 0.0, 0.0] has squared length nan under g, "
                                  "not a positive finite float\n")
@@ -204,6 +207,14 @@ class TestParseTimeValidationExitCode:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and field in err
         assert not out.exists()
+
+    def test_overflowing_amplitude_prints_one_line(self, tmp_path):
+        # |eps| |direction| sum 1/d overflows to inf, so the chart's ranges of A and C are unbounded.
+        cfg = write_config(tmp_path, family={"name": "s_wave", "params": [2.0, 1e308, 3.0, 1.0]})
+        result = run_in_subprocess("verify", "--config", cfg)
+        assert result.returncode == 2
+        assert result.stderr == "config error: family: s_wave: C = inf, A = -inf (need C < A)\n"
+        assert result.stdout == ""
 
     def test_non_finite_grid_exits_2(self, tmp_path, capsys):
         grid = {"min": [float("-inf"), 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 1, 1, 1]}

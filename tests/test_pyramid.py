@@ -49,12 +49,19 @@ class TestExampleValues:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("coeffs,seed,norm_sq", [
-        ((3, 1, 2), [1e200, 1, 0, 0], "inf"), ((1e308, 1e300, 1e301), [1e10, 1, 0, 0], "nan"),
+        ((1e308, 1, 2), [10, 1, 0, 0], "inf"), ((1e308, 1e300, 1e301), [1e10, 1, 0, 0], "nan"),
     ])
     def test_seed_whose_squared_length_overflows_rejected(self, coeffs, seed, norm_sq):
         message = f"seed {[float(v) for v in seed]} has squared length {norm_sq} under g, not a positive finite float"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pyramid_report(CirculantCoeffs(*coeffs), seed)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_seed_whose_polynomial_overflows_rejected_without_a_warning(self):
+        # The q-base check comes first: its polynomial overflows to inf here, before g(x, x) does.
+        message = "x = [1e+200, 1.0, 0.0, 0.0]: its independence polynomial overflows a float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pyramid_report(CirculantCoeffs(3, 1, 2), [1e200, 1, 0, 0])
 
 
 class TestPositiveDefiniteMetric:
