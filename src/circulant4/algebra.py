@@ -129,9 +129,10 @@ def qbase_polynomial(x) -> float:
     nonzero exactly when {x, qx, q^2 x, q^3 x} is a basis.  Equals
     +-det_qorbit(x): the three factors are the values of the polynomial
     x1 + x2 t + x3 t^2 + x4 t^3 at the fourth roots of unity (the pair at
-    +-i contributing the squared modulus).
+    +-i contributing the squared modulus).  ValueError if it overflows a
+    float, to inf or to NaN as inf * 0.
     """
-    return qbase_polynomials(as_vector4(x))
+    return _finite_qbase_polynomials(as_vector4(x), "x")
 
 
 def qbase_polynomials(xs: np.ndarray) -> np.ndarray:
@@ -141,18 +142,22 @@ def qbase_polynomials(xs: np.ndarray) -> np.ndarray:
 
 
 def _finite_qbase_polynomials(xs: np.ndarray, name: str, error: type = ValueError) -> np.ndarray:
-    """qbase_polynomials of the vectors xs (N, 4), made without numpy warnings; ``error`` naming the first
-    vector, as ``name.format(its index)``, whose polynomial overflows a float to inf, or to NaN as inf * 0."""
+    """qbase_polynomials of the vectors xs (N, 4), or of one vector (4,), made without numpy warnings; ``error``
+    naming the first vector, as ``name.format(its index)``, whose polynomial overflows a float to inf, or to NaN
+    as inf * 0.  One vector is not made a stack of one: numpy's scalar arithmetic takes half the time, and
+    random_qbase_seeds calls qbase_polynomial once per draw."""
     with np.errstate(over="ignore", invalid="ignore"):
         polys = qbase_polynomials(xs)
-    for i in np.flatnonzero(~np.isfinite(polys))[:1]:
-        raise error(f"{name.format(i)} = {xs[i].tolist()}: its independence polynomial overflows a float")
+    if not np.isfinite(polys).all():
+        i = int(np.argmin(np.isfinite(polys)))
+        vector = xs.reshape(-1, 4)[i].tolist()
+        raise error(f"{name.format(i)} = {vector}: its independence polynomial overflows a float")
     return polys
 
 
 def qbase_predicate(x) -> bool:
     """True iff the orbit {x, qx, q^2 x, q^3 x} spans the tangent space; ValueError if its polynomial overflows."""
-    return bool(_finite_qbase_polynomials(as_vector4(x)[None], "x")[0] != 0.0)
+    return bool(qbase_polynomial(x) != 0.0)
 
 
 def det_qorbit(x) -> float:

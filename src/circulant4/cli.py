@@ -132,7 +132,9 @@ def _cmd_qbase(args) -> int:
         }
     try:
         frame = spectral_frame(c)
-    except ValueError as exc:  # c breaks the admissibility rule; the text says where
+    except ValueError as exc:  # c breaks the admissibility rule, and the text says where; or a float overflows
+        if is_admissible(c):
+            raise
         payload["frames"] = f"not available: {exc}"
         _emit(payload, args.out)
         return 1

@@ -147,16 +147,22 @@ def make_family(family: str, params, derivative_mode: str = "analytic") -> Field
     if derivative_mode not in ("analytic", "finite_difference"):
         raise ValueError(f"derivative_mode must be 'analytic' or 'finite_difference', got {derivative_mode!r}")
     params = tuple(float(v) for v in params)
-    names, base, wave = _FAMILIES[family]
-    if len(params) != len(names):
-        raise ValueError(f"{family} family takes params ({', '.join(names)})")
+    if len(params) != len(_FAMILIES[family].names):
+        raise ValueError(f"{family} family takes params ({', '.join(_FAMILIES[family].names)})")
     # The rule holds on the chart's ranges of (A, B, C) iff it holds at (A_lo, B_lo, C_hi) and (A_lo, B_hi, C_lo).
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound breaks the rule
-        spread = 0.0 if wave is None else abs(params[wave.amp]) * np.abs(wave.direction) * sum(1.0 / wave.divisors)
-        corners = np.take(params, base) + spread * np.array([[-1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
-    if broken := _first_inadmissible(corners):
+    (a_lo, b_lo, c_lo), (_, b_hi, c_hi) = _chart_bounds(family, params)
+    if broken := _first_inadmissible(np.array([[a_lo, b_lo, c_hi], [a_lo, b_hi, c_lo]])):
         raise ValueError(f"{family}: {broken[1]}")
     return FieldFamilySpec(family=family, params=params, derivative_mode=derivative_mode)
+
+
+def _chart_bounds(family: str, params: Tuple[float, ...]) -> np.ndarray:
+    """Lower and upper bounds (2, 3) of (A, B, C) over the whole chart for a built-in family: base -+ |amp|
+    |direction| sum_m 1/divisors[m].  A bound that overflows is inf or NaN, without a numpy warning."""
+    _, base, wave = _FAMILIES[family]
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = 0.0 if wave is None else abs(params[wave.amp]) * np.abs(wave.direction) * sum(1.0 / wave.divisors)
+        return np.take(params, base) + spread * np.array([[-1.0], [1.0]])
 
 
 def make_custom_family(value_fn, grad_fn, hess_fn) -> FieldFamilySpec:

@@ -12,9 +12,10 @@ Two constructions are provided:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -71,6 +72,17 @@ def verify_frame(c: CirculantCoeffs, seed) -> FrameResidual:
     return FrameResidual(gram=gram, max_deviation=float(np.max(np.abs(gram - np.eye(4)))))
 
 
+@contextlib.contextmanager
+def _float_check(c: CirculantCoeffs, construction: str) -> Iterator[None]:
+    """Raise ValueError naming ``c``, ``construction`` and numpy's error, in place of the inf, NaN or silent
+    zero that a float overflow in the body, or an underflow to 0 that it then divides by, would give."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"coefficients {tuple(c)}: float arithmetic fails in the {construction} ({exc})") from None
+
+
 def _spectral_seeds(coeffs: np.ndarray) -> np.ndarray:
     """spectral_frame seeds (..., 4) of generator rows (..., 3); no admissibility check."""
     a, b, cc = np.moveaxis(coeffs, -1, 0)
@@ -98,12 +110,15 @@ def spectral_frame(c: CirculantCoeffs) -> QFrame:
 
     The seed mixes the three metric eigenspaces with weights chosen so that
     g(x, x) = 1 and g(x, qx) = g(x, q^2 x) = 0; q-invariance of g then
-    forces the whole 4x4 Gram matrix to be the identity.
+    forces the whole 4x4 Gram matrix to be the identity.  ValueError if c
+    breaks the admissibility rule or a float overflows, as 4 (A + 2B + C)
+    does near the float limit.
     """
     c = CirculantCoeffs(*c)
     if broken := _first_inadmissible(np.array([c], dtype=float)):
         raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A: {broken[1]}")
-    seed = _spectral_seeds(np.array(c, dtype=float))
+    with _float_check(c, "spectral seed"):
+        seed = _spectral_seeds(np.array(c, dtype=float))
     return QFrame(seed=seed, vectors=q_orbit(seed), coeffs=c)
 
 
@@ -119,25 +134,29 @@ def closed_form_frame(c: CirculantCoeffs) -> ClosedFormFrameReport:
     t^2 - (x^1 + x^3) t + x^1 x^3 = 0.  The discriminant is computed
     directly as (x^1+x^3)^2 - 4 x^1 x^3 (the printed closed form for it is
     not well-formed).  x^1 takes the larger root.  Domain failures are
-    statuses, not exceptions, so batch sweeps survive them.
+    statuses, not exceptions, so batch sweeps survive them.  ValueError if
+    c breaks the admissibility rule or a float overflows in the formulas
+    (or underflows to a 0 that they divide by, as B^2 does at 1e-300).
     """
     if broken := _first_inadmissible(np.array([c], dtype=float)):
         raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A: {broken[1]}")
-    a, b, cc = c
-    r_minus = a + b - 2.0 * cc
-    r_plus = a + b + 2.0 * cc
-    if r_minus <= 0.0 or r_plus <= 0.0:
-        return ClosedFormFrameReport(
-            x2=math.nan, sum_x1_x3=math.nan, prod_x1_x3=math.nan,
-            discriminant=math.nan, candidate=None, residual=None,
-            status="sqrt_domain_failure",
-        )
-    sq_minus = math.sqrt(r_minus)
-    sq_plus = math.sqrt(r_plus)
-    x2 = (sq_minus - sq_plus) / (2.0 * sq_minus * sq_plus)
-    sum13 = (sq_minus - sq_plus) / (2.0 * sq_minus * sq_plus)
-    prod13 = (2.0 * b**2 - cc**2 - a * cc) / (2.0 * (a - cc) * sq_minus * sq_plus)
-    disc = sum13**2 - 4.0 * prod13
+    with _float_check(c, "closed-form frame"):
+        a, b, cc = np.array(c, dtype=float)  # numpy scalars, whose arithmetic obeys np.errstate
+        r_minus = a + b - 2.0 * cc
+        r_plus = a + b + 2.0 * cc
+        if r_minus <= 0.0 or r_plus <= 0.0:
+            return ClosedFormFrameReport(
+                x2=math.nan, sum_x1_x3=math.nan, prod_x1_x3=math.nan,
+                discriminant=math.nan, candidate=None, residual=None,
+                status="sqrt_domain_failure",
+            )
+        sq_minus = np.sqrt(r_minus)
+        sq_plus = np.sqrt(r_plus)
+        x2 = (sq_minus - sq_plus) / (2.0 * sq_minus * sq_plus)
+        sum13 = (sq_minus - sq_plus) / (2.0 * sq_minus * sq_plus)
+        prod13 = (2.0 * b**2 - cc**2 - a * cc) / (2.0 * (a - cc) * sq_minus * sq_plus)
+        disc = sum13**2 - 4.0 * prod13
+    x2, sum13, prod13, disc = float(x2), float(sum13), float(prod13), float(disc)
     if disc < 0.0:
         return ClosedFormFrameReport(
             x2=x2, sum_x1_x3=sum13, prod_x1_x3=prod13, discriminant=disc,

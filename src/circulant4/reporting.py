@@ -12,7 +12,9 @@ Reports are plain dicts; this module writes no file.  ``WRITERS`` maps each
 output format to its writer: canonical JSON (sorted keys, fixed indentation,
 so identical configs with identical RNG seeds give byte-identical text) or
 CSV.  Both make one ``_columns`` pass over the records' fields to find
-each field's distinct objects, by identity, and write each of those once.
+each field's distinct objects, by identity, and make one text for each of
+those; ``_fill`` then writes the whole report with one ``str.join`` of
+those texts in record order, with no per-record template.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from . import __version__
 from .algebra import _finite_qbase_polynomials
 from .curvature import IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
-from .fields import FieldFamilySpec, gradient_residual, make_family
+from .fields import FieldFamilySpec, _chart_bounds, gradient_residual, make_family
 from .frames import spectral_frame_residuals
 
 __all__ = ["ConfigError", "RunConfig", "run_verify", "report_to_csv", "report_json"]
@@ -84,6 +86,15 @@ class RunConfig:
         if self.rng_seed is not None and not (type(self.rng_seed) is int and self.rng_seed >= 0):
             raise ConfigError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         self.seeds = self._parse_seeds(raw)
+        # g(x, x) <= lam |x|^2 for lam = A + 2B + C, g's largest eigenvalue, so lam |x|^2 bounds every orbit Gram
+        # entry and its square every q-section denominator; the spectral seed takes 4 lam.
+        a, b, c = _chart_bounds(self.family.family, self.family.params)[1].tolist()
+        lam, norm_sq = a + 2.0 * b + c, float(np.max(np.sum(self.seeds**2, axis=1)))
+        if not (math.isfinite(4.0 * lam) and math.isfinite((lam * norm_sq) * (lam * norm_sq))):
+            raise ConfigError(
+                f"family.params = {list(self.family.params)}: A + 2B + C reaches {lam} on the chart and |x|^2 "
+                f"{norm_sq} over the seeds, so 4 (A + 2B + C) or ((A + 2B + C) |x|^2)^2 overflows a float "
+                "(need both finite)")
 
         given = raw.get("tolerances", {})
         if not isinstance(given, dict):
@@ -260,10 +271,9 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
         pairs = [[{"mu": mu, "equality_residual": equality, "zero_residual": zero,
                    "identity_residuals": dict(zip(IDENTITY_NAMES, identity))}
                   for mu, equality, zero, identity in zip(*row)] for row in zip(*(a.tolist() for a in pair_arrays))]
-        for pi, point, row in zip(itertools.count(start), block.tolist(), geo.rows.tolist()):
-            base = bases[row]
-            records += [{"point_index": pi, "seed_index": si, "point": point, "seed": seed, **base, **pair}
-                        for (si, seed), pair in zip(seeds, pairs[row])]
+        records += [{"point_index": pi, "seed_index": si, "point": point, "seed": seed, **bases[row], **pair}
+                    for pi, point, row in zip(itertools.count(start), block.tolist(), geo.rows.tolist())
+                    for (si, seed), pair in zip(seeds, pairs[row])]
 
     (max_parallel, max_nabla_q, max_symmetry, max_frame,
      max_equality, max_zero, max_identity) = np.max(worst, axis=0).tolist()
@@ -303,22 +313,23 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
 def report_json(report: Dict[str, Any]) -> str:
     """Canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
 
-    Records with ``run_verify``'s fields and leaf types are written by ``_fill_records``, one text per
-    distinct object of each field, around ``json.dumps`` of the rest; a report with any other record goes
-    through ``json.dumps`` whole.
+    Records with ``run_verify``'s fields and leaf types get one text per distinct object of each field from
+    ``_record_texts``, and ``_fill`` joins those texts once, between the head and the tail of ``json.dumps``
+    of the rest; a report with any other record goes through ``json.dumps`` whole.
     """
     records = report.get("records")
     if not (isinstance(records, (list, tuple)) and records):
         return _dumps(report)
     try:
-        body = _fill_records(records)
+        texts, numbers = _record_texts(records)
     except TypeError:  # a record that is not laid out as run_verify's
         return _dumps(report)
     outer = json.dumps({**report, "records": []}, sort_keys=True, indent=2)
     # Only the top-level key sits after a newline and exactly two spaces,
     # and JSON strings hold no raw newline, so this spot is unique.
     head, tail = outer.split('\n  "records": []', 1)
-    return f'{head}\n  "records": [{_RECORD_INDENT}{body}\n  ]{tail}\n'
+    return _fill(f'{head}\n  "records": [{_RECORD_INDENT}', _RECORD, _RECORD_SEPARATOR, texts, numbers,
+                 f"\n  ]{tail}\n")
 
 
 def _dumps(report: Dict[str, Any]) -> str:
@@ -387,23 +398,38 @@ def _spell_distinct(items: List[Any], spell: Callable[[List[float]], List[str]])
 def _columns(records: Any, fields: Tuple[str, ...]) -> Tuple[List[List[Any]], np.ndarray]:
     """The one pass over the records' fields: each field's distinct objects, told apart by identity (equal
     copies count apart), and a (record, field) array of each record's number among them."""
-    flat = list(itertools.chain.from_iterable(map(operator.itemgetter(*fields), records)))
     # The records hold the objects, so no two of them share an id.
-    ids = np.fromiter(map(id, flat), np.uint64, len(flat)).reshape(-1, len(fields))
+    ids = np.fromiter(map(id, itertools.chain.from_iterable(map(operator.itemgetter(*fields), records))),
+                      np.uint64, len(records) * len(fields)).reshape(-1, len(fields))
     distinct = []
     numbers = np.empty(ids.shape, dtype=np.intp)
-    for j, column in enumerate(ids.T):
+    for j, (field, column) in enumerate(zip(fields, ids.T)):
         _, first, numbers[:, j] = np.unique(column, return_index=True, return_inverse=True)
-        distinct.append(list(map(flat.__getitem__, (first * len(fields) + j).tolist())))
+        distinct.append(list(map(operator.itemgetter(field), map(records.__getitem__, first.tolist()))))
     return distinct, numbers
 
 
-def _fill(template: str, separator: str, texts: List[List[str]], numbers: np.ndarray) -> str:
-    """``template`` once per record, joined by ``separator``, filled with the text of its object in each
-    field: ``texts[j][numbers[i, j]]`` for record i."""
+def _fill(head: str, template: str, separator: str, texts: List[List[str]], numbers: np.ndarray,
+          tail: str) -> str:
+    """``head``, then ``template`` once per record, joined by ``separator`` and filled with the text of its
+    object in each field (``texts[j][numbers[i, j]]`` for record i), then ``tail``.
+
+    One ``str.join`` writes it all: each text of field j gets the template's piece after slot j appended, and
+    each text of the first field also the separator and the template's first piece as a prefix, which the
+    first record drops.  Each field's texts with their pieces replace its entry of ``texts``, so that its
+    plain texts are freed at once.
+    """
+    first, *pieces = template.split("%s")
+    for j, piece in enumerate(pieces):
+        texts[j] = list(map(operator.add, texts[j], itertools.repeat(piece)))
+    texts[0] = list(map(operator.add, itertools.repeat(separator + first), texts[0]))
     offsets = np.cumsum([0, *map(len, texts[:-1])])
-    args = np.array(list(itertools.chain.from_iterable(texts)), dtype=object)[numbers + offsets]
-    return separator.join([template] * len(numbers)) % tuple(args.ravel().tolist())
+    args = np.array(list(itertools.chain.from_iterable(texts)), dtype=object)[numbers + offsets].ravel().tolist()
+    if args:
+        args[0] = args[0][len(separator):]
+    args.insert(0, head)
+    args.append(tail)
+    return "".join(args)
 
 
 def _leaves(values: List[Any], field: str) -> List[Any]:
@@ -424,15 +450,14 @@ def _leaves(values: List[Any], field: str) -> List[Any]:
     raise TypeError(f"record field {field!r} is not laid out as run_verify's")
 
 
-def _fill_records(records: Any) -> str:
-    """The records' text as ``json.dumps(records, sort_keys=True, indent=2)`` writes their items at
-    depth 2 of the report, joined by ``_RECORD_SEPARATOR``; TypeError unless every record has
+def _record_texts(records: Any) -> Tuple[List[List[str]], np.ndarray]:
+    """Each field's distinct objects' texts as ``json.dumps(records, sort_keys=True, indent=2)`` writes them at
+    depth 2 of the report, and ``_columns``' (record, field) numbers; TypeError unless every record has
     run_verify's keys, lengths, float leaves and int (not bool) indices.
 
     ``_columns`` finds each field's distinct objects.  Their float leaves are spelled in one call, once
     per distinct bit pattern, and each object's text is made once from its field's template: a scalar's
-    is its spelled leaf and an index's its ``str``.  One ``%`` then fills ``_RECORD`` once per record
-    with the text of its object in each field.
+    is its spelled leaf and an index's its ``str``.
     """
     if not all(isinstance(record, dict) and record.keys() == _SKELETON.keys() for record in records):
         raise TypeError("record keys are not run_verify's")
@@ -446,7 +471,7 @@ def _fill_records(records: Any) -> str:
             texts[j] = list(map(str, values))
         elif template != "%s":  # else a scalar, whose text is its spelled leaf
             texts[j] = [template % leaf_texts for leaf_texts in zip(*[iter(texts[j])] * len(_SKELETON[field]))]
-    return _fill(_RECORD, _RECORD_SEPARATOR, texts, numbers)
+    return texts, numbers
 
 
 _CSV_HEADER = ",".join([
@@ -479,6 +504,7 @@ def report_to_csv(report: Dict[str, Any]) -> str:
     once.  When every such cell but the indices is a ``float``, whose
     ``str`` is its repr, they are spelled in one call, once per distinct bit
     pattern; numpy's ``str`` of an ``np.float64`` is not assumed to agree.
+    ``_fill`` joins the header and every row's cell texts in one ``str.join``.
     """
     distinct, numbers = _columns(report["records"], _CSV_FIELDS)
     cells = [[_CSV_CELLS[field](value) for value in values] for field, values in zip(_CSV_CELLS, distinct[2:])]
@@ -487,7 +513,7 @@ def report_to_csv(report: Dict[str, Any]) -> str:
     spelled = iter(_spell_distinct(items, _reprs) if floats else [list(map(_cell, item)) for item in items])
     texts = [list(map(_cell, values)) for values in distinct[:2]]
     texts += [[",".join(next(spelled)) for _ in field_cells] for field_cells in cells]
-    return _CSV_HEADER + "\r\n" + _fill(_CSV_LINE, "", texts, numbers)
+    return _fill(_CSV_HEADER + "\r\n", _CSV_LINE, "", texts, numbers, "")
 
 
 WRITERS: Dict[str, Callable[[Dict[str, Any]], str]] = {"json": report_json, "csv": report_to_csv}

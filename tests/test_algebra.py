@@ -224,6 +224,14 @@ class TestQBasePredicate:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             qbase_predicate(x)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("x", [[1e200, 0, -1e200, 0], [1e200, 1, 0, 0]], ids=["nan", "inf"])
+    def test_overflowing_polynomial_value_raises_naming_x(self, x):
+        # The polynomial itself goes through the same check, not only the predicate built on it.
+        message = f"x = {[float(v) for v in x]}: its independence polynomial overflows a float"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            qbase_polynomial(x)
+
     def test_orbit_determinant_examples(self):
         assert abs(det_qorbit([1, 0, 0, 0])) == pytest.approx(1.0, rel=1e-14)
         assert det_qorbit([1, 1, 1, 1]) == pytest.approx(0.0, abs=1e-14)

@@ -84,6 +84,19 @@ class TestQbase:
         payload = json.loads(capsys.readouterr().out)
         assert "not available" in payload["frames"]
 
+    @pytest.mark.parametrize("coeffs,construction,operation", [
+        ("1.7e308,1e307,5e307", "spectral seed", "add"),  # 4 (A + 2B + C)
+        ("1e200,1e199,5e199", "closed-form frame", "power"),  # B^2
+    ])
+    def test_overflowing_frame_prints_only_the_error(self, coeffs, construction, operation):
+        # Admissible and finite, so the frames are not "not available": a float overflow is an error.
+        result = run_in_subprocess("qbase", "--coeffs", coeffs)
+        assert result.returncode == 2
+        given = tuple(float(v) for v in coeffs.split(","))
+        assert result.stderr == (f"error: coefficients {given}: float arithmetic fails in the {construction} "
+                                 f"(overflow encountered in scalar {operation})\n")
+        assert result.stdout == ""
+
 
 class TestPyramid:
     def test_example(self, capsys):
@@ -214,6 +227,17 @@ class TestParseTimeValidationExitCode:
         result = run_in_subprocess("verify", "--config", cfg)
         assert result.returncode == 2
         assert result.stderr == "config error: family: s_wave: C = inf, A = -inf (need C < A)\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("params", [[1.7e308, 1e307, 5e307], [1e200, 1e199, 5e199]])
+    def test_near_float_limit_family_prints_one_line(self, tmp_path, params):
+        # Admissible and finite, but its q-section denominators overflow: refused before any point is evaluated.
+        cfg = write_config(tmp_path, family={"name": "constant", "params": params}, points=[[0, 0, 0, 0]],
+                           seeds=[[1, 0.2, -0.3, 0.4]])
+        result = run_in_subprocess("verify", "--config", cfg)
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"config error: family.params = {params}: A + 2B + C reaches ")
+        assert result.stderr.count("\n") == 1
         assert result.stdout == ""
 
     def test_non_finite_grid_exits_2(self, tmp_path, capsys):

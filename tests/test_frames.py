@@ -140,3 +140,26 @@ class TestClosedFormFrame:
             rep = closed_form_frame(random_admissible(rng))
             statuses.add(rep.status)
         assert statuses  # every admissible triple yields a report
+
+
+class TestFloatOverflow:
+    """Admissible, finite coefficients whose frame arithmetic overflows (or underflows to a 0 that it divides by)
+    raise one ValueError naming them, in place of numpy warnings, a silently wrong seed, Python's OverflowError or
+    its ZeroDivisionError."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("construct,coeffs", [
+        (spectral_frame, (1.7e308, 1e307, 5e307)),  # 4 (A + 2B + C) overflows, so the alpha weight would be 0
+        (closed_form_frame, (1.7e308, 1e307, 5e307)),  # A + B + 2C overflows
+        (closed_form_frame, (1e200, 1e199, 5e199)),  # B^2 overflows
+        (closed_form_frame, (1e160, 1.0, 2.0)),  # A C overflows
+        (closed_form_frame, (4e-300, 1e-300, 2e-300)),  # x^1 x^3 is 0 / 0: both its terms underflow to 0
+    ])
+    def test_overflow_raises_naming_the_coefficients(self, construct, coeffs):
+        message = r"^coefficients \(.*\): float arithmetic fails in the .* \((overflow|invalid value) encountered in "
+        with pytest.raises(ValueError, match=message):
+            construct(CirculantCoeffs(*coeffs))
+
+    def test_spectral_frame_below_the_limit_is_orthonormal(self):
+        c = CirculantCoeffs(1e200, 1e199, 5e199)
+        assert verify_frame(c, spectral_frame(c).seed).max_deviation <= 1e-12

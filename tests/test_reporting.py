@@ -219,6 +219,38 @@ class TestParseTimeValidation:
             RunConfig(cfg)
 
 
+def _constant(params, seed=(1.0, 0.2, -0.3, 0.4)):
+    return {"family": {"name": "constant", "params": params}, "points": [[0.0, 0.0, 0.0, 0.0]], "seeds": [list(seed)]}
+
+
+class TestFloatScale:
+    """A config whose Gram entries or q-section denominators may overflow a float is refused at parse time, naming
+    family.params; below the limit the same family verifies."""
+
+    @pytest.mark.parametrize("params,seed", [
+        ([1.7e308, 1e307, 5e307], (1.0, 0.2, -0.3, 0.4)),  # 4 (A + 2B + C) overflows
+        ([1e200, 1e199, 5e199], (1.0, 0.2, -0.3, 0.4)),  # ((A + 2B + C) |x|^2)^2 overflows
+        ([1e150, 1e149, 5e149], (1e3, 0.2, -0.3, 0.4)),  # the same, through the seed's length
+    ])
+    def test_overflowing_scale_rejected(self, params, seed):
+        with pytest.raises(ConfigError, match=r"^family\.params = .* overflows a float \(need both finite\)$"):
+            RunConfig(_constant(params, seed))
+
+    def test_upper_corner_of_the_chart_counts(self):
+        # s_wave's base is well inside the limit; its chart-wide upper bound of A is not.
+        cfg = base_config(family={"name": "s_wave", "params": [3e153, 5e152, 6e153, 1.0]}, seeds=[[1, 0.2, -0.3, 0.4]])
+        with pytest.raises(ConfigError, match=r"^family\.params = "):
+            RunConfig(cfg)
+        cfg["family"]["params"][1] = 1e151
+        RunConfig(cfg)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_below_the_limit_verifies(self):
+        report = run_verify(RunConfig(_constant([1e150, 1e149, 5e149])))
+        assert report["summary"]["status"] == "pass"
+        assert all(map(math.isfinite, report["records"][0]["mu"]))
+
+
 class TestSectionValidation:
     def test_points_and_grid_together_rejected(self):
         grid = {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 1, 1, 1]}
