@@ -18,11 +18,16 @@ public functions taking a coefficient-field spec and a chart point are
 views over a block of one.  Seed-level quantities read off R in the
 q-orbit basis (x, qx, q^2 x, q^3 x), one projection per row for all seeds.
 
-Sign convention: the (0,4) tensor is oriented so that the sectional
-curvature R(x,y,x,y) / (g(x,x)g(y,y) - g(x,y)^2) of a round sphere is
-positive (checked in the test suite against a product metric containing a
-unit 2-sphere).  All verified identities are equalities and zeros, hence
-independent of this choice.
+The (0,4) tensor is read off the second derivatives of g and the Christoffel
+symbols of the first and second kind (Eisenhart, Riemannian Geometry, 1926, section 8):
+
+    R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik)
+             + Gamma_{m,jk} Gamma^m_il - Gamma_{m,ik} Gamma^m_jl.
+
+Its orientation makes the sectional curvature R(x,y,x,y) / (g(x,x)g(y,y) - g(x,y)^2)
+of a round sphere positive (checked in the test suite against a product metric
+containing a unit 2-sphere).  All verified identities are equalities and zeros,
+hence independent of this choice.
 """
 
 from __future__ import annotations
@@ -136,29 +141,24 @@ def _circulant_inverse(coeffs: np.ndarray) -> np.ndarray:
 def _connection(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray, ginv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Christoffel symbols gamma[..., k, i, j] and the (0,4) curvature r[..., i, j, k, l].
 
-    Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); its derivative
-    d_a Gamma^k_ij differentiates both g^{kl} and the bracket.  Leading axes
-    of all arguments are a block of points.
+    With Gamma_{l,ij} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij) and Gamma^k_ij = g^{kl} Gamma_{l,ij},
+    R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik) + P_jkil - P_ikjl
+    for P_jkil = Gamma_{m,jk} Gamma^m_il, one (16x4)@(4x16) product per row.  It is formed as
+    W_ijkl - W_jikl for W_ijkl = 1/2 (d_j d_k g_il - d_j d_l g_ik) + P_jkil, so it is antisymmetric
+    in (i, j) bit for bit.  Leading axes of all arguments are a block of points.
     """
-    bracket = np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg
-    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
-    dginv = -np.einsum("...km,...amn,...nl->...akl", ginv, dg, ginv)
-    dbracket = np.einsum("...aijl->...alij", ddg) + np.einsum("...ajil->...alij", ddg) - ddg
-    dgamma = 0.5 * (
-        np.einsum("...akl,...lij->...akij", dginv, bracket)
-        + np.einsum("...kl,...alij->...akij", ginv, dbracket)
-    )
-    upper = (
-        np.einsum("...jmik->...ijkm", dgamma)
-        - np.einsum("...imjk->...ijkm", dgamma)
-        + np.einsum("...mjn,...nik->...ijkm", gamma, gamma)
-        - np.einsum("...min,...njk->...ijkm", gamma, gamma)
-    )
-    return gamma, np.einsum("...lm,...ijkm->...ijkl", g, upper)
+    lead = g.shape[:-2]
+    first = 0.5 * (np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -1, -3) - dg).reshape(lead + (4, 16))
+    gamma = ginv @ first
+    p = (np.swapaxes(first, -1, -2) @ gamma).reshape(lead + (4, 4, 4, 4))
+    w = np.moveaxis(0.5 * (ddg - np.swapaxes(ddg, -3, -1)) + p, -2, -4)
+    return gamma.reshape(lead + (4, 4, 4)), w - np.swapaxes(w, -4, -3)
 
 
 def riemann_core(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """(0,4) curvature r[i, j, k, l] of an arbitrary metric, sphere-positive orientation."""
+    """(0,4) curvature r[i, j, k, l] of an arbitrary metric, sphere-positive orientation:
+    R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik)
+    + Gamma_{m,jk} Gamma^m_il - Gamma_{m,ik} Gamma^m_jl (see _connection)."""
     return _connection(g, dg, ddg, np.linalg.inv(g))[1]
 
 

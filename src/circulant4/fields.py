@@ -212,11 +212,11 @@ def _wave_derivatives(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarra
 
 
 def _stencil_jet(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, gradients and Hessians at points (N, 4) from one evaluation of the (N, 49, 4) stencil:
+    """Values, gradients and Hessians at points (N, 4) from one evaluation of the (49, N, 4) stencil:
     central differences with one Richardson level for the gradients (step FD_GRADIENT_STEP) and nested
     central second differences for the Hessians (step FD_HESSIAN_STEP)."""
     h, k = FD_GRADIENT_STEP, FD_HESSIAN_STEP
-    f = np.moveaxis(_values(spec, pts[:, None] + np.concatenate([h * _GRAD_STENCIL, _HESSIAN_STENCIL])), 1, 0)
+    f = _values(spec, np.concatenate([h * _GRAD_STENCIL, _HESSIAN_STENCIL])[:, None] + pts)
     half_p, half_m, full_p, full_m = f[1:17].reshape(4, 4, -1, 3)
     hp, hm = f[17:25].reshape(2, 4, -1, 3)
     pp, pm, mp, mm = f[25:].reshape(4, 6, -1, 3)
