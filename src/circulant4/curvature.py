@@ -115,6 +115,9 @@ SYMMETRY_NAMES = ["antisym_first_pair", "antisym_last_pair", "pair_symmetry", "f
 _READ = np.concatenate([[_SECTION_A, _SECTION_B, _SECTION_A, _SECTION_B], _IDENTITY_LHS[1], _IDENTITY_RHS[1]], axis=1)
 _ROWS, _ROW_OF = np.unique(4 * _READ[0] + _READ[1], return_inverse=True)
 _COLS, _COL_OF = np.unique(4 * _READ[2] + _READ[3], return_inverse=True)
+# (row, seed) pairs that seed_checks projects at once, about 5 kB each, so its projections take at most about
+# 20 MB however many seeds it is given; a verify run's point blocks hold at most this many (point, seed) pairs.
+_BLOCK_PAIRS = 4096
 
 
 def _metric_arrays(coeffs: np.ndarray, grads: np.ndarray, hessians: np.ndarray):
@@ -238,19 +241,22 @@ class PointGeometry:
         row m for seed x = seeds[s], and the Gram matrices
         gram[m, s, a, b] = g(q^a x, q^b x).  Viewing r as a 16x16 matrix
         over index pairs, rv = (V (x) V) r (V (x) V)^T for the orbit basis V
-        of a seed, of which only the rows and columns read are formed.  The
-        report's fields are (R, S, ...) arrays; identity residuals
-        (R, S, 19), in IDENTITY_NAMES order, are |lhs - rhs| (or |lhs| for
-        a zero claim) normalized by max(1, |rho|).
+        of a seed, of which only the rows and columns read are formed, for
+        at most _BLOCK_PAIRS (row, seed) pairs at once.  The report's fields
+        are (R, S, ...) arrays; identity residuals (R, S, 19), in
+        IDENTITY_NAMES order, are |lhs - rhs| (or |lhs| for a zero claim)
+        normalized by max(1, |rho|).
         """
         seeds = np.asarray(seeds, dtype=float)
         if not np.all(_finite_qbase_polynomials(seeds, "seeds[{}]") != 0.0):
             raise ValueError("seed vector does not generate a q-base (independence polynomial is zero)")
         gram = orbit_gram(self.coeffs[:, None], seeds)
-        v = seeds[:, ORBIT_INDEX]
-        vv = (v[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
-        rv = vv[:, _ROWS] @ self.r.reshape(-1, 1, 16, 16) @ np.swapaxes(vv[:, _COLS], -1, -2)
-        numerators, lhs, rhs = np.split(rv[..., _ROW_OF, _COL_OF], [6, 6 + len(IDENTITY_NAMES)], axis=-1)
+        r, step = self.r.reshape(-1, 1, 16, 16), max(1, _BLOCK_PAIRS // len(self.r))
+        read = []
+        for v in np.split(seeds[:, ORBIT_INDEX], range(step, len(seeds), step)):
+            vv = (v[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
+            read.append((vv[:, _ROWS] @ r @ np.swapaxes(vv[:, _COLS], -1, -2))[..., _ROW_OF, _COL_OF])
+        numerators, lhs, rhs = np.split(np.concatenate(read, axis=1), [6, 6 + len(IDENTITY_NAMES)], axis=-1)
 
         a, b = _SECTION_A, _SECTION_B
         denoms = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2

@@ -1,16 +1,16 @@
 """Scalar coefficient fields A, B, C on a chart of R^4 and their jets.
 
-Each built-in family is one row of ``_FAMILIES``: a base (A0, B0, C0) and
-an amplitude read from its params, and at most one wave
+Each built-in family is one row of ``_FAMILIES``: a base (A0, B0, C0) read
+from its params and a tuple of waves, each
 
     F(x) = amp * sum_m sin(modes[m] . (lin x)) / divisors[m]
 
-added to (A, B, C) along a fixed direction.  Values, analytic gradients
-and Hessians, and the chart-wide bounds that ``make_family`` checks
-(base +- |amp| |direction| sum_m 1/divisors[m]) are one formula each over
-the rows.
+with its own amplitude in the params, added to (A, B, C) along a fixed
+direction.  Values, analytic gradients and Hessians, and the chart-wide
+bounds that ``make_family`` checks (base +- the sum over the waves of
+|amp| |direction| sum_m 1/divisors[m]) are one formula each over the rows.
 
-* ``constant``  params (A0, B0, C0), no wave: a flat control.
+* ``constant``  params (A0, B0, C0), no waves: a flat control.
 * ``s_wave``    params (c0, eps, a0, b0): base (a0, b0, c0), amp eps,
   lin x = (r, t) = (x1 - x3, x2 - x4), modes (1, 0), (0, 1), (1, 1) with
   divisors 1, 2, 3, direction (-1, 0, 1).  That is
@@ -87,17 +87,17 @@ class _Wave(NamedTuple):
 class _Family(NamedTuple):
     names: Tuple[str, ...]  # of the params, for messages
     base: Tuple[int, int, int]  # indices of A0, B0, C0 in params
-    wave: Optional[_Wave] = None
+    waves: Tuple[_Wave, ...] = ()
 
 
 _FAMILIES = {
     "constant": _Family(("A0", "B0", "C0"), (0, 1, 2)),
     # (r, t) = (x1 - x3, x2 - x4) spans the plane that the index shift negates.
-    "s_wave": _Family(("c0", "eps", "a0", "b0"), (2, 3, 0), _Wave(
+    "s_wave": _Family(("c0", "eps", "a0", "b0"), (2, 3, 0), (_Wave(
         1, np.array([[1, 0, -1, 0], [0, 1, 0, -1]]), np.array([[1, 0], [0, 1], [1, 1]]), np.array([1.0, 2.0, 3.0]),
-        np.array([-1.0, 0.0, 1.0]))),
-    "control": _Family(("A0", "kappa", "B0", "C0"), (0, 2, 3), _Wave(
-        1, _E[:1], np.array([[1]]), np.array([1.0]), np.array([1.0, 0.0, 0.0]))),
+        np.array([-1.0, 0.0, 1.0])),)),
+    "control": _Family(("A0", "kappa", "B0", "C0"), (0, 2, 3), (_Wave(
+        1, _E[:1], np.array([[1]]), np.array([1.0]), np.array([1.0, 0.0, 0.0])),)),
 }
 
 
@@ -157,11 +157,11 @@ def make_family(family: str, params, derivative_mode: str = "analytic") -> Field
 
 
 def _chart_bounds(family: str, params: Tuple[float, ...]) -> np.ndarray:
-    """Lower and upper bounds (2, 3) of (A, B, C) over the whole chart for a built-in family: base -+ |amp|
-    |direction| sum_m 1/divisors[m].  A bound that overflows is inf or NaN, without a numpy warning."""
-    _, base, wave = _FAMILIES[family]
+    """Lower and upper bounds (2, 3) of (A, B, C) over the whole chart for a built-in family: base -+ the sum
+    over its waves of |amp| |direction| sum_m 1/divisors[m].  An overflowing bound is inf or NaN, unwarned."""
+    _, base, waves = _FAMILIES[family]
     with np.errstate(over="ignore", invalid="ignore"):
-        spread = 0.0 if wave is None else abs(params[wave.amp]) * np.abs(wave.direction) * sum(1.0 / wave.divisors)
+        spread = sum(abs(params[w.amp]) * np.abs(w.direction) * sum(1.0 / w.divisors) for w in waves)
         return np.take(params, base) + spread * np.array([[-1.0], [1.0]])
 
 
@@ -179,36 +179,35 @@ def _mode_sum(terms: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _values(spec: FieldFamilySpec, pts: np.ndarray) -> np.ndarray:
-    """Field values (..., 3) of (A, B, C) at chart points (..., 4); a custom family's at one point."""
-    if spec.family == "custom":
-        return np.asarray(spec.value_fn(pts), dtype=float)
-    _, base, wave = _FAMILIES[spec.family]
-    base = np.take(spec.params, base)
-    if wave is None:
-        return np.broadcast_to(base, pts.shape[:-1] + (3,))
-    theta = pts @ wave.lin.T @ wave.modes.T
-    f = spec.params[wave.amp] * _mode_sum(np.sin(theta) / wave.divisors, -1)
-    return base + f[..., None] * wave.direction
+    """Field values (..., 3) of (A, B, C) of a built-in family at chart points (..., 4)."""
+    _, base, waves = _FAMILIES[spec.family]
+    values = np.broadcast_to(np.take(spec.params, base), pts.shape[:-1] + (3,))
+    for amp, lin, modes, divisors, direction in waves:
+        f = spec.params[amp] * _mode_sum(np.sin(pts @ lin.T @ modes.T) / divisors, -1)
+        values = values + f[..., None] * direction
+    return values
 
 
 def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
     """Field values (A, B, C) at a chart point (no admissibility check)."""
-    return CirculantCoeffs(*_values(spec, as_vector4(p)).tolist())
+    p = as_vector4(p)
+    values = spec.value_fn(p) if spec.family == "custom" else _values(spec, p)
+    return CirculantCoeffs(*np.asarray(values, dtype=float).tolist())
 
 
 def _wave_derivatives(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of a built-in family at points (N, 4)."""
-    wave = _FAMILIES[spec.family].wave
-    if wave is None:
-        return np.zeros((len(pts), 3, 4)), np.zeros((len(pts), 3, 4, 4))
-    amp, lin, modes, divisors, direction = wave
-    theta = pts @ lin.T @ modes.T
-    # Derivatives of F in the wave's coordinates, pulled back along lin.
-    grad = (spec.params[amp] * _mode_sum((np.cos(theta) / divisors)[..., None] * modes, -2)) @ lin
-    hess = lin.T @ (-spec.params[amp] * _mode_sum(
-        (np.sin(theta) / divisors)[..., None, None] * (modes[:, :, None] * modes[:, None, :]), -3)) @ lin
-    # Zero times a negative entry is -0.0; adding +0.0 leaves every zero entry +0.0 and the rest as they are.
-    return direction[:, None] * grad[:, None] + 0.0, direction[:, None, None] * hess[:, None] + 0.0
+    """Closed-form gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of a built-in family at points (N, 4),
+    summed over its waves from +0.0, so a zero entry is never -0.0."""
+    grads, hessians = np.zeros((len(pts), 3, 4)), np.zeros((len(pts), 3, 4, 4))
+    for amp, lin, modes, divisors, direction in _FAMILIES[spec.family].waves:
+        theta = pts @ lin.T @ modes.T
+        # Derivatives of F in the wave's coordinates, pulled back along lin.
+        grad = (spec.params[amp] * _mode_sum((np.cos(theta) / divisors)[..., None] * modes, -2)) @ lin
+        hess = lin.T @ (-spec.params[amp] * _mode_sum(
+            (np.sin(theta) / divisors)[..., None, None] * (modes[:, :, None] * modes[:, None, :]), -3)) @ lin
+        grads += direction[:, None] * grad[:, None]
+        hessians += direction[:, None, None] * hess[:, None]
+    return grads, hessians
 
 
 def _stencil_jet(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

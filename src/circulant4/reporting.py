@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import _finite_qbase_polynomials
-from .curvature import IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
+from .curvature import _BLOCK_PAIRS, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
 from .fields import FieldFamilySpec, _chart_bounds, gradient_residual, make_family
 from .frames import spectral_frame_residuals
 
@@ -215,12 +215,12 @@ def _check_keys(section: Dict[str, Any], known: tuple, prefix: str = "") -> None
             raise ConfigError(f"unknown config key '{prefix}{key}' (known: {', '.join(known)})")
 
 
-# Points per geometry block: at most 256, and at most 4096 (point, seed) pairs, so the orbit projections
-# of a block (about 1 kB per pair) stay within a few MB however many seeds a config draws.  Equal jets
-# share geometry within a block only, and a block's numpy calls are paid once.  For 2048 distinct random
-# s_wave points in finite-difference mode with one seed, run_verify took 160 ms at 64 points and 130 ms at
-# 256 (median CPU, 2-vCPU Xeon VM), at a tracemalloc peak of 6.4 and 9.2 MB; 512 took 131 ms at 13.1 MB.
-_BLOCK_POINTS, _BLOCK_PAIRS = 256, 4096
+# Points per geometry block: at most 256, and at most _BLOCK_PAIRS (point, seed) pairs, or one point with all
+# its seeds when there are more (seed_checks then projects them in chunks).  Equal jets share geometry within a
+# block only, and a block's numpy calls are paid once.  For 2048 distinct random s_wave points in finite-
+# difference mode with one seed, run_verify took 160 ms at 64 points and 130 ms at 256 (median CPU, 2-vCPU
+# Xeon VM), at a tracemalloc peak of 6.4 and 9.2 MB; 512 took 131 ms at 13.1 MB.
+_BLOCK_POINTS = 256
 
 
 def _point_records(geo: PointGeometry, frame_tol: float) -> Tuple[List[Dict[str, Any]], List[float], bool]:

@@ -62,6 +62,11 @@ class TestApplyQ:
         with pytest.raises(ValueError):
             apply_q([np.nan, 0, 0, 0])
 
+    @pytest.mark.parametrize("x,shape", [([1, 2, 3], "(3,)"), ([[1, 2, 3, 4]], "(1, 4)")])
+    def test_rejects_wrong_shape(self, x, shape):
+        with pytest.raises(ValueError, match=f"^expected 4 components, got shape {re.escape(shape)}$"):
+            apply_q(x)
+
 
 class TestMetricMatrix:
     def test_first_row(self):
@@ -216,7 +221,6 @@ class TestQBasePredicate:
     def test_alternating_degenerate(self):
         assert not qbase_predicate([1, 0, 1, 0])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x", [[1e200, 0, -1e200, 0], [1e200, 1, 0, 0]], ids=["nan", "inf"])
     def test_overflowing_polynomial_raises_naming_x(self, x):
         # The exact polynomial of the first is 0 (x1 - x2 + x3 - x4 = 0); its float is inf * 0 = NaN, and NaN != 0.
@@ -224,7 +228,6 @@ class TestQBasePredicate:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             qbase_predicate(x)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("x", [[1e200, 0, -1e200, 0], [1e200, 1, 0, 0]], ids=["nan", "inf"])
     def test_overflowing_polynomial_value_raises_naming_x(self, x):
         # The polynomial itself goes through the same check, not only the predicate built on it.

@@ -1,6 +1,7 @@
 """The block pass over points and seeds against per-point evaluation."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,35 @@ class TestBlockAgainstScalar:
         for a, b in zip(split, whole):
             assert _close(a["mu"], b["mu"]) and _close(list(a["identity_residuals"].values()),
                                                       list(b["identity_residuals"].values()))
+
+
+def _seed_check_bytes(geo, seeds):
+    sections, identities = geo.seed_checks(seeds)
+    return [np.asarray(a).tobytes() for a in (*vars(sections).values(), identities)]
+
+
+class TestSeedChunks:
+    @pytest.mark.parametrize("pairs", [12, 3])
+    def test_chunked_projection_is_one_projection_bit_for_bit(self, monkeypatch, pairs):
+        # Five distinct rows: 12 pairs project the seven seeds 2, 2, 2, 1 at a time; 3 pairs one at a time.
+        geo = PointGeometry.from_field(make_family("s_wave", S_WAVE),
+                                       np.random.default_rng(78).uniform(-2, 2, size=(5, 4)))
+        seeds = curvature.random_qbase_seeds(np.random.default_rng(79), 7)
+        whole = _seed_check_bytes(geo, seeds)
+        monkeypatch.setattr(curvature, "_BLOCK_PAIRS", pairs)
+        assert len(geo.rows) == 5 and _seed_check_bytes(geo, seeds) == whole
+
+    def test_peak_memory_is_bounded_however_many_seeds(self):
+        # 5.06 kB per seed when all seeds were projected at once: 82.8 MB here.
+        geo = PointGeometry.from_field(make_family("s_wave", S_WAVE), np.array([[0.3, -0.2, 0.5, 0.1]]))
+        seeds = np.random.default_rng(80).uniform(-1, 1, size=(16384, 4))
+        tracemalloc.start()
+        try:
+            geo.seed_checks(seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
 
 # Multiples of 1/8 in [-2, 2]: sums and differences of these are exact, so shifting a point by

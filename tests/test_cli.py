@@ -125,6 +125,22 @@ class TestPyramid:
         assert result.stdout == ""
 
 
+class TestErrorLines:
+    @pytest.mark.parametrize("argv,err", [
+        (["inspect", "--coeffs", "3,x,2"], "config error: --coeffs: could not convert string to float: 'x'\n"),
+        (["pyramid", "--coeffs", "3,1,2"], "config error: --seed-vector v1,v2,v3,v4 is required\n"),
+        (["verify"], "config error: --config PATH is required\n"),
+        (["qbase", "--coeffs", "1.7e308,1e307,5e307"],
+         "error: coefficients (1.7e+308, 1e+307, 5e+307): float arithmetic fails in the spectral seed "
+         "(overflow encountered in scalar add)\n"),
+    ], ids=["non-numeric-coeffs", "pyramid-without-seed", "verify-without-config", "qbase-frame-overflow"])
+    def test_exits_2_with_one_error_line(self, capsys, argv, err):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+
+
 class TestCurvature:
     def test_point_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -176,6 +192,17 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("level,err", [("info", "INFO circulant4: verification status: pass\n"), (None, "")])
+    def test_status_line_only_with_cml_log(self, tmp_path, monkeypatch, level, err):
+        if level is None:
+            monkeypatch.delenv("CML_LOG", raising=False)
+        else:
+            monkeypatch.setenv("CML_LOG", level)
+        result = run_in_subprocess("verify", "--config", write_config(tmp_path))
+        assert result.returncode == 0
+        assert result.stderr == err
+        assert json.loads(result.stdout)["summary"]["status"] == "pass"
+
     def test_csv_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["verify", "--config", cfg, "--format", "csv"]) == 0
@@ -193,7 +220,6 @@ class TestSeedValidationExitCode:
         assert "config error: seeds" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_seed_exits_2_naming_it(self, tmp_path, capsys):
         # Not a q-base (x1 - x2 + x3 - x4 = 0), yet its polynomial is inf * 0 = NaN, which is not 0.
         out = tmp_path / "report.json"
@@ -282,7 +308,6 @@ class TestCurvatureOverrideValidation:
         assert captured.err.startswith(f"config error: {field} = ")
         assert captured.out == ""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_seed_vector_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["curvature", "--config", cfg, "--seed-vector", "1e200,0,-1e200,0"]) == 2

@@ -185,7 +185,6 @@ class TestQSections:
         with pytest.raises(ValueError, match="q-base"):
             q_section_curvatures(spec, [0, 0, 0, 0], [1, 1, 1, 1])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", [[1e200, 0, -1e200, 0], [1e200, 1, 0, 0]], ids=["nan", "inf"])
     def test_rejects_seed_whose_polynomial_overflows(self, seed):
         # x1 - x2 + x3 - x4 = 0 makes the first a non-q-base whose polynomial is inf * 0 = NaN, not 0.

