@@ -145,7 +145,7 @@ def _finite_qbase_polynomials(xs: np.ndarray, name: str, error: type = ValueErro
     """qbase_polynomials of the vectors xs (N, 4), or of one vector (4,), made without numpy warnings; ``error``
     naming the first vector, as ``name.format(its index)``, whose polynomial overflows a float to inf, or to NaN
     as inf * 0.  One vector is not made a stack of one: numpy's scalar arithmetic takes half the time, and
-    random_qbase_seeds calls qbase_polynomial once per draw."""
+    the pyramid and the command line call qbase_polynomial on one vector at a time."""
     with np.errstate(over="ignore", invalid="ignore"):
         polys = qbase_polynomials(xs)
     if not np.isfinite(polys).all():

@@ -46,7 +46,7 @@ from .algebra import (
     as_vector4,
     metric_eigenvalues,
     orbit_gram,
-    qbase_polynomial,
+    qbase_polynomials,
 )
 from .fields import FieldFamilySpec, FieldJet, eval_jets
 
@@ -357,10 +357,10 @@ _MIN_QBASE_POLY = 1e-3
 
 
 def random_qbase_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Rejection-sample seeds from the unit cube away from degenerate orbits."""
-    seeds = []
+    """Rejection-sample seeds from the unit cube away from degenerate orbits.  Each round draws as many
+    vectors as are still missing, so the stream, and the seeds, are those of one draw at a time."""
+    seeds = np.empty((0, 4))
     while len(seeds) < n:
-        x = rng.uniform(-1.0, 1.0, size=4)
-        if abs(qbase_polynomial(x)) >= _MIN_QBASE_POLY:
-            seeds.append(x)
-    return np.stack(seeds)
+        x = rng.uniform(-1.0, 1.0, size=(n - len(seeds), 4))
+        seeds = np.concatenate([seeds, x[np.abs(qbase_polynomials(x)) >= _MIN_QBASE_POLY]])
+    return seeds

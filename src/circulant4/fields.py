@@ -36,9 +36,9 @@ bounds that ``make_family`` checks (base +- the sum over the waves of
   numerically across the config boundary).
 
 Derivatives come either from closed forms (``analytic``) or from central
-differences with one Richardson level (``finite_difference``), for a block
-of points at once (``eval_jets``); the single-point functions are views
-over a block of one.
+first and second differences at one step, ``FD_STEP`` (``finite_difference``),
+for a block of points at once (``eval_jets``); the single-point functions
+are views over a block of one.
 """
 
 from __future__ import annotations
@@ -63,15 +63,17 @@ __all__ = [
     "parallel_residual",
 ]
 
-# Finite-difference steps of the gradients and of the Hessians (see _stencil_jet).
-FD_GRADIENT_STEP, FD_HESSIAN_STEP = 1e-5, 1e-4
+# Finite-difference step k of the gradients and the Hessians alike (see _stencil_jet).  A central difference
+# errs by about k^2 |f3| / 6 (first) or k^2 |f4| / 12 (second) in truncation, with f3 and f4 the third and
+# fourth derivatives, and a second difference by about 4 eps |f| / k^2 in rounding.  For |f| ~ 3 and |f4| ~ 1
+# the two balance near k = (48 eps |f|)^(1/4) ~ 4e-4; of the steps 1e-4, 3e-4, 1e-3 and 3e-3, 3e-4 gives the
+# smallest identity residuals on s_wave.
+FD_STEP = 3e-4
 _E, _DIAG = np.eye(4), np.arange(4)
 _PAIR_I, _PAIR_J = np.triu_indices(4, 1)
-# Finite-difference stencil rows: 0 and (+-1/2, +-1) e_i in units of the
-# gradient step; then H (+-e_i) and H (+-e_i +-e_j), i < j, for the Hessians.
-_GRAD_STENCIL = np.concatenate([np.zeros((1, 4)), 0.5 * _E, -0.5 * _E, _E, -_E])
 _EI, _EJ = _E[_PAIR_I], _E[_PAIR_J]
-_HESSIAN_STENCIL = FD_HESSIAN_STEP * np.concatenate([_E, -_E, _EI + _EJ, _EI - _EJ, _EJ - _EI, -_EI - _EJ])
+# Finite-difference stencil rows in units of FD_STEP: 0, +-e_i, then +-e_i +-e_j for i < j.
+_STENCIL = np.concatenate([np.zeros((1, 4)), _E, -_E, _EI + _EJ, _EI - _EJ, _EJ - _EI, -_EI - _EJ])
 
 
 class _Wave(NamedTuple):
@@ -211,19 +213,15 @@ def _wave_derivatives(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarra
 
 
 def _stencil_jet(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, gradients and Hessians at points (N, 4) from one evaluation of the (49, N, 4) stencil:
-    central differences with one Richardson level for the gradients (step FD_GRADIENT_STEP) and nested
-    central second differences for the Hessians (step FD_HESSIAN_STEP)."""
-    h, k = FD_GRADIENT_STEP, FD_HESSIAN_STEP
-    f = _values(spec, np.concatenate([h * _GRAD_STENCIL, _HESSIAN_STENCIL])[:, None] + pts)
-    half_p, half_m, full_p, full_m = f[1:17].reshape(4, 4, -1, 3)
-    hp, hm = f[17:25].reshape(2, 4, -1, 3)
-    pp, pm, mp, mm = f[25:].reshape(4, 6, -1, 3)
-    central_half = (half_p - half_m) / (2 * (h / 2))
-    central_full = (full_p - full_m) / (2 * h)
-    grads = np.moveaxis((4.0 * central_half - central_full) / 3.0, 0, -1)
+    """Values, gradients and Hessians at points (N, 4) from one evaluation of the (33, N, 4) stencil:
+    central first and second differences, all at step FD_STEP."""
+    k = FD_STEP
+    f = _values(spec, k * _STENCIL[:, None] + pts)
+    plus, minus = f[1:9].reshape(2, 4, -1, 3)
+    pp, pm, mp, mm = f[9:].reshape(4, 6, -1, 3)
+    grads = np.moveaxis((plus - minus) / (2 * k), 0, -1)
     hessians = np.empty((len(pts), 3, 4, 4))
-    hessians[..., _DIAG, _DIAG] = np.moveaxis((hp - 2 * f[0] + hm) / k**2, 0, -1)
+    hessians[..., _DIAG, _DIAG] = np.moveaxis((plus - 2 * f[0] + minus) / k**2, 0, -1)
     off = np.moveaxis((pp - pm - mp + mm) / (4 * k**2), 0, -1)
     hessians[..., _PAIR_I, _PAIR_J] = off
     hessians[..., _PAIR_J, _PAIR_I] = off

@@ -219,6 +219,21 @@ class TestQSections:
         assert len(reps) == 5
 
 
+class TestRandomSeeds:
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 1000])
+    def test_batched_draws_are_the_per_draw_loop(self, n):
+        for rng_seed in range(10):
+            rng = np.random.default_rng(rng_seed)
+            expected = []
+            while len(expected) < n:
+                x = rng.uniform(-1.0, 1.0, size=4)
+                if abs(qbase_polynomial(x)) >= 1e-3:
+                    expected.append(x)
+            batched = np.random.default_rng(rng_seed)
+            assert random_qbase_seeds(batched, n).tobytes() == np.stack(expected).tobytes()
+            assert batched.bit_generator.state == rng.bit_generator.state
+
+
 class TestIdentitySuite:
     def test_flat_family_all_zero(self):
         res = identity_suite(make_family("constant", CONSTANT), [0, 0, 0, 0], [1, 0.2, 0.1, -0.3])

@@ -8,14 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circulant4 import (
+    RunConfig,
     coeffs_at,
     eval_jet,
     make_custom_family,
     make_family,
     parallel_residual,
+    run_verify,
 )
 from circulant4 import fields
 from circulant4.fields import eval_jets
+from circulant4.reporting import DEFAULT_TOLERANCES
 
 S_WAVE = (2.0, 0.1, 3.0, 1.0)
 CONTROL = (3.0, 0.1, 1.0, 2.0)
@@ -296,3 +299,50 @@ class TestSeveralWaves:
         c_hi, a_lo = re.fullmatch(r"s_wave: C = (\S+), A = (\S+) \(need C < A\)", str(info.value)).groups()
         assert float(c_hi) == pytest.approx(2.0 + 0.3 * 11 / 6, rel=1e-15)
         assert float(a_lo) == pytest.approx(3.2 - 0.3 * 11 / 6 - 0.7, rel=1e-15)
+
+
+def _fd_error_ratios(monkeypatch, name, params):
+    """Max |finite difference - closed form| of the gradients and of the Hessians over 200 points, at
+    FD_STEP 1.6e-2, 8e-3, 4e-3 and 2e-3: the (3, 2) ratios of each error to the next."""
+    points = np.random.default_rng(38).uniform(-3, 3, size=(200, 4))
+    _, grads, hessians = eval_jets(make_family(name, params), points)
+    fd = make_family(name, params, derivative_mode="finite_difference")
+    errors = []
+    for step in (1.6e-2, 8e-3, 4e-3, 2e-3):
+        monkeypatch.setattr(fields, "FD_STEP", step)
+        _, fd_grads, fd_hessians = eval_jets(fd, points)
+        errors.append([np.max(np.abs(fd_grads - grads)), np.max(np.abs(fd_hessians - hessians))])
+    errors = np.array(errors)
+    return errors[:-1] / errors[1:]
+
+
+class TestFiniteDifferenceRule:
+    @pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL)])
+    def test_errors_fall_fourfold_per_halving(self, monkeypatch, name, params):
+        # Central differences are second order: halving the step quarters the truncation error.
+        assert np.all(np.abs(_fd_error_ratios(monkeypatch, name, params) - 4.0) <= 0.1)
+
+    def test_a_planted_one_sided_difference_fails(self, monkeypatch):
+        central = fields._stencil_jet
+
+        def one_sided(spec, pts):
+            values, _, hessians = central(spec, pts)
+            ahead = fields._values(spec, pts[:, None] + fields.FD_STEP * np.eye(4))
+            return values, np.swapaxes((ahead - values[:, None]) / fields.FD_STEP, 1, 2), hessians
+
+        monkeypatch.setattr(fields, "_stencil_jet", one_sided)
+        ratios = _fd_error_ratios(monkeypatch, "s_wave", S_WAVE)
+        assert not np.all(np.abs(ratios - 4.0) <= 0.1)
+        assert np.all(np.abs(ratios[:, 0] - 2.0) <= 0.1)  # first order in the gradients
+
+    def test_fd_identity_suite_passes_with_margin(self):
+        # The benchmark's finite-difference config at the rng_seed with the largest identity residual over
+        # 0-19999, 1.22e-7; with the Hessians' old step of 1e-4 it read 1.08e-6 here and failed section_tol 1e-6.
+        report = run_verify(RunConfig({
+            "family": {"name": "s_wave", "params": list(S_WAVE)},
+            "grid": {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [4] * 4},
+            "seeds": "random:1", "rng_seed": 5828, "derivative_mode": "finite_difference",
+        }))
+        summary = report["summary"]
+        assert summary["status"] == "pass"
+        assert summary["max_identity_residual"] <= DEFAULT_TOLERANCES["section_tol"] / 5
