@@ -352,8 +352,9 @@ def q_invariance_residual(spec: FieldFamilySpec, p, vectors: Sequence) -> float:
     return worst
 
 
-# Smallest |P(x)|, the q-base independence polynomial, a random seed may have.
-_MIN_QBASE_POLY = 1e-3
+# Smallest |P(x)|, the q-base independence polynomial, a random seed may have (on the unit cube, so |P(x)| /
+# (x.x)^2 >= 6.25e-5); smallest |P(x)| / (x.x)^2, free of |x| as both are quartic, an explicit config seed may have.
+_MIN_QBASE_POLY, _MIN_QBASE_RATIO = 1e-3, 1e-12
 
 
 def random_qbase_seeds(rng: np.random.Generator, n: int) -> np.ndarray:

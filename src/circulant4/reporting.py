@@ -1,12 +1,11 @@
 """Batch verification runs: config parsing, orchestration, report assembly.
 
 A run evaluates one coefficient family over a set of chart points and a
-set of q-base seed vectors and records, per (point, seed):
-
-* parallelism residual and nabla-q residual (point level),
-* Riemann symmetry residuals and spectral-frame Gram residual (point level),
-* the six q-section curvatures, their equality/zero residuals, and the
-  curvature identity suite (seed level).
+set of q-base seed vectors and makes one record per (point, seed).  One
+table, ``_LAYOUT``, lays a record out: each field's level (point, seed,
+row of equal jets, or (row, seed) pair), its leaves, its CSV columns, and
+the summary maximum and criterion it feeds.  ``run_verify`` builds the
+records, the summary and the criteria from it, and the writers their text.
 
 Reports are plain dicts; this module writes no file.  ``WRITERS`` maps each
 output format to its writer: canonical JSON (sorted keys, fixed indentation,
@@ -19,6 +18,7 @@ those texts in record order, with no per-record template.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import _finite_qbase_polynomials
-from .curvature import _BLOCK_PAIRS, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
+from .curvature import _BLOCK_PAIRS, _MIN_QBASE_RATIO, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
 from .fields import FieldFamilySpec, _chart_bounds, gradient_residual, make_family
 from .frames import spectral_frame_residuals
 
@@ -172,8 +172,13 @@ class RunConfig:
         if isinstance(seeds, str):
             return random_qbase_seeds(np.random.default_rng(self.rng_seed), n)
         vectors = self._vectors(seeds, "seeds")
-        for i in np.flatnonzero(_finite_qbase_polynomials(vectors, "seeds[{}]", ConfigError) == 0.0)[:1]:
-            raise ConfigError(f"seeds[{i}] = {vectors[i].tolist()} does not generate a q-base")
+        polys = np.abs(_finite_qbase_polynomials(vectors, "seeds[{}]", ConfigError))
+        with np.errstate(over="ignore"):  # a floor that overflows to inf refuses its seed
+            floors = _MIN_QBASE_RATIO * np.sum(vectors**2, axis=1) ** 2
+        for i in np.flatnonzero((polys == 0.0) | (polys < floors))[:1]:
+            problem = "does not generate a q-base" if polys[i] == 0.0 else (
+                f"is nearly degenerate: |P(x)| = {polys[i]} (need |P(x)| >= {_MIN_QBASE_RATIO} (x.x)^2 = {floors[i]})")
+            raise ConfigError(f"seeds[{i}] = {vectors[i].tolist()} {problem}")
         return vectors
 
     @classmethod
@@ -223,22 +228,46 @@ def _check_keys(section: Dict[str, Any], known: tuple, prefix: str = "") -> None
 _BLOCK_POINTS = 256
 
 
-def _point_records(geo: PointGeometry, frame_tol: float) -> Tuple[List[Dict[str, Any]], List[float], bool]:
-    """Point-level record fields for each row of a geometry block; the rows' largest parallel, nabla-q,
-    symmetry and frame residuals; and whether every frame residual is within its tolerance."""
-    residuals = (gradient_residual(geo.grads), geo.nabla_q_residual(), geo.symmetry_residuals(),
-                 spectral_frame_residuals(geo.coeffs))
-    frame_tols = frame_tol * (1.0 + geo.coeffs[:, 0])
-    rows = zip(geo.coeffs.tolist(), *(r.tolist() for r in residuals), frame_tols.tolist())
-    return [{
-        "coeffs": {"A": a, "B": b, "C": c},
-        "parallel_residual": parallel,
-        "nabla_q_residual": nabla_q,
-        "symmetry_residuals": dict(zip(SYMMETRY_NAMES, symmetry)),
-        "frame_residual": frame,
-        "frame_tolerance": frame_tolerance,
-    } for (a, b, c), parallel, nabla_q, symmetry, frame, frame_tolerance in rows
-    ], list(map(np.max, residuals)), bool(np.all(residuals[3] <= frame_tols))
+# The record layout, one field per entry, in CSV column order.  level names the records that share its object:
+# those of a chart point, a seed, a row (the points of a geometry block whose jets are equal bit for bit) or a
+# (row, seed) pair.  leaves is its layout: "index" (an int), "float", n (a list of n floats) or the names of a
+# dict of floats.  csv holds its CSV columns: a dict's values by those names, or else its largest value.  summary
+# is the summary maximum it feeds; criterion names the criterion that reads it, its tolerance key, and whether
+# it needs nabla q = 0 (nabla_q_zero passes).  The frame criterion's tolerance is each row's frame_tolerance.
+_Field = collections.namedtuple("_Field", "name level leaves csv summary criterion", defaults=((), None, None))
+_LAYOUT = (
+    _Field("point_index", "point", "index", ("point_index",)),
+    _Field("seed_index", "seed", "index", ("seed_index",)),
+    _Field("point", "point", 4, tuple(f"point_{i}" for i in range(1, 5))),
+    _Field("seed", "seed", 4, tuple(f"seed_{i}" for i in range(1, 5))),
+    _Field("coeffs", "row", ("A", "B", "C"), ("A", "B", "C")),
+    _Field("parallel_residual", "row", "float", ("parallel_residual",), "max_parallel_residual"),
+    _Field("nabla_q_residual", "row", "float", ("nabla_q_residual",), "max_nabla_q_residual",
+           ("nabla_q_zero", "curvature_tol", False)),
+    _Field("frame_residual", "row", "float", ("frame_residual",), "max_frame_residual",
+           ("spectral_frame", "frame_tol", False)),
+    _Field("frame_tolerance", "row", "float"),
+    _Field("mu", "pair", 6, tuple(f"mu_{i}" for i in range(1, 7))),
+    _Field("equality_residual", "pair", "float", ("equality_residual",), "max_equality_residual",
+           ("section_equalities", "section_tol", True)),
+    _Field("zero_residual", "pair", "float", ("zero_residual",), "max_zero_residual",
+           ("section_zeros", "section_tol", True)),
+    _Field("identity_residuals", "pair", tuple(IDENTITY_NAMES), ("max_identity_residual",), "max_identity_residual",
+           ("identity_suite", "section_tol", True)),
+    _Field("symmetry_residuals", "row", tuple(SYMMETRY_NAMES), ("max_symmetry_residual",), "max_symmetry_residual",
+           ("riemann_symmetries", "curvature_tol", False)),
+)
+
+
+def _shared(level: str, arrays: Dict[str, np.ndarray]) -> List[Dict[str, Any]]:
+    """The level's fields of each of its shared objects, from one array per field that has an entry per object
+    (a list or dict field's leaves in its last axis, a dict's in its names' order)."""
+    columns = {}
+    for field in (field for field in _LAYOUT if field.level == level):
+        leaves, array = field.leaves, arrays[field.name]
+        values = (array.ravel() if isinstance(leaves, str) else array.reshape(-1, array.shape[-1])).tolist()
+        columns[field.name] = [dict(zip(leaves, v)) for v in values] if isinstance(leaves, tuple) else values
+    return [dict(zip(columns, objects)) for objects in zip(*columns.values())]
 
 
 def run_verify(config: RunConfig) -> Dict[str, Any]:
@@ -247,49 +276,43 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
     Points are evaluated in blocks of up to ``_BLOCK_POINTS``: each point's
     jet is computed once, and the block's geometry and seed-level checks
     are array operations over its distinct jets.  Points in one block whose
-    jets are equal bit for bit form a row: their records share the row's
-    point-level objects and, per seed, the mu list and residual objects,
-    and the writers spell each of those once.  Records are in (point, seed)
-    order.  The summary's maxima come from the block arrays, so a NaN
-    residual makes its maximum NaN and fails its criterion.  It writes no
-    file; ``circulant4 verify`` does.
+    jets are equal bit for bit form a row.  Records share each field's
+    object as its ``_LAYOUT`` level says, and the writers spell each object
+    once.  Records are in (point, seed) order.  The summary's maxima come
+    from the block arrays, so a NaN residual makes its maximum NaN and
+    fails its criterion.  It writes no file; ``circulant4 verify`` does.
     """
-    tol = config.tolerances
-    seeds = list(enumerate(config.seeds.tolist()))  # the records of one seed share its index object too
-    records: List[Dict[str, Any]] = []
-    worst: List[List[float]] = []  # each block's largest residual per summary maximum
-    frame_ok = True
+    # Made once, so that the records of one seed share its index object too.
+    seeds = _shared("seed", {"seed_index": np.arange(len(config.seeds)), "seed": config.seeds})
+    summarised = [field for field in _LAYOUT if field.summary]
+    judged = [field.criterion + (field.name,) for field in _LAYOUT if field.criterion]
+    passed = {name: True for name, *_ in judged}
+    records, worst = [], []  # worst: each block's largest value per summary maximum
     size = max(1, min(_BLOCK_POINTS, _BLOCK_PAIRS // len(seeds)))
     for start in range(0, len(config.points), size):
         block = config.points[start:start + size]
         geo = PointGeometry.from_field(config.family, block)
         sections, identities = geo.seed_checks(config.seeds)
-        bases, point_worst, block_frame_ok = _point_records(geo, tol["frame_tol"])
-        frame_ok = frame_ok and block_frame_ok
-        pair_arrays = (sections.mu, sections.equality_residual, sections.zero_residual, identities)
-        worst.append([*point_worst, *map(np.max, pair_arrays[1:])])
-        pairs = [[{"mu": mu, "equality_residual": equality, "zero_residual": zero,
-                   "identity_residuals": dict(zip(IDENTITY_NAMES, identity))}
-                  for mu, equality, zero, identity in zip(*row)] for row in zip(*(a.tolist() for a in pair_arrays))]
-        records += [{"point_index": pi, "seed_index": si, "point": point, "seed": seed, **bases[row], **pair}
-                    for pi, point, row in zip(itertools.count(start), block.tolist(), geo.rows.tolist())
-                    for (si, seed), pair in zip(seeds, pairs[row])]
+        arrays = {
+            "coeffs": geo.coeffs, "parallel_residual": gradient_residual(geo.grads),
+            "nabla_q_residual": geo.nabla_q_residual(), "frame_residual": spectral_frame_residuals(geo.coeffs),
+            "frame_tolerance": config.tolerances["frame_tol"] * (1.0 + geo.coeffs[:, 0]), "mu": sections.mu,
+            "equality_residual": sections.equality_residual, "zero_residual": sections.zero_residual,
+            "identity_residuals": identities, "symmetry_residuals": geo.symmetry_residuals(),
+        }
+        worst.append([np.max(arrays[field.name]) for field in summarised])
+        limits = {**config.tolerances, "frame_tol": arrays["frame_tolerance"]}
+        for name, key, _, field in judged:
+            passed[name] = passed[name] and bool(np.all(arrays[field] <= limits[key]))
+        rows, n = _shared("row", arrays), len(seeds)
+        pairs = [{**seed, **pair} for seed, pair in zip(itertools.cycle(seeds), _shared("pair", arrays))]
+        for point, row in zip(_shared("point", {"point_index": np.arange(start, start + len(block)), "point": block}),
+                              geo.rows.tolist()):
+            base = {**point, **rows[row]}
+            records += [{**base, **pair} for pair in pairs[row * n:(row + 1) * n]]
 
-    (max_parallel, max_nabla_q, max_symmetry, max_frame,
-     max_equality, max_zero, max_identity) = np.max(worst, axis=0).tolist()
-
-    parallel_ok = max_nabla_q <= tol["curvature_tol"]
-    na = "not applicable (non-parallel)"
-    criteria = {
-        "riemann_symmetries": "pass" if max_symmetry <= tol["curvature_tol"] else "fail",
-        "spectral_frame": "pass" if frame_ok else "fail",
-        "nabla_q_zero": "pass" if parallel_ok else "fail",
-        "section_equalities": ("pass" if max_equality <= tol["section_tol"] else "fail") if parallel_ok else na,
-        "section_zeros": ("pass" if max_zero <= tol["section_tol"] else "fail") if parallel_ok else na,
-        "identity_suite": ("pass" if max_identity <= tol["section_tol"] else "fail") if parallel_ok else na,
-    }
-    status = "fail" if any(v == "fail" for v in criteria.values()) else "pass"
-
+    criteria = {name: ("pass" if passed[name] else "fail") if passed["nabla_q_zero"] or not needs_parallel
+                else "not applicable (non-parallel)" for name, _, needs_parallel, _ in judged}
     return {
         "tool": "circulant4",
         "version": __version__,
@@ -297,15 +320,9 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
         "rng_seed": config.rng_seed,
         "records": records,
         "summary": {
-            "max_parallel_residual": max_parallel,
-            "max_nabla_q_residual": max_nabla_q,
-            "max_symmetry_residual": max_symmetry,
-            "max_frame_residual": max_frame,
-            "max_equality_residual": max_equality,
-            "max_zero_residual": max_zero,
-            "max_identity_residual": max_identity,
+            **dict(zip((field.summary for field in summarised), np.max(worst, axis=0).tolist())),
             "criteria": criteria,
-            "status": status,
+            "status": "fail" if "fail" in criteria.values() else "pass",
         },
     }
 
@@ -313,16 +330,16 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
 def report_json(report: Dict[str, Any]) -> str:
     """Canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
 
-    Records with ``run_verify``'s fields and leaf types get one text per distinct object of each field from
-    ``_record_texts``, and ``_fill`` joins those texts once, between the head and the tail of ``json.dumps``
-    of the rest; a report with any other record goes through ``json.dumps`` whole.
+    Records laid out as ``_LAYOUT`` says get one text per distinct object of each field from ``_record_texts``,
+    and ``_fill`` joins those texts once, between the head and the tail of ``json.dumps`` of the rest; a report
+    with any other record goes through ``json.dumps`` whole.
     """
     records = report.get("records")
     if not (isinstance(records, (list, tuple)) and records):
         return _dumps(report)
     try:
         texts, numbers = _record_texts(records)
-    except TypeError:  # a record that is not laid out as run_verify's
+    except (TypeError, KeyError):  # a record that is not laid out as run_verify's
         return _dumps(report)
     outer = json.dumps({**report, "records": []}, sort_keys=True, indent=2)
     # Only the top-level key sits after a newline and exactly two spaces,
@@ -344,17 +361,10 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # The leaf types the writers spell with float.__repr__, as json.encoder does; a float subclass may spell
 # itself otherwise, and bool, int and None coerce silently into a float array.
 _FLOATS = {float, np.float64}
-# run_verify's record with a slot for each leaf; the two indices are ints, every other leaf a float.
+# The record's fields in JSON's key order, and the slot the templates put in place of each leaf.
+_SORTED = sorted(_LAYOUT, key=operator.attrgetter("name"))
+_NAMES = tuple(field.name for field in _SORTED)
 _SLOT = "\x00"
-_INDICES = ("point_index", "seed_index")
-_SKELETON = {
-    "coeffs": dict.fromkeys("ABC", _SLOT), "symmetry_residuals": dict.fromkeys(sorted(SYMMETRY_NAMES), _SLOT),
-    "identity_residuals": dict.fromkeys(sorted(IDENTITY_NAMES), _SLOT),
-    "point": [_SLOT] * 4, "seed": [_SLOT] * 4, "mu": [_SLOT] * 6,
-    **dict.fromkeys(["parallel_residual", "nabla_q_residual", "frame_residual", "frame_tolerance",
-                     "equality_residual", "zero_residual", *_INDICES], _SLOT),
-}
-_FIELDS = tuple(sorted(_SKELETON))
 
 
 def _template(like: Any, indent: str) -> str:
@@ -366,8 +376,9 @@ def _template(like: Any, indent: str) -> str:
 
 # A record's text at depth 2 of the report with a "%s" per field, and each field's with a "%s" per leaf, in
 # sorted key order; a scalar field's template is "%s".
-_RECORD = _template(dict.fromkeys(_FIELDS, _SLOT), "")
-_FIELD_TEMPLATES = [_template(_SKELETON[field], "  ") for field in _FIELDS]
+_RECORD = _template(dict.fromkeys(_NAMES, _SLOT), "")
+_FIELD_TEMPLATES = [_template(_SLOT if isinstance(f.leaves, str) else dict.fromkeys(f.leaves, _SLOT)
+                              if isinstance(f.leaves, tuple) else [_SLOT] * f.leaves, "  ") for f in _SORTED]
 
 
 def _reprs(values: Any) -> List[str]:
@@ -375,29 +386,24 @@ def _reprs(values: Any) -> List[str]:
     return list(map(float.__repr__, values))
 
 
-def _spell(values: List[float]) -> List[str]:
-    """Each float's text as json.encoder writes it."""
-    texts = _reprs(values)
-    if not _NON_FINITE.keys().isdisjoint(texts):
-        texts = [_NON_FINITE.get(text, text) for text in texts]
-    return texts
-
-
-def _spell_distinct(items: List[Any], spell: Callable[[List[float]], List[str]]) -> List[List[str]]:
-    """Each item's floats as spelled by one ``spell`` call on the distinct float64 bit patterns of them all.
-
-    Bit patterns, not values: 0.0 == -0.0 while their texts differ, and a NaN equals nothing.
-    """
-    values = np.array(list(itertools.chain.from_iterable(items)), dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = np.array(spell(bits.view(np.float64).tolist()), dtype=object)[inverse].tolist()
+def _spell_distinct(items: List[Any], non_finite: Dict[str, str]) -> List[List[str]]:
+    """Each item's floats as spelled by one ``_reprs`` call on their distinct float64 bit patterns (not values:
+    0.0 == -0.0 while their texts differ, and a NaN equals nothing), each non-finite one's text respelled by
+    ``non_finite``."""
     ends = list(itertools.accumulate(map(len, items)))
+    values = np.fromiter(itertools.chain.from_iterable(items), np.float64, ends[-1])
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    texts = _reprs(distinct.tolist())
+    for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+        texts[i] = non_finite.get(texts[i], texts[i])
+    texts = np.array(texts, dtype=object)[inverse].tolist()
     return [texts[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _columns(records: Any, fields: Tuple[str, ...]) -> Tuple[List[List[Any]], np.ndarray]:
     """The one pass over the records' fields: each field's distinct objects, told apart by identity (equal
-    copies count apart), and a (record, field) array of each record's number among them."""
+    copies count apart), and a (record, field) array of each record's number among them; else KeyError."""
     # The records hold the objects, so no two of them share an id.
     ids = np.fromiter(map(id, itertools.chain.from_iterable(map(operator.itemgetter(*fields), records))),
                       np.uint64, len(records) * len(fields)).reshape(-1, len(fields))
@@ -432,61 +438,43 @@ def _fill(head: str, template: str, separator: str, texts: List[List[str]], numb
     return "".join(args)
 
 
-def _leaves(values: List[Any], field: str) -> List[Any]:
-    """The float leaves of a field's objects, one object after another, each laid out as in ``_SKELETON`` (a
-    dict's in key order; an int index has none); else TypeError."""
-    like = _SKELETON[field]
-    if field in _INDICES:
+def _leaves(values: List[Any], leaves: Any) -> List[Any]:
+    """The float leaves of a field's objects, one object after another, each laid out as ``leaves`` says (a
+    dict's in sorted key order; an index has none); else TypeError, or KeyError for a dict with other keys:
+    a dict with as many keys as names, each of which its getter finds, has exactly those keys."""
+    if leaves == "index":
         if all(type(value) is int for value in values):  # json.dumps spells a bool otherwise
             return []
-    elif isinstance(like, dict):
-        if all(isinstance(value, dict) and value.keys() == like.keys() for value in values):
-            return list(itertools.chain.from_iterable(map(operator.itemgetter(*like), values)))
-    elif isinstance(like, list):
-        if all(isinstance(value, (list, tuple)) and len(value) == len(like) for value in values):
-            return list(itertools.chain.from_iterable(values))
-    else:
+    elif leaves == "float":
         return values
-    raise TypeError(f"record field {field!r} is not laid out as run_verify's")
+    elif isinstance(leaves, tuple):
+        if all(isinstance(value, dict) and len(value) == len(leaves) for value in values):
+            return list(itertools.chain.from_iterable(map(operator.itemgetter(*sorted(leaves)), values)))
+    elif all(isinstance(value, (list, tuple)) and len(value) == leaves for value in values):
+        return list(itertools.chain.from_iterable(values))
+    raise TypeError("a record field is not laid out as run_verify's")
 
 
 def _record_texts(records: Any) -> Tuple[List[List[str]], np.ndarray]:
     """Each field's distinct objects' texts as ``json.dumps(records, sort_keys=True, indent=2)`` writes them at
-    depth 2 of the report, and ``_columns``' (record, field) numbers; TypeError unless every record has
-    run_verify's keys, lengths, float leaves and int (not bool) indices.
-
-    ``_columns`` finds each field's distinct objects.  Their float leaves are spelled in one call, once
-    per distinct bit pattern, and each object's text is made once from its field's template: a scalar's
-    is its spelled leaf and an index's its ``str``.
+    depth 2 of the report, and ``_columns``' (record, field) numbers; TypeError or KeyError unless every record
+    is a dict with as many keys as ``_LAYOUT`` has fields, all of which ``_columns`` finds, and each field is
+    laid out as ``_leaves`` checks.  The float leaves are spelled in one call, once per distinct bit pattern,
+    and each object's text is made once from its field's template; an index's is its ``str``.
     """
-    if not all(isinstance(record, dict) and record.keys() == _SKELETON.keys() for record in records):
+    if not all(isinstance(record, dict) and len(record) == len(_NAMES) for record in records):
         raise TypeError("record keys are not run_verify's")
-    distinct, numbers = _columns(records, _FIELDS)
-    leaves = list(map(_leaves, distinct, _FIELDS))
+    distinct, numbers = _columns(records, _NAMES)
+    leaves = [_leaves(values, field.leaves) for field, values in zip(_SORTED, distinct)]
     if not set(map(type, itertools.chain.from_iterable(leaves))) <= _FLOATS:
         raise TypeError("a float leaf of a record is not a float")
-    texts = _spell_distinct(leaves, _spell)
-    for j, (field, template, values) in enumerate(zip(_FIELDS, _FIELD_TEMPLATES, distinct)):
-        if field in _INDICES:
+    texts = _spell_distinct(leaves, _NON_FINITE)
+    for j, (field, template, values) in enumerate(zip(_SORTED, _FIELD_TEMPLATES, distinct)):
+        if field.leaves == "index":
             texts[j] = list(map(str, values))
-        elif template != "%s":  # else a scalar, whose text is its spelled leaf
-            texts[j] = [template % leaf_texts for leaf_texts in zip(*[iter(texts[j])] * len(_SKELETON[field]))]
+        elif template != "%s":  # else a float, whose text is its spelled leaf
+            texts[j] = [template % leaf_texts for leaf_texts in zip(*[iter(texts[j])] * template.count("%s"))]
     return texts, numbers
-
-
-_CSV_HEADER = ",".join([
-    "point_index", "seed_index", *(f"point_{i}" for i in range(1, 5)), *(f"seed_{i}" for i in range(1, 5)),
-    "A", "B", "C", "parallel_residual", "nabla_q_residual", "frame_residual", *(f"mu_{i}" for i in range(1, 7)),
-    "equality_residual", "zero_residual", "max_identity_residual", "max_symmetry_residual"])
-# The field of each group of CSV columns after the two indices, and that field's cells.
-_CSV_CELLS: Dict[str, Callable[[Any], Any]] = {
-    "point": list, "seed": list, "coeffs": operator.itemgetter("A", "B", "C"),
-    **dict.fromkeys(["parallel_residual", "nabla_q_residual", "frame_residual"], lambda value: (value,)),
-    "mu": list, **dict.fromkeys(["equality_residual", "zero_residual"], lambda value: (value,)),
-    **dict.fromkeys(["identity_residuals", "symmetry_residuals"], lambda value: (max(value.values()),)),
-}
-_CSV_FIELDS = (*_INDICES, *_CSV_CELLS)
-_CSV_LINE = ",".join(["%s"] * len(_CSV_FIELDS)) + "\r\n"
 
 
 def _cell(value: Any) -> str:
@@ -494,26 +482,35 @@ def _cell(value: Any) -> str:
     return "" if value is None else str(value)
 
 
-def report_to_csv(report: Dict[str, Any]) -> str:
-    """Flatten per-(point, seed) records to CSV, one row each.
+def _cells(field: _Field) -> Callable[[Any], Any]:
+    """The function that gives a field's CSV cells from its object."""
+    if isinstance(field.leaves, str):
+        return lambda value: (value,)
+    if isinstance(field.leaves, int):
+        return list
+    return operator.itemgetter(*field.csv) if field.csv == field.leaves else lambda value: (max(value.values()),)
 
-    The text is what ``csv.writer`` (excel dialect) writes: every cell is a
-    number, which it spells with ``str`` and never quotes, or None, which
-    it writes as an empty cell, and each row ends in ``\\r\\n``.  The cells
-    of each distinct object of each field that ``_columns`` finds are made
-    once.  When every such cell but the indices is a ``float``, whose
-    ``str`` is its repr, they are spelled in one call, once per distinct bit
-    pattern; numpy's ``str`` of an ``np.float64`` is not assumed to agree.
-    ``_fill`` joins the header and every row's cell texts in one ``str.join``.
+
+def report_to_csv(report: Dict[str, Any]) -> str:
+    """Flatten per-(point, seed) records to CSV, one row each, in ``_LAYOUT``'s columns.
+
+    The text is what ``csv.writer`` (excel dialect) writes: every cell is a number, which it spells with
+    ``str`` and never quotes, or None, which it writes as an empty cell, and each row ends in ``\\r\\n``.
+    The cells of each distinct object of each field that ``_columns`` finds are made once.  When every such
+    cell but the indices is a ``float``, whose ``str`` is its repr, they are spelled in one call, once per
+    distinct bit pattern; numpy's ``str`` of an ``np.float64`` is not assumed to agree.  ``_fill`` joins the
+    header and every row's cell texts in one ``str.join``.
     """
-    distinct, numbers = _columns(report["records"], _CSV_FIELDS)
-    cells = [[_CSV_CELLS[field](value) for value in values] for field, values in zip(_CSV_CELLS, distinct[2:])]
-    items = list(itertools.chain.from_iterable(cells))
+    fields = [field for field in _LAYOUT if field.csv]
+    distinct, numbers = _columns(report["records"], tuple(field.name for field in fields))
+    items = [cells for field, values in zip(fields, distinct) if field.leaves != "index"
+             for cells in map(_cells(field), values)]
     floats = set(map(type, itertools.chain.from_iterable(items))) == {float}
-    spelled = iter(_spell_distinct(items, _reprs) if floats else [list(map(_cell, item)) for item in items])
-    texts = [list(map(_cell, values)) for values in distinct[:2]]
-    texts += [[",".join(next(spelled)) for _ in field_cells] for field_cells in cells]
-    return _fill(_CSV_HEADER + "\r\n", _CSV_LINE, "", texts, numbers, "")
+    spelled = iter(_spell_distinct(items, {}) if floats else [list(map(_cell, item)) for item in items])
+    texts = [list(map(_cell, values)) if field.leaves == "index" else [",".join(next(spelled)) for _ in values]
+             for field, values in zip(fields, distinct)]
+    header = ",".join(itertools.chain.from_iterable(field.csv for field in fields)) + "\r\n"
+    return _fill(header, ",".join(["%s"] * len(fields)) + "\r\n", "", texts, numbers, "")
 
 
 WRITERS: Dict[str, Callable[[Dict[str, Any]], str]] = {"json": report_json, "csv": report_to_csv}

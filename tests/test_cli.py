@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -230,6 +231,35 @@ class TestSeedValidationExitCode:
                                 "its independence polynomial overflows a float\n")
         assert captured.out == ""
         assert not out.exists()
+
+
+# s_wave at one point with a seed whose q-orbit is nearly degenerate: P(x) = -4.0e-30 against (x.x)^2 = 16.  Unrefused,
+# its run divided by zero in the q-section curvatures, wrote Infinity into the report and exited 1.
+NEARLY_DEGENERATE = {"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]},
+                     "points": [[0.3, -0.2, 0.5, 0.1]], "seeds": [[1, 1, 1, 1.0000000001]]}
+
+
+class TestNearlyDegenerateSeedExitCode:
+    def test_verify_exits_2_with_one_line_naming_the_seed(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(NEARLY_DEGENERATE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: seeds[0] = [1.0, 1.0, 1.0, 1.0000000001] is nearly degenerate: ")
+        assert captured.err.endswith(" (need |P(x)| >= 1e-12 (x.x)^2 = 1.60000000016e-11)\n")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_curvature_seed_vector_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["curvature", "--config", cfg, "--seed-vector", "1,1,1,1.0000000001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: seeds[0] = [1.0, 1.0, 1.0, 1.0000000001] is nearly degenerate: ")
+        assert captured.out == ""
 
 
 class TestParseTimeValidationExitCode:

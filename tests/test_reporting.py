@@ -2,11 +2,12 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from circulant4 import ConfigError, RunConfig, make_custom_family, run_verify
+from circulant4 import ConfigError, RunConfig, curvature, make_custom_family, reporting, run_verify
 from circulant4.cli import main
 from circulant4.reporting import report_json, report_to_csv
 
@@ -151,6 +152,24 @@ class TestSeedValidation:
     def test_non_qbase_seed_rejected_at_parse_time(self):
         with pytest.raises(ConfigError, match=r"seeds\[1\]"):
             RunConfig(base_config(seeds=[[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e40])
+    def test_nearly_degenerate_seed_rejected_at_every_scale(self, scale):
+        # P(x) = -4.0e-30 against (x.x)^2 = 16 at scale 1; both are of degree 4, so their ratio keeps at any scale.
+        seed = [scale, scale, scale, scale * 1.0000000001]
+        with pytest.raises(ConfigError, match=r"^seeds\[1\] = \[.*\] is nearly degenerate: .*\(need \|P\(x\)\| >= "
+                                              r"1e-12 \(x\.x\)\^2 = [^)]*\)$"):
+            RunConfig(base_config(seeds=[[1.0, 0.2, -0.3, 0.4], seed]))
+
+    @pytest.mark.parametrize("seed", [[1e-80, 0.0, 0.0, 0.0], [1001.0, 1000.0, 1.0, 1.0]])
+    def test_short_and_least_conditioned_documented_seeds_accepted(self, seed):
+        # 1e-80 e1: P(x) = 1e-320 is subnormal, yet its ratio to (x.x)^2 is e1's, 1; an absolute floor on P
+        # would refuse it.  [1001, 1000, 1, 1] has the smallest ratio of the documented seeds, 9.98e-4.
+        assert RunConfig(base_config(seeds=[seed])).seeds.tolist() == [seed]
+
+    def test_underflowing_polynomial_still_refused_as_no_qbase(self):
+        with pytest.raises(ConfigError, match=r"seeds\[0\] = \[1e-100, 0.0, 0.0, 0.0\] does not generate a q-base"):
+            RunConfig(base_config(seeds=[[1e-100, 0.0, 0.0, 0.0]]))
 
 
 class TestOneGeometryPassPerPoint:
@@ -498,3 +517,35 @@ class TestSeedCount:
         monkeypatch.setattr(reporting, "_MAX_RANDOM_SEEDS", 4)
         with pytest.raises(ConfigError, match="seeds"):
             RunConfig(base_config(seeds="random:4"))
+
+
+def _documented_record_fields():
+    """The rows of the "Record fields" table in docs/config_schema.md, each a list of its stripped cells."""
+    text = (pathlib.Path(__file__).resolve().parent.parent / "docs" / "config_schema.md").read_text(encoding="utf-8")
+    section = text.split("\n### Record fields\n", 1)[1].split("\n#", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
+
+
+def _layout_row(field):
+    """A _LAYOUT entry as the docs' "Record fields" table spells it."""
+    quoted = ", ".join(f"`{name}`" for name in field.csv)
+    if field.leaves in ("index", "float"):
+        layout = {"index": "int", "float": "float"}[field.leaves]
+    elif isinstance(field.leaves, int):
+        layout = f"list of {field.leaves} floats"
+    else:
+        named = [name for name in ("IDENTITY_NAMES", "SYMMETRY_NAMES")
+                 if list(field.leaves) == getattr(curvature, name)]
+        layout = (f"dict of the {len(field.leaves)} floats named in `curvature.{named[0]}`" if named
+                  else "dict of floats " + ", ".join(f"`{name}`" for name in field.leaves))
+    criterion = ""
+    if field.criterion:
+        name, tolerance, needs_parallel = field.criterion
+        criterion = f"`{name}` by `{tolerance}`" + (", needs ∇q = 0" if needs_parallel else "")
+    return [f"`{field.name}`", field.level, layout, quoted, f"`{field.summary}`" if field.summary else "", criterion]
+
+
+class TestRecordFieldsDoc:
+    def test_docs_table_matches_the_layout_table(self):
+        assert _documented_record_fields() == [_layout_row(field) for field in reporting._LAYOUT]
