@@ -145,7 +145,7 @@ def _finite_qbase_polynomials(xs: np.ndarray, name: str, error: type = ValueErro
     """qbase_polynomials of the vectors xs (N, 4), or of one vector (4,), made without numpy warnings; ``error``
     naming the first vector, as ``name.format(its index)``, whose polynomial overflows a float to inf, or to NaN
     as inf * 0.  One vector is not made a stack of one: numpy's scalar arithmetic takes half the time, and
-    the pyramid and the command line call qbase_polynomial on one vector at a time."""
+    qbase_polynomial, qbase_predicate and the pyramid pass one vector at a time."""
     with np.errstate(over="ignore", invalid="ignore"):
         polys = qbase_polynomials(xs)
     if not np.isfinite(polys).all():
@@ -155,9 +155,25 @@ def _finite_qbase_polynomials(xs: np.ndarray, name: str, error: type = ValueErro
     return polys
 
 
+# Smallest |P(x)| / (x.x)^2, free of |x| as both are quartic, that a seed generating a q-base may have.
+_MIN_QBASE_RATIO = 1e-12
+
+
+def _first_degenerate(xs: np.ndarray, name: str, error: type = ValueError) -> Optional[Tuple[int, str]]:
+    """None if every vector of xs (N, 4), or the one vector (4,), has P(x) != 0 and |P(x)| >= _MIN_QBASE_RATIO (x.x)^2,
+    else the first that does not and a text saying why; raises as _finite_qbase_polynomials on an overflow."""
+    polys = np.abs(_finite_qbase_polynomials(xs, name, error)).reshape(-1)
+    with np.errstate(over="ignore"):  # a floor that overflows to inf refuses its vector
+        floors = _MIN_QBASE_RATIO * np.sum(xs**2, axis=-1).reshape(-1) ** 2
+    for i in np.flatnonzero((polys == 0.0) | (polys < floors))[:1]:
+        return int(i), "does not generate a q-base" if polys[i] == 0.0 else (
+            f"is nearly degenerate: |P(x)| = {polys[i]} (need |P(x)| >= {_MIN_QBASE_RATIO} (x.x)^2 = {floors[i]})")
+    return None
+
+
 def qbase_predicate(x) -> bool:
-    """True iff the orbit {x, qx, q^2 x, q^3 x} spans the tangent space; ValueError if its polynomial overflows."""
-    return bool(qbase_polynomial(x) != 0.0)
+    """True iff the orbit {x, qx, q^2 x, q^3 x} is a basis _first_degenerate accepts; ValueError on an overflow."""
+    return _first_degenerate(as_vector4(x), "x") is None
 
 
 def det_qorbit(x) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -47,7 +46,7 @@ from .algebra import (
 )
 from .frames import closed_form_frame, spectral_frame, verify_frame
 from .pyramid import pyramid_report
-from .reporting import _DERIVATIVE_MODES, WRITERS, ConfigError, RunConfig, read_config, run_verify
+from .reporting import _DERIVATIVE_MODES, WRITERS, ConfigError, RunConfig, _dumps, read_config, run_verify
 
 log = logging.getLogger("circulant4")
 
@@ -90,13 +89,9 @@ def _output(path: Optional[str]) -> ContextManager[TextIO]:
     return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(payload: dict, out: Optional[str]) -> None:
     with _output(out) as fh:
-        fh.write(_json(payload))
+        fh.write(_dumps(payload))
 
 
 def _cmd_inspect(args) -> int:
@@ -195,7 +190,7 @@ def _cmd_curvature(args) -> int:
                 points[-1]["sections"] = []
             points[-1]["sections"].append({k: rec[k] for k in _CURVATURE_SECTION_KEYS})
         family = config.family
-        out.write(_json({"family": {"name": family.family, "params": list(family.params)}, "points": points}))
+        out.write(_dumps({"family": {"name": family.family, "params": list(family.params)}, "points": points}))
     return 0
 
 

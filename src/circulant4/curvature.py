@@ -41,7 +41,7 @@ from .algebra import (
     CIRCULANT_INDEX,
     ORBIT_INDEX,
     CirculantCoeffs,
-    _finite_qbase_polynomials,
+    _first_degenerate,
     apply_q,
     as_vector4,
     metric_eigenvalues,
@@ -248,8 +248,8 @@ class PointGeometry:
         normalized by max(1, |rho|).
         """
         seeds = np.asarray(seeds, dtype=float)
-        if not np.all(_finite_qbase_polynomials(seeds, "seeds[{}]") != 0.0):
-            raise ValueError("seed vector does not generate a q-base (independence polynomial is zero)")
+        if broken := _first_degenerate(seeds, "seeds[{}]"):
+            raise ValueError(f"seeds[{broken[0]}] = {seeds[broken[0]].tolist()} {broken[1]}")
         gram = orbit_gram(self.coeffs[:, None], seeds)
         r, step = self.r.reshape(-1, 1, 16, 16), max(1, _BLOCK_PAIRS // len(self.r))
         read = []
@@ -352,9 +352,9 @@ def q_invariance_residual(spec: FieldFamilySpec, p, vectors: Sequence) -> float:
     return worst
 
 
-# Smallest |P(x)|, the q-base independence polynomial, a random seed may have (on the unit cube, so |P(x)| /
-# (x.x)^2 >= 6.25e-5); smallest |P(x)| / (x.x)^2, free of |x| as both are quartic, an explicit config seed may have.
-_MIN_QBASE_POLY, _MIN_QBASE_RATIO = 1e-3, 1e-12
+# Smallest |P(x)|, the q-base independence polynomial, a random seed may have: a sampling policy, stricter on the
+# unit cube (|P(x)| / (x.x)^2 >= 6.25e-5) than the q-base rule of algebra._first_degenerate.
+_MIN_QBASE_POLY = 1e-3
 
 
 def random_qbase_seeds(rng: np.random.Generator, n: int) -> np.ndarray:

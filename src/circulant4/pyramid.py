@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CirculantCoeffs, apply_q, as_vector4, inner, metric_eigenvalues, qbase_predicate
+from .algebra import CirculantCoeffs, _first_degenerate, apply_q, as_vector4, inner, metric_eigenvalues
 
 __all__ = ["PyramidReport", "pyramid_report"]
 
@@ -43,8 +43,8 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
     if not all(eigenvalues > 0.0):
         raise ValueError(f"metric is not positive definite: eigenvalues {eigenvalues.tolist()}")
     x = as_vector4(x)
-    if not qbase_predicate(x):
-        raise ValueError("seed vector does not generate a q-base")
+    if broken := _first_degenerate(x, "x"):
+        raise ValueError(f"seed vector {broken[1]}")
     with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
         norm_sq = inner(c, x, x)
     if not 0.0 < norm_sq < math.inf:  # also an overflow to inf or NaN

@@ -30,8 +30,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .algebra import _finite_qbase_polynomials
-from .curvature import _BLOCK_PAIRS, _MIN_QBASE_RATIO, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
+from .algebra import _first_degenerate
+from .curvature import _BLOCK_PAIRS, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
 from .fields import FieldFamilySpec, _chart_bounds, gradient_residual, make_family
 from .frames import spectral_frame_residuals
 
@@ -172,13 +172,8 @@ class RunConfig:
         if isinstance(seeds, str):
             return random_qbase_seeds(np.random.default_rng(self.rng_seed), n)
         vectors = self._vectors(seeds, "seeds")
-        polys = np.abs(_finite_qbase_polynomials(vectors, "seeds[{}]", ConfigError))
-        with np.errstate(over="ignore"):  # a floor that overflows to inf refuses its seed
-            floors = _MIN_QBASE_RATIO * np.sum(vectors**2, axis=1) ** 2
-        for i in np.flatnonzero((polys == 0.0) | (polys < floors))[:1]:
-            problem = "does not generate a q-base" if polys[i] == 0.0 else (
-                f"is nearly degenerate: |P(x)| = {polys[i]} (need |P(x)| >= {_MIN_QBASE_RATIO} (x.x)^2 = {floors[i]})")
-            raise ConfigError(f"seeds[{i}] = {vectors[i].tolist()} {problem}")
+        if broken := _first_degenerate(vectors, "seeds[{}]", ConfigError):
+            raise ConfigError(f"seeds[{broken[0]}] = {vectors[broken[0]].tolist()} {broken[1]}")
         return vectors
 
     @classmethod

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from circulant4 import (
     CirculantCoeffs,
+    RunConfig,
     apply_q,
     closed_form_frame,
     det_qorbit,
+    identity_suite,
     inner,
     is_admissible,
     make_custom_family,
@@ -21,12 +24,17 @@ from circulant4 import (
     metric_det_closed,
     metric_eigenvalues,
     metric_matrix,
+    pyramid_report,
+    q_section_curvatures,
     qbase_polynomial,
     qbase_predicate,
     spectral_frame,
 )
 from circulant4.algebra import Q_MATRIX
 from circulant4.fields import eval_jets
+
+# s spans the q-fixed line, u the line q negates, r one vector of the plane q turns by a right angle.
+S, U, R = np.ones(4), np.array([1.0, -1.0, 1.0, -1.0]), np.array([1.0, 0.0, -1.0, 0.0])
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 vec4 = st.tuples(finite, finite, finite, finite)
@@ -234,6 +242,43 @@ class TestQBasePredicate:
         message = f"x = {[float(v) for v in x]}: its independence polynomial overflows a float"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             qbase_polynomial(x)
+
+    @pytest.mark.parametrize("x,accepted", [
+        ([1, 0, 0, 0], True),
+        ([1, 1, 1, 1], False),
+        ([1, 1, 1, 1.0000000001], False),  # P(x) = -4.0e-30 against (x.x)^2 = 16
+        ([1e-80, 0, 0, 0], True),  # P(x) = 1e-320 is subnormal, its floor 1e-332 underflows to 0
+        ([1e-100, 0, 0, 0], False),  # P(x) underflows to 0
+        (S + 1e-6 * U + 1e-3 * R, True),  # |P(x)| / (x.x)^2 = 4e-12
+        (S + 1e-7 * U + 1e-3 * R, False),  # |P(x)| / (x.x)^2 = 4e-13
+    ], ids=["e1", "ones", "reproducer", "tiny-e1", "underflow-e1", "ratio-4e-12", "ratio-4e-13"])
+    def test_config_library_predicate_and_pyramid_decide_alike(self, x, accepted):
+        # Each refusal names the seed its own way, then gives one reason text; no decider warns.
+        x = [float(v) for v in x]
+        spec, point = make_family("s_wave", (2.0, 0.1, 3.0, 1.0)), [0.3, -0.2, 0.5, 0.1]
+        deciders = [
+            (f"seeds[0] = {x}", lambda: RunConfig({"family": {"name": "s_wave", "params": list(spec.params)},
+                                                   "points": [point], "seeds": [x]})),
+            (f"seeds[0] = {x}", lambda: q_section_curvatures(spec, point, x)),
+            (f"seeds[0] = {x}", lambda: identity_suite(spec, point, x)),
+            ("seed vector", lambda: pyramid_report(CirculantCoeffs(3, 1, 2), x)),
+        ]
+        reasons = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qbase_predicate(x) is accepted
+            for prefix, decide in deciders:
+                try:
+                    decide()
+                    reasons.append(None)
+                except ValueError as exc:  # ConfigError is a ValueError
+                    assert str(exc).startswith(f"{prefix} ")
+                    reasons.append(str(exc)[len(prefix) + 1:])
+        if accepted:
+            assert reasons == [None] * len(deciders)
+        else:
+            assert len(set(reasons)) == 1
+            assert reasons[0].startswith(("does not generate a q-base", "is nearly degenerate: "))
 
     def test_orbit_determinant_examples(self):
         assert abs(det_qorbit([1, 0, 0, 0])) == pytest.approx(1.0, rel=1e-14)

@@ -261,6 +261,21 @@ class TestNearlyDegenerateSeedExitCode:
         assert captured.err.startswith("config error: seeds[0] = [1.0, 1.0, 1.0, 1.0000000001] is nearly degenerate: ")
         assert captured.out == ""
 
+    def test_qbase_reports_no_qbase(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["qbase", "--coeffs", "3,1,2", "--seed-vector", "1,1,1,1.0000000001"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"]["is_qbase"] is False
+
+    def test_pyramid_exits_2_naming_the_reason(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pyramid", "--coeffs", "3,1,2", "--seed-vector", "1,1,1,1.0000000001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed vector is nearly degenerate: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestParseTimeValidationExitCode:
     @pytest.mark.parametrize("overrides,field", [
