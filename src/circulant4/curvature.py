@@ -259,7 +259,12 @@ class PointGeometry:
         numerators, lhs, rhs = np.split(np.concatenate(read, axis=1), [6, 6 + len(IDENTITY_NAMES)], axis=-1)
 
         a, b = _SECTION_A, _SECTION_B
-        denoms = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
+            denoms = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
+        if not (ok := (denoms > 0.0) & (denoms < np.inf)).all():
+            i = int(np.argmin(ok.all(axis=(0, 2))))
+            raise ValueError(f"seeds[{i}] = {seeds[i].tolist()}: a q-section Gram determinant is "
+                             f"{denoms[:, i][~ok[:, i]][0]} (need a positive finite float)")
         mu = numerators / denoms
         equal_group = mu[..., [0, 2, 3, 5]]
         sections = SectionalReport(

@@ -52,9 +52,9 @@ class FrameResidual:
 class ClosedFormFrameReport:
     """Literal evaluation of the radical construction, with residual audit.
 
-    status is one of "ok", "negative_discriminant", "sqrt_domain_failure",
-    "residual_exceeds_tolerance".  candidate is present exactly when the
-    formulas stay in the real domain.
+    status is one of "ok", "sqrt_domain_failure" or "residual_exceeds_tolerance".
+    candidate is present exactly when the formulas stay in the real domain;
+    the discriminant is then >= 0, as 2B^2 - C^2 - AC <= 0 for 0 < B < C < A.
     """
 
     x2: float
@@ -73,9 +73,12 @@ def verify_frame(c: CirculantCoeffs, seed) -> FrameResidual:
 
 
 @contextlib.contextmanager
-def _float_check(c: CirculantCoeffs, construction: str) -> Iterator[None]:
-    """Raise ValueError naming ``c``, ``construction`` and numpy's error, in place of the inf, NaN or silent
-    zero that a float overflow in the body, or an underflow to 0 that it then divides by, would give."""
+def _gate(c: CirculantCoeffs, construction: str) -> Iterator[None]:
+    """Refuse ``c`` by the admissibility rule before the body runs; then raise ValueError naming ``c``,
+    ``construction`` and numpy's error, in place of the inf, NaN or silent zero that a float overflow in the
+    body, or an underflow to 0 that it then divides by, would give."""
+    if broken := _first_inadmissible(np.array([c], dtype=float)):
+        raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A: {broken[1]}")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
@@ -115,9 +118,7 @@ def spectral_frame(c: CirculantCoeffs) -> QFrame:
     does near the float limit.
     """
     c = CirculantCoeffs(*c)
-    if broken := _first_inadmissible(np.array([c], dtype=float)):
-        raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A: {broken[1]}")
-    with _float_check(c, "spectral seed"):
+    with _gate(c, "spectral seed"):
         seed = _spectral_seeds(np.array(c, dtype=float))
     return QFrame(seed=seed, vectors=q_orbit(seed), coeffs=c)
 
@@ -138,9 +139,7 @@ def closed_form_frame(c: CirculantCoeffs) -> ClosedFormFrameReport:
     c breaks the admissibility rule or a float overflows in the formulas
     (or underflows to a 0 that they divide by, as B^2 does at 1e-300).
     """
-    if broken := _first_inadmissible(np.array([c], dtype=float)):
-        raise ValueError(f"coefficients {tuple(c)} violate 0 < B < C < A: {broken[1]}")
-    with _float_check(c, "closed-form frame"):
+    with _gate(c, "closed-form frame"):
         a, b, cc = np.array(c, dtype=float)  # numpy scalars, whose arithmetic obeys np.errstate
         r_minus = a + b - 2.0 * cc
         r_plus = a + b + 2.0 * cc
@@ -157,11 +156,6 @@ def closed_form_frame(c: CirculantCoeffs) -> ClosedFormFrameReport:
         prod13 = (2.0 * b**2 - cc**2 - a * cc) / (2.0 * (a - cc) * sq_minus * sq_plus)
         disc = sum13**2 - 4.0 * prod13
     x2, sum13, prod13, disc = float(x2), float(sum13), float(prod13), float(disc)
-    if disc < 0.0:
-        return ClosedFormFrameReport(
-            x2=x2, sum_x1_x3=sum13, prod_x1_x3=prod13, discriminant=disc,
-            candidate=None, residual=None, status="negative_discriminant",
-        )
     root = math.sqrt(disc)
     x1 = 0.5 * (sum13 + root)
     x3 = 0.5 * (sum13 - root)

@@ -125,6 +125,13 @@ class TestPyramid:
                                  "not a positive finite float\n")
         assert result.stdout == ""
 
+    def test_near_singular_metric_exits_2_with_the_degenerate_apex(self, capsys):
+        argv = ["pyramid", "--coeffs", "1.000000001,0.9999999995,1", "--seed-vector", "1.002,0.999,1,0.999"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: degenerate apex: qx is parallel to x (cos alpha = 1)\n"
+        assert captured.out == ""
+
 
 class TestErrorLines:
     @pytest.mark.parametrize("argv,err", [
@@ -231,6 +238,19 @@ class TestSeedValidationExitCode:
                                 "its independence polynomial overflows a float\n")
         assert captured.out == ""
         assert not out.exists()
+
+    def test_underflowing_gram_determinant_exits_2_naming_the_seed(self, tmp_path, capsys):
+        # 1e-80 e1 passes the q-base rule (ratio 1), but on a metric of scale 1e-3 its q-section Gram determinants
+        # underflow to 0: unrefused, the run divided 0 by 0, printed a numpy warning and exited 1.
+        cfg = write_config(tmp_path, family={"name": "constant", "params": [3e-3, 1e-3, 2e-3]},
+                           points=[[0.0, 0.0, 0.0, 0.0]], seeds=[[1e-80, 0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: seeds[0] = [1e-80, 0.0, 0.0, 0.0]: a q-section Gram determinant is 0.0 "
+                                "(need a positive finite float)\n")
+        assert captured.out == ""
 
 
 # s_wave at one point with a seed whose q-orbit is nearly degenerate: P(x) = -4.0e-30 against (x.x)^2 = 16.  Unrefused,

@@ -1,6 +1,7 @@
 """Connection, curvature tensor, q-sections, and the identity suite."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,18 @@ class TestQSections:
         message = f"seeds[0] = {[float(v) for v in seed]}: its independence polynomial overflows a float"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             q_section_curvatures(spec, [0, 0, 0, 0], seed)
+
+    @pytest.mark.parametrize("check", [q_section_curvatures, identity_suite])
+    def test_rejects_seed_whose_gram_determinant_overflows_without_a_warning(self, check):
+        # 1e77 e1 passes the q-base rule (ratio 1), but g(x, x)^2 ~ 1e308 g_11^2 overflows: the determinants
+        # are inf and inf - inf, which would make mu [0, nan, 0, 0, nan, 0] after three numpy warnings.
+        spec = make_family("s_wave", S_WAVE)
+        message = ("seeds[0] = [1e+77, 0.0, 0.0, 0.0]: a q-section Gram determinant is inf "
+                   "(need a positive finite float)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(spec, [0.3, -0.2, 0.5, 0.1], [1e77, 0.0, 0.0, 0.0])
 
     def test_denominators_positive(self):
         spec = make_family("s_wave", S_WAVE)

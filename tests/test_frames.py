@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circulant4 import (
     CirculantCoeffs,
@@ -14,6 +16,29 @@ from circulant4 import (
 )
 from circulant4.algebra import apply_q
 from conftest import random_admissible
+
+# Decades 1e-150 to 1e150, far enough that B^2 and A C stay finite.
+scales = st.integers(min_value=-150, max_value=150).map(lambda k: 10.0**k)
+
+
+@st.composite
+def admissible_triples(draw):
+    """(A, B, C) with 0 < B < C < A: three distinct magnitudes at one scale."""
+    b, c, a = sorted(draw(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3, unique=True)))
+    scale = draw(scales)
+    return a * scale, b * scale, c * scale
+
+
+@st.composite
+def ulp_neighbour_triples(draw):
+    """(A, B, C) with A 1-4 ulps above C and B 1-4 ulps below it, where the discriminant is smallest."""
+    c = draw(st.floats(1.0, 10.0)) * draw(scales)
+    a, b = c, c
+    for _ in range(draw(st.integers(1, 4))):
+        a = math.nextafter(a, math.inf)
+    for _ in range(draw(st.integers(1, 4))):
+        b = math.nextafter(b, 0.0)
+    return a, b, c
 
 
 class TestSpectralFrame:
@@ -140,6 +165,19 @@ class TestClosedFormFrame:
             rep = closed_form_frame(random_admissible(rng))
             statuses.add(rep.status)
         assert statuses  # every admissible triple yields a report
+
+    @given(coeffs=st.one_of(admissible_triples(), ulp_neighbour_triples()))
+    @settings(max_examples=300, deadline=None)
+    def test_discriminant_is_never_negative(self, coeffs):
+        # For 0 < B < C < A the numerator 2B^2 - C^2 - AC of x^1 x^3 is <= 0 in floats too (rounding is
+        # monotone), so the audit has no negative-discriminant status: a report's discriminant is NaN after a
+        # domain failure and >= 0 otherwise, unless the gate refuses c first.
+        try:
+            rep = closed_form_frame(CirculantCoeffs(*coeffs))
+        except ValueError as exc:
+            assert str(exc).startswith(f"coefficients {coeffs}")
+            return
+        assert math.isnan(rep.discriminant) if rep.status == "sqrt_domain_failure" else rep.discriminant >= 0.0
 
 
 class TestFloatOverflow:

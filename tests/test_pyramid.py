@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from circulant4 import CirculantCoeffs, inner, pyramid_report, spectral_frame
+from circulant4 import CirculantCoeffs, inner, metric_eigenvalues, pyramid_report, qbase_predicate, spectral_frame
 from circulant4.curvature import random_qbase_seeds
 from conftest import random_admissible
 
@@ -74,6 +74,14 @@ class TestPositiveDefiniteMetric:
         message = f"metric is not positive definite: eigenvalues {eigenvalues}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pyramid_report(CirculantCoeffs(*coeffs), seed)
+
+    def test_near_singular_metric_gives_a_degenerate_apex(self):
+        # A - C = 1e-9: g is positive definite, but its other eigenvalues are about 1e-9, so nearly all of the
+        # seed's g-length lies on the eigenvalue-4 line (1, 1, 1, 1), which q fixes, and cos alpha = g(x, qx) / g(x, x) is within 1e-12 of 1.
+        c, x = CirculantCoeffs(1.000000001, 0.9999999995, 1), [1.002, 0.999, 1, 0.999]
+        assert all(metric_eigenvalues(c) > 0.0) and qbase_predicate(x)
+        with pytest.raises(ValueError, match=r"^degenerate apex: qx is parallel to x \(cos alpha = 1\)$"):
+            pyramid_report(c, x)
 
     def test_positive_definite_but_not_admissible_is_accepted(self):
         # B < 0 breaks 0 < B < C < A, but the eigenvalues (3, 5, 2, 2) are positive.
