@@ -15,7 +15,7 @@ Subcommands:
 Exit codes: 0 pass, 1 verification failure, 2 config error (a non-finite
 number flag too) or an output file that cannot be written.  Output goes to
 ``--out`` (``verify``: else the config's ``output.path``) or stdout, opened
-before any point is evaluated.
+before any point is evaluated; a run that fails leaves the file as it was.
 Set CML_LOG=info (or debug) for verify's status line on stderr.
 """
 
@@ -28,7 +28,7 @@ import logging
 import math
 import os
 import sys
-from typing import ContextManager, List, Optional, TextIO
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -84,14 +84,34 @@ def _coeffs(args) -> CirculantCoeffs:
     return CirculantCoeffs(*_parse_tuple(args.coeffs, 3, "--coeffs"))
 
 
-def _output(path: Optional[str]) -> ContextManager[TextIO]:
-    """Where all output goes: the file at ``path`` (opened "w", UTF-8, newline="") or, without a path, stdout."""
-    return open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout)
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[List[str]]:
+    """Where all output goes: the texts put in the list it gives, written when the block ends without an error
+    to the file at ``path`` (UTF-8, newline="") or, without a path, to stdout.  The file is opened first, so
+    that one that cannot be written fails before any work, but for appending, which truncates nothing: a
+    block that fails leaves an existing file as it was, and removes a file that the opening made."""
+    texts: List[str] = []
+    if not path:
+        yield texts
+        sys.stdout.writelines(texts)
+        return
+    made = not os.path.lexists(path)
+    fh = open(path, "a", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield texts
+            if fh.seekable() and fh.tell():  # /dev/null and a pipe hold nothing to truncate
+                fh.truncate(0)
+            fh.writelines(texts)
+    except BaseException:
+        if made:
+            os.remove(path)
+        raise
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    with _output(out) as fh:
-        fh.write(_dumps(payload))
+    with _output(out) as texts:
+        texts.append(_dumps(payload))
 
 
 def _cmd_inspect(args) -> int:
@@ -190,7 +210,7 @@ def _cmd_curvature(args) -> int:
                 points[-1]["sections"] = []
             points[-1]["sections"].append({k: rec[k] for k in _CURVATURE_SECTION_KEYS})
         family = config.family
-        out.write(_dumps({"family": {"name": family.family, "params": list(family.params)}, "points": points}))
+        out.append(_dumps({"family": {"name": family.family, "params": list(family.params)}, "points": points}))
     return 0
 
 
@@ -200,7 +220,7 @@ def _cmd_verify(args) -> int:
     config = RunConfig.from_file(args.config)
     with _output(args.out or config.output_path) as out:
         report = run_verify(config)
-        out.write(WRITERS[args.format or config.output_format](report))
+        out.append(WRITERS[args.format or config.output_format](report))
     status = report["summary"]["status"]
     log.info("verification status: %s", status)
     return 0 if status == "pass" else 1

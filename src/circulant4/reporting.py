@@ -10,21 +10,24 @@ records, the summary and the criteria from it, and the writers their text.
 Reports are plain dicts; this module writes no file.  ``WRITERS`` maps each
 output format to its writer: canonical JSON (sorted keys, fixed indentation,
 so identical configs with identical RNG seeds give byte-identical text) or
-CSV.  Both make one ``_columns`` pass over the records' fields to find
-each field's distinct objects, by identity, and make one text for each of
-those; ``_fill`` then writes the whole report with one ``str.join`` of
-those texts in record order, with no per-record template.
+CSV.  Both take the records by one rule, in ``_record_texts``, which finds
+each field's distinct objects by identity and makes one text for each;
+``_fill`` then writes the report with one ``str.join`` of those texts.  Any
+other report goes whole to ``json.dumps`` or ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import collections
+import csv
+import io
 import itertools
 import json
 import math
 import operator
 import re
 import reprlib
+import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -101,8 +104,8 @@ class RunConfig:
             raise ConfigError("'tolerances' must be an object")
         _check_keys(given, tuple(DEFAULT_TOLERANCES), "tolerances.")
         for name, value in given.items():
-            if isinstance(value, bool) or not (isinstance(value, (int, float)) and value > 0):
-                raise ConfigError(f"tolerance 'tolerances.{name}' must be a positive number, got {value!r}")
+            if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0 < value <= sys.float_info.max):
+                raise ConfigError(f"tolerance 'tolerances.{name}' must be a positive finite number, got {value!r}")
         self.tolerances = {**DEFAULT_TOLERANCES, **given}
 
         out = raw.get("output", {})
@@ -325,16 +328,13 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
 def report_json(report: Dict[str, Any]) -> str:
     """Canonical JSON, exactly ``json.dumps(report, sort_keys=True, indent=2) + "\n"``.
 
-    Records laid out as ``_LAYOUT`` says get one text per distinct object of each field from ``_record_texts``,
-    and ``_fill`` joins those texts once, between the head and the tail of ``json.dumps`` of the rest; a report
-    with any other record goes through ``json.dumps`` whole.
+    A report that ``_record_texts`` takes gets one text per distinct object of each field from it, and
+    ``_fill`` joins those texts once, between the head and the tail of ``json.dumps`` of the rest; any other
+    report goes through ``json.dumps`` whole.
     """
-    records = report.get("records")
-    if not (isinstance(records, (list, tuple)) and records):
-        return _dumps(report)
     try:
-        texts, numbers = _record_texts(records)
-    except (TypeError, KeyError):  # a record that is not laid out as run_verify's
+        texts, numbers = _record_texts(report.get("records"), _SORTED, _FIELD_TEMPLATES, _NON_FINITE)
+    except (TypeError, KeyError):  # records that the record path does not take
         return _dumps(report)
     outer = json.dumps({**report, "records": []}, sort_keys=True, indent=2)
     # Only the top-level key sits after a newline and exactly two spaces,
@@ -353,8 +353,8 @@ _RECORD_INDENT = "\n    "
 _RECORD_SEPARATOR = "," + _RECORD_INDENT
 # How json.encoder spells the floats whose repr is not JSON.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# The leaf types the writers spell with float.__repr__, as json.encoder does; a float subclass may spell
-# itself otherwise, and bool, int and None coerce silently into a float array.
+# The leaf types the writers spell with float.__repr__, as json.encoder and csv.writer (an np.float64's str is its
+# repr) do; a float subclass may spell itself otherwise, and bool, int and None coerce silently into a float array.
 _FLOATS = {float, np.float64}
 # The record's fields in JSON's key order, and the slot the templates put in place of each leaf.
 _SORTED = sorted(_LAYOUT, key=operator.attrgetter("name"))
@@ -374,10 +374,17 @@ def _template(like: Any, indent: str) -> str:
 _RECORD = _template(dict.fromkeys(_NAMES, _SLOT), "")
 _FIELD_TEMPLATES = [_template(_SLOT if isinstance(f.leaves, str) else dict.fromkeys(f.leaves, _SLOT)
                               if isinstance(f.leaves, tuple) else [_SLOT] * f.leaves, "  ") for f in _SORTED]
+# The CSV's fields in column order (a dict with one column, its largest value, laid out as "max"), and its header.
+_CSV = [f._replace(leaves="max") if isinstance(f.leaves, tuple) and f.csv != f.leaves else f
+        for f in _LAYOUT if f.csv]
+_CSV_COLUMNS = tuple(itertools.chain.from_iterable(field.csv for field in _CSV))
 
 
 def _reprs(values: Any) -> List[str]:
     """Each float's ``float.__repr__``: its text in csv.writer's cells, and in JSON's if finite."""
+    # No faster exact spelling is installed.  On seeds_heavy's 8790 distinct floats at rng_seed 101 (best of 300
+    # interleaved calls, 2-vCPU VM) this took 7.0 ms, numpy's astype(str) 11.2 ms and its StringDType cast
+    # 11.8 ms, both with these texts; orjson took 0.3 ms but spells 127 of them otherwise (e-6 for e-06).
     return list(map(float.__repr__, values))
 
 
@@ -435,13 +442,15 @@ def _fill(head: str, template: str, separator: str, texts: List[List[str]], numb
 
 def _leaves(values: List[Any], leaves: Any) -> List[Any]:
     """The float leaves of a field's objects, one object after another, each laid out as ``leaves`` says (a
-    dict's in sorted key order; an index has none); else TypeError, or KeyError for a dict with other keys:
-    a dict with as many keys as names, each of which its getter finds, has exactly those keys."""
+    dict's in sorted key order, or for "max" its largest value; an index has none); else TypeError, or KeyError
+    for a dict with other keys: a dict with as many keys as names, each found by its getter, has just those."""
     if leaves == "index":
-        if all(type(value) is int for value in values):  # json.dumps spells a bool otherwise
+        if all(type(value) is int for value in values):  # json.dumps spells a bool, csv.writer quotes a string
             return []
     elif leaves == "float":
         return values
+    elif leaves == "max":
+        return list(map(max, map(dict.values, values)))
     elif isinstance(leaves, tuple):
         if all(isinstance(value, dict) and len(value) == len(leaves) for value in values):
             return list(itertools.chain.from_iterable(map(operator.itemgetter(*sorted(leaves)), values)))
@@ -450,62 +459,54 @@ def _leaves(values: List[Any], leaves: Any) -> List[Any]:
     raise TypeError("a record field is not laid out as run_verify's")
 
 
-def _record_texts(records: Any) -> Tuple[List[List[str]], np.ndarray]:
-    """Each field's distinct objects' texts as ``json.dumps(records, sort_keys=True, indent=2)`` writes them at
-    depth 2 of the report, and ``_columns``' (record, field) numbers; TypeError or KeyError unless every record
-    is a dict with as many keys as ``_LAYOUT`` has fields, all of which ``_columns`` finds, and each field is
-    laid out as ``_leaves`` checks.  The float leaves are spelled in one call, once per distinct bit pattern,
-    and each object's text is made once from its field's template; an index's is its ``str``.
-    """
-    if not all(isinstance(record, dict) and len(record) == len(_NAMES) for record in records):
-        raise TypeError("record keys are not run_verify's")
-    distinct, numbers = _columns(records, _NAMES)
-    leaves = [_leaves(values, field.leaves) for field, values in zip(_SORTED, distinct)]
+def _record_texts(records: Any, fields: List[_Field], templates: List[str],
+                  non_finite: Dict[str, str]) -> Tuple[List[List[str]], np.ndarray]:
+    """Both writers' one rule and record path: for a non-empty list or tuple of dicts with as many keys as
+    ``_LAYOUT`` has fields, ``fields`` among them, laid out as ``_leaves`` checks with float leaves of a type in
+    ``_FLOATS``, each field's distinct objects' texts, made once from ``templates`` with the leaves spelled in
+    one ``_spell_distinct`` call (an index's is its ``str``), and ``_columns``' numbers.  Else TypeError or
+    KeyError, and the writer hands the whole report to json.dumps or csv.writer."""
+    if not (isinstance(records, (list, tuple)) and records
+            and all(isinstance(record, dict) and len(record) == len(_LAYOUT) for record in records)):
+        raise TypeError("records are not run_verify's")
+    distinct, numbers = _columns(records, tuple(field.name for field in fields))
+    leaves = [_leaves(values, field.leaves) for field, values in zip(fields, distinct)]
     if not set(map(type, itertools.chain.from_iterable(leaves))) <= _FLOATS:
         raise TypeError("a float leaf of a record is not a float")
-    texts = _spell_distinct(leaves, _NON_FINITE)
-    for j, (field, template, values) in enumerate(zip(_SORTED, _FIELD_TEMPLATES, distinct)):
+    texts = _spell_distinct(leaves, non_finite)
+    for j, (field, template, values) in enumerate(zip(fields, templates, distinct)):
         if field.leaves == "index":
             texts[j] = list(map(str, values))
-        elif template != "%s":  # else a float, whose text is its spelled leaf
+        elif template != "%s":  # else each object's text is its one spelled leaf
             texts[j] = [template % leaf_texts for leaf_texts in zip(*[iter(texts[j])] * template.count("%s"))]
     return texts, numbers
 
 
-def _cell(value: Any) -> str:
-    """A cell's text as csv.writer spells it: empty for None, else ``str``."""
-    return "" if value is None else str(value)
-
-
 def _cells(field: _Field) -> Callable[[Any], Any]:
-    """The function that gives a field's CSV cells from its object."""
+    """The function that gives a CSV field's cells from its object."""
+    if field.leaves == "max":
+        return lambda value: (max(value.values()),)
     if isinstance(field.leaves, str):
         return lambda value: (value,)
-    if isinstance(field.leaves, int):
-        return list
-    return operator.itemgetter(*field.csv) if field.csv == field.leaves else lambda value: (max(value.values()),)
+    return list if isinstance(field.leaves, int) else operator.itemgetter(*field.csv)
 
 
 def report_to_csv(report: Dict[str, Any]) -> str:
-    """Flatten per-(point, seed) records to CSV, one row each, in ``_LAYOUT``'s columns.
+    """Flatten per-(point, seed) records to CSV, one row each, in ``_LAYOUT``'s columns: exactly what
+    ``csv.writer`` (excel dialect) writes, each row ending in ``\\r\\n``.
 
-    The text is what ``csv.writer`` (excel dialect) writes: every cell is a number, which it spells with
-    ``str`` and never quotes, or None, which it writes as an empty cell, and each row ends in ``\\r\\n``.
-    The cells of each distinct object of each field that ``_columns`` finds are made once.  When every such
-    cell but the indices is a ``float``, whose ``str`` is its repr, they are spelled in one call, once per
-    distinct bit pattern; numpy's ``str`` of an ``np.float64`` is not assumed to agree.  ``_fill`` joins the
-    header and every row's cell texts in one ``str.join``.
+    A report that ``_record_texts`` takes has only int and float cells, which csv.writer spells with ``str``
+    and never quotes, so ``_fill`` writes the header and the texts of each field's distinct objects with one
+    ``str.join``; any other report goes to csv.writer whole, each row its fields' ``_cells``.
     """
-    fields = [field for field in _LAYOUT if field.csv]
-    distinct, numbers = _columns(report["records"], tuple(field.name for field in fields))
-    items = [cells for field, values in zip(fields, distinct) if field.leaves != "index"
-             for cells in map(_cells(field), values)]
-    floats = set(map(type, itertools.chain.from_iterable(items))) == {float}
-    spelled = iter(_spell_distinct(items, {}) if floats else [list(map(_cell, item)) for item in items])
-    texts = [list(map(_cell, values)) if field.leaves == "index" else [",".join(next(spelled)) for _ in values]
-             for field, values in zip(fields, distinct)]
-    header = ",".join(itertools.chain.from_iterable(field.csv for field in fields)) + "\r\n"
-    return _fill(header, ",".join(["%s"] * len(fields)) + "\r\n", "", texts, numbers, "")
+    try:
+        texts, numbers = _record_texts(report.get("records"), _CSV, [",".join(["%s"] * len(f.csv)) for f in _CSV], {})
+    except (TypeError, KeyError):  # records that the record path does not take
+        buffer, cells = io.StringIO(), [(field.name, _cells(field)) for field in _CSV]
+        csv.writer(buffer).writerows(itertools.chain([_CSV_COLUMNS], (
+            [cell for name, get in cells for cell in get(record[name])] for record in report["records"])))
+        return buffer.getvalue()
+    return _fill(",".join(_CSV_COLUMNS) + "\r\n", ",".join(["%s"] * len(_CSV)) + "\r\n", "", texts, numbers, "")
 
 
 WRITERS: Dict[str, Callable[[Dict[str, Any]], str]] = {"json": report_json, "csv": report_to_csv}

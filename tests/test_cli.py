@@ -697,3 +697,57 @@ class TestOutputOpenedBeforeTheRun:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["family"]["name"] == "s_wave"
         assert not ignored.exists()
+
+
+class TestNonFiniteTolerance:
+    """A tolerance that JSON reads as infinite is a config error: an infinite curvature_tol would pass the
+    control family's nabla_q_zero and so judge section criteria that do not apply to it."""
+
+    @pytest.mark.parametrize("text", ["Infinity", "1e400", "NaN"])
+    def test_exits_2_with_one_line_naming_the_key(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, family={"name": "control", "params": [3.0, 0.1, 1.0, 2.0]},
+                           tolerances={"curvature_tol": "TOL"})
+        pathlib.Path(cfg).write_text(pathlib.Path(cfg).read_text().replace('"TOL"', text))
+        assert main(["verify", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: tolerance 'tolerances.curvature_tol'")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+# A seed whose q-section Gram determinant underflows to 0: the config parses, and the run stops with exit 2.
+UNDERFLOW = {"family": {"name": "constant", "params": [3e-3, 1e-3, 2e-3]}, "points": [[0.0, 0.0, 0.0, 0.0]],
+             "seeds": [[1e-80, 0.0, 0.0, 0.0]]}
+
+
+class TestFailedRunKeepsTheOutput:
+    """The output is opened before the run but written only after it: a run that fails part way leaves an
+    existing file as it was and no new file."""
+
+    @staticmethod
+    def argv(tmp_path, command, out):
+        name, where = command.split()
+        cfg = write_config(tmp_path, **UNDERFLOW, **({"output": {"path": str(out)}} if where == "output.path" else {}))
+        return [name, "--config", cfg] + (["--out", str(out)] if where == "--out" else [])
+
+    @pytest.mark.parametrize("command", ["verify --out", "verify output.path", "curvature --out"])
+    def test_existing_file_keeps_its_bytes(self, tmp_path, capsys, command):
+        out = tmp_path / "report.json"
+        out.write_bytes(b'{"earlier": "report"}\r\n')
+        assert main(self.argv(tmp_path, command, out)) == 2
+        assert "q-section Gram determinant is 0.0" in capsys.readouterr().err
+        assert out.read_bytes() == b'{"earlier": "report"}\r\n'
+
+    @pytest.mark.parametrize("command", ["verify --out", "verify output.path", "curvature --out"])
+    def test_new_path_is_not_left_behind(self, tmp_path, capsys, command):
+        out = tmp_path / "report.json"
+        assert main(self.argv(tmp_path, command, out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "curvature"])
+    def test_run_that_ends_replaces_a_longer_file(self, tmp_path, capsys, command):
+        cfg, out = write_config(tmp_path), tmp_path / "report.json"
+        assert main([command, "--config", cfg]) in (0, 1)
+        printed = capsys.readouterr().out
+        out.write_text("x" * (2 * len(printed)))
+        assert main([command, "--config", cfg, "--out", str(out)]) in (0, 1)
+        assert out.read_bytes() == printed.encode("utf-8")

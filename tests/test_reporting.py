@@ -212,6 +212,16 @@ class TestParseTimeValidation:
         with pytest.raises(ConfigError, match=r"tolerances\.section_tol"):
             RunConfig(base_config(tolerances={"section_tol": True}))
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 10**400, 0, -1e-9],
+                             ids=["inf", "nan", "10**400", "0", "negative"])
+    def test_tolerance_must_be_positive_and_finite(self, value):
+        with pytest.raises(ConfigError, match=r"tolerances\.curvature_tol' must be a positive finite number"):
+            RunConfig(base_config(tolerances={"curvature_tol": value}))
+
+    def test_largest_finite_tolerance_accepted(self):
+        config = RunConfig(base_config(tolerances={"curvature_tol": 1.7976931348623157e308, "section_tol": 10**300}))
+        assert config.tolerances["curvature_tol"] == 1.7976931348623157e308
+
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ConfigError, match=r"tolerances\.sectoin_tol"):
             RunConfig(base_config(tolerances={"sectoin_tol": 1e-9}))

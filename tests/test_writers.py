@@ -8,10 +8,13 @@ so those cases also run with the json.dumps fallback made to raise.
 import copy
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from test_serialise import csv_oracle, json_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_serialise import csv_oracle, floats, json_oracle
 
 from circulant4 import RunConfig, reporting, run_verify
 from circulant4.reporting import report_json, report_to_csv
@@ -546,3 +549,54 @@ class TestRowReuse:
         rows = {tuple(id(r[f]) for f in ROW_FIELDS) for r in records}
         groups = {tuple(id(r[f]) for f in ["seed", "seed_index", *PAIR_FIELDS]) for r in records}
         assert (len(rows), len(groups)) == (4, 4 * 8)
+
+
+float_cells = st.one_of(floats, floats.map(np.float64))
+float_dicts = st.dictionaries(st.text(max_size=3), float_cells, min_size=1, max_size=3)
+# Records with run_verify's keys and float or np.float64 cells, which the record path takes.
+layout_records = st.fixed_dictionaries({
+    **{name: float_cells for name in ["parallel_residual", "nabla_q_residual", "frame_residual", "frame_tolerance",
+                                      "equality_residual", "zero_residual"]},
+    "point_index": st.integers(0, 10**6), "seed_index": st.integers(0, 10**6),
+    "point": st.lists(float_cells, min_size=4, max_size=4), "seed": st.lists(float_cells, min_size=4, max_size=4),
+    "coeffs": st.fixed_dictionaries({"A": float_cells, "B": float_cells, "C": float_cells}),
+    "mu": st.lists(float_cells, min_size=6, max_size=6),
+    "identity_residuals": float_dicts, "symmetry_residuals": float_dicts,
+})
+
+
+class TestOneRule:
+    """Both writers take the record path by one rule, int indices and float leaves of a type in _FLOATS, and
+    hand every other report whole to json.dumps or csv.writer."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(layout_records, min_size=1, max_size=4))
+    def test_csv_record_path_matches_csv_writer(self, records):
+        report = {"records": records}
+        expected = csv_oracle(report)
+        with mock.patch.object(reporting.csv, "writer", side_effect=AssertionError("report_to_csv fell back")):
+            assert report_to_csv(report) == expected
+
+    @pytest.mark.parametrize("text", ["a,b", 'a"b', "x\ny"], ids=["comma", "quote", "newline"])
+    @pytest.mark.parametrize("path", [("mu", 0), ("zero_residual",), ("coeffs", "A"), ("seed", 3), ("point_index",)],
+                             ids=lambda path: ".".join(map(str, path)))
+    def test_string_cells_are_written_as_csv_writer_does(self, path, text):
+        records = real_report()["records"]
+        records[1] = set_leaf(records[1], path, text)
+        assert_bytes({"records": records})
+
+    def test_np_float64_cells_take_the_record_path(self, monkeypatch):
+        records = [{**r, **{field: np.float64(r[field]) for field in ("parallel_residual", "zero_residual")},
+                    **{field: list(map(np.float64, r[field])) for field in ("point", "seed", "mu")}}
+                   for r in workload_report("control")["records"]]
+        report = {"records": records}
+        assert {type(cell) for r in records for cell in csv_float_cells(r)} == {float, np.float64}
+        distinct = TestOneSpellingPass.distinct(records, csv_float_cells)
+        assert TestOneSpellingPass.spell_calls(monkeypatch, report, report_to_csv, csv_oracle) == [distinct]
+
+    @pytest.mark.parametrize("records", [[], ()], ids=["list", "tuple"])
+    def test_empty_reports_go_whole(self, no_fallback, records):
+        report = {"records": records, "config": {}}
+        with pytest.raises(AssertionError, match="fell back"):
+            report_json(report)
+        assert report_to_csv(report) == csv_oracle(report)
