@@ -29,10 +29,10 @@ from circulant4 import (
 np.set_printoptions(precision=6, suppress=True)
 
 c = CirculantCoeffs(3.0, 1.0, 2.0)
-frame = spectral_frame(c)
-res = verify_frame(c, frame.seed)
+seed = spectral_frame(c)
+res = verify_frame(c, seed)
 print(f"coefficients A={c.a}, B={c.b}, C={c.c}")
-print(f"spectral seed: {frame.seed}")
+print(f"spectral seed: {seed}")
 print("Gram matrix of the orbit (should be the identity):")
 print(res.gram)
 print(f"max deviation from identity: {res.max_deviation:.2e}")
@@ -58,7 +58,7 @@ print(f"  base angle gamma = {math.degrees(math.acos(rep.cos_gamma)):.4f} deg")
 print(f"  apex angle delta = {math.degrees(math.acos(rep.cos_delta)):.4f} deg")
 print(f"  2*gamma + delta - pi = {rep.angle_sum_residual:.2e}")
 
-rep = pyramid_report(c, frame.seed)
+rep = pyramid_report(c, seed)
 print("orthonormal seed:")
 print(f"  gamma = delta = {math.degrees(math.acos(rep.cos_gamma)):.4f} deg "
       "(equilateral faces)")

@@ -32,10 +32,10 @@ np.set_printoptions(precision=6, suppress=True)
 family = make_family("s_wave", (2.0, 0.1, 3.0, 1.0))
 p = np.array([0.3, -0.2, 0.5, 0.1])
 
-ct = riemann(family, p)
-print(f"max |R| at {p}: {np.max(np.abs(ct.r)):.6f}  (the structure is curved)")
+r = riemann(family, p)
+print(f"max |R| at {p}: {np.max(np.abs(r)):.6f}  (the structure is curved)")
 print("classical symmetry residuals:")
-for name, value in symmetry_residuals(ct.r).items():
+for name, value in symmetry_residuals(r).items():
     print(f"  {name:22s} {value:.2e}")
 
 seed = np.array([1.0, 0.2, -0.3, 0.4])

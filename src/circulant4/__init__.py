@@ -16,7 +16,6 @@ from .algebra import (
     qbase_predicate,
 )
 from .curvature import (
-    CurvatureTensor,
     SectionalReport,
     christoffel,
     identity_suite,
@@ -38,7 +37,6 @@ from .fields import (
 from .frames import (
     ClosedFormFrameReport,
     FrameResidual,
-    QFrame,
     closed_form_frame,
     spectral_frame,
     verify_frame,
@@ -51,12 +49,12 @@ __all__ = [
     "CirculantCoeffs", "apply_q", "det_qorbit", "inner", "is_admissible",
     "metric_det_closed", "metric_eigenvalues", "metric_matrix",
     "qbase_polynomial", "qbase_predicate",
-    "CurvatureTensor", "SectionalReport", "christoffel", "identity_suite",
+    "SectionalReport", "christoffel", "identity_suite",
     "nabla_q_residual", "q_invariance_residual", "q_section_curvatures",
     "riemann", "sectional",
     "FieldFamilySpec", "FieldJet", "coeffs_at", "eval_jet",
     "make_custom_family", "make_family", "parallel_residual",
-    "ClosedFormFrameReport", "FrameResidual", "QFrame",
+    "ClosedFormFrameReport", "FrameResidual",
     "closed_form_frame", "spectral_frame", "verify_frame",
     "PyramidReport", "pyramid_report",
     "ConfigError", "RunConfig", "run_verify",

@@ -146,17 +146,17 @@ def _cmd_qbase(args) -> int:
             "is_qbase": qbase_predicate(seed),
         }
     try:
-        frame = spectral_frame(c)
+        spectral_seed = spectral_frame(c)
     except ValueError as exc:  # c breaks the admissibility rule, and the text says where; or a float overflows
         if is_admissible(c):
             raise
         payload["frames"] = f"not available: {exc}"
         _emit(payload, args.out)
         return 1
-    residual = verify_frame(c, frame.seed)
+    residual = verify_frame(c, spectral_seed)
     audit = closed_form_frame(c)
     payload["spectral_frame"] = {
-        "seed": frame.seed.tolist(),
+        "seed": spectral_seed.tolist(),
         "gram": residual.gram.tolist(),
         "max_deviation": residual.max_deviation,
     }

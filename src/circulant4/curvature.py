@@ -48,14 +48,12 @@ from .algebra import (
     orbit_gram,
     qbase_polynomials,
 )
-from .fields import FieldFamilySpec, FieldJet, eval_jets
+from .fields import FieldFamilySpec, eval_jets
 
 __all__ = [
-    "CurvatureTensor",
     "SectionalReport",
     "PointGeometry",
     "point_geometry",
-    "metric_derivatives",
     "riemann_core",
     "christoffel",
     "nabla_q_residual",
@@ -128,11 +126,6 @@ def _metric_arrays(coeffs: np.ndarray, grads: np.ndarray, hessians: np.ndarray):
     return g, dg, ddg
 
 
-def metric_derivatives(jet: FieldJet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble (g, dg, ddg) arrays from a coefficient-field jet."""
-    return _metric_arrays(np.array(jet.value, dtype=float), jet.grads, jet.hessians)
-
-
 def _circulant_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Inverse metrics (..., 4, 4) of generators (..., 3): the circulant matrices whose
     generators are the inverse DFT of the reciprocal eigenvalues of g (Gray,
@@ -163,13 +156,6 @@ def riemann_core(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
     R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik)
     + Gamma_{m,jk} Gamma^m_il - Gamma_{m,ik} Gamma^m_jl (see _connection)."""
     return _connection(g, dg, ddg, np.linalg.inv(g))[1]
-
-
-@dataclass(frozen=True)
-class CurvatureTensor:
-    """(0,4) Riemann tensor components R(d_i, d_j, d_k, d_l) at a point."""
-
-    r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -302,24 +288,28 @@ def nabla_q_residual(spec: FieldFamilySpec, p) -> float:
     return float(point_geometry(spec, p).nabla_q_residual()[0])
 
 
-def riemann(spec: FieldFamilySpec, p) -> CurvatureTensor:
-    """(0,4) Riemann tensor of g at a chart point."""
-    return CurvatureTensor(r=point_geometry(spec, p).r[0])
+def riemann(spec: FieldFamilySpec, p) -> np.ndarray:
+    """(0,4) Riemann tensor r[i, j, k, l] = R(d_i, d_j, d_k, d_l) of g at a chart point."""
+    return point_geometry(spec, p).r[0]
 
 
-# A 2-section is degenerate when its Gram determinant is at most this times max(1, g(x,x) g(y,y)).
+# A 2-section is degenerate unless its Gram determinant exceeds this times g(x,x) g(y,y).
 _SECTION_DENOM_TOL = 1e-12
 
 
 def sectional(spec: FieldFamilySpec, p, x, y) -> float:
-    """Sectional curvature of the 2-section spanned by x and y."""
+    """Sectional curvature R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) of the 2-section spanned by x and y.
+
+    ValueError unless the denominator exceeds 1e-12 g(x,x) g(y,y), i.e. the squared sine of the g-angle of x
+    and y exceeds 1e-12: a scale-free rule, so 2^k x and 2^k y give a bit-identical result (short of overflow).
+    """
     geo = point_geometry(spec, p)
     g = geo.g[0]
     x = as_vector4(x)
     y = as_vector4(y)
     gxx, gyy, gxy = x @ g @ x, y @ g @ y, x @ g @ y
     denom = float(gxx * gyy - gxy**2)
-    if denom <= _SECTION_DENOM_TOL * max(1.0, abs(float(gxx * gyy))):
+    if not denom > _SECTION_DENOM_TOL * float(gxx * gyy):
         raise ValueError(f"degenerate 2-section: Gram determinant {denom} below tolerance")
     return float(np.einsum("ijkl,i,j,k,l->", geo.r[0], x, y, x, y)) / denom
 

@@ -19,10 +19,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .algebra import CirculantCoeffs, _first_inadmissible, as_vector4, orbit_gram, q_orbit
+from .algebra import CirculantCoeffs, _first_inadmissible, as_vector4, orbit_gram
 
 __all__ = [
-    "QFrame",
     "FrameResidual",
     "ClosedFormFrameReport",
     "spectral_frame",
@@ -30,15 +29,6 @@ __all__ = [
     "closed_form_frame",
     "verify_frame",
 ]
-
-@dataclass(frozen=True)
-class QFrame:
-    """A seed vector together with its q-iterates and the metric coefficients."""
-
-    seed: np.ndarray
-    vectors: np.ndarray  # rows: seed, q seed, q^2 seed, q^3 seed
-    coeffs: CirculantCoeffs
-
 
 @dataclass(frozen=True)
 class FrameResidual:
@@ -103,13 +93,13 @@ def _spectral_seeds(coeffs: np.ndarray) -> np.ndarray:
 
 def spectral_frame_residuals(coeffs: np.ndarray) -> np.ndarray:
     """Max Gram deviation from the identity of the spectral frame of each
-    admissible generator row (..., 3), as verify_frame(c, spectral_frame(c).seed)."""
+    admissible generator row (..., 3), as verify_frame(c, spectral_frame(c))."""
     gram = orbit_gram(coeffs, _spectral_seeds(coeffs))
     return np.max(np.abs(gram - np.eye(4)), axis=(-2, -1))
 
 
-def spectral_frame(c: CirculantCoeffs) -> QFrame:
-    """Orthonormal q-frame seed from the Fourier eigenplanes of g.
+def spectral_frame(c: CirculantCoeffs) -> np.ndarray:
+    """Seed (4,) of an orthonormal q-frame, from the Fourier eigenplanes of g.
 
     The seed mixes the three metric eigenspaces with weights chosen so that
     g(x, x) = 1 and g(x, qx) = g(x, q^2 x) = 0; q-invariance of g then
@@ -119,8 +109,7 @@ def spectral_frame(c: CirculantCoeffs) -> QFrame:
     """
     c = CirculantCoeffs(*c)
     with _gate(c, "spectral seed"):
-        seed = _spectral_seeds(np.array(c, dtype=float))
-    return QFrame(seed=seed, vectors=q_orbit(seed), coeffs=c)
+        return _spectral_seeds(np.array(c, dtype=float))
 
 
 # Largest Gram deviation of the closed-form candidate that closed_form_frame reports as "ok".

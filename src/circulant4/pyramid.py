@@ -36,7 +36,7 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
     cos(alpha) = g(x, qx)/g(x, x) and cos(beta) = g(x, q^2 x)/g(x, x) are
     well defined because every q-iterate has the same norm.  Raises on
     degenerate input (g not positive definite, seed not a q-base, g(x, x) not a positive
-    finite float, or qx parallel to x).
+    finite float, or qx or q^2 x parallel to x).
     """
     c = CirculantCoeffs(*c)
     eigenvalues = metric_eigenvalues(c)
@@ -53,6 +53,8 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
     cos_beta = inner(c, x, apply_q(x, 2)) / norm_sq
     if cos_alpha >= 1.0 - 1e-12:
         raise ValueError("degenerate apex: qx is parallel to x (cos alpha = 1)")
+    if cos_beta >= 1.0 - 1e-12:
+        raise ValueError("degenerate base: q^2 x is parallel to x (cos beta = 1)")
     edge_sq_long = 2.0 * norm_sq * (1.0 - cos_alpha)
     edge_sq_short = 2.0 * norm_sq * (1.0 - cos_beta)
     cos_gamma = (1.0 - cos_beta) / (2.0 * math.sqrt(1.0 - cos_alpha) * math.sqrt(1.0 - cos_beta))

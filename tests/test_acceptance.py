@@ -142,7 +142,7 @@ def test_criterion_06_orthonormal_frame_existence():
     worst = 0.0
     statuses = collections.Counter()
     for c in sample:
-        res = verify_frame(c, spectral_frame(c).seed)
+        res = verify_frame(c, spectral_frame(c))
         worst = max(worst, res.max_deviation / (1e-12 * (1 + c.a)))
         statuses[closed_form_frame(c).status] += 1
     tally = ", ".join(f"{k}={v}" for k, v in sorted(statuses.items()))
@@ -211,9 +211,9 @@ def test_criterion_10_riemann_symmetries():
     worst_sym = 0.0
     worst_diff = 0.0
     for p in points:
-        r_an = riemann(analytic, p).r
+        r_an = riemann(analytic, p)
         worst_sym = max(worst_sym, max(symmetry_residuals(r_an).values()))
-        worst_diff = max(worst_diff, float(np.max(np.abs(r_an - riemann(fd, p).r))))
+        worst_diff = max(worst_diff, float(np.max(np.abs(r_an - riemann(fd, p)))))
     ok = worst_sym <= 1e-9 and worst_diff <= 1e-5
     _report(10, "Riemann symmetries and first Bianchi; FD agreement",
             ok, f"symmetry {worst_sym:.2e}, fd-vs-analytic {worst_diff:.2e}")
@@ -237,7 +237,7 @@ def test_criterion_11_pyramid():
                     abs(rep.cos_delta - cos_at(N, L, S)),
                     rep.angle_sum_residual)
     c = CirculantCoeffs(3, 1, 2)
-    rep = pyramid_report(c, spectral_frame(c).seed)
+    rep = pyramid_report(c, spectral_frame(c))
     equilateral = max(abs(rep.cos_gamma - 0.5), abs(rep.cos_delta - 0.5))
     ok = worst <= 1e-9 and equilateral <= 1e-9
     _report(11, "pyramid angles vs law-of-cosines oracle; equilateral faces",

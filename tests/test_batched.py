@@ -61,8 +61,8 @@ def _scalar_record(spec, point, seed):
         "coeffs": list(c),
         "parallel_residual": parallel_residual(spec, point),
         "nabla_q_residual": nabla_q_residual(spec, point),
-        "symmetry_residuals": list(symmetry_residuals(riemann(spec, point).r).values()),
-        "frame_residual": verify_frame(c, spectral_frame(c).seed).max_deviation,
+        "symmetry_residuals": list(symmetry_residuals(riemann(spec, point)).values()),
+        "frame_residual": verify_frame(c, spectral_frame(c)).max_deviation,
         "mu": list(sections.mu),
         "equality_residual": sections.equality_residual,
         "zero_residual": sections.zero_residual,

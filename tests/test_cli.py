@@ -132,6 +132,14 @@ class TestPyramid:
         assert captured.err == "error: degenerate apex: qx is parallel to x (cos alpha = 1)\n"
         assert captured.out == ""
 
+    def test_nearly_fixed_q_squared_exits_2_with_the_degenerate_base(self, capsys):
+        # At these coefficients cos beta is 1.0, and the base angle divided by zero with a traceback (exit 1).
+        argv = ["pyramid", "--coeffs", "3,1,2.9999999999999", "--seed-vector", "2.01,0,1.99,0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: degenerate base: q^2 x is parallel to x (cos beta = 1)\n"
+        assert captured.out == ""
+
 
 class TestErrorLines:
     @pytest.mark.parametrize("argv,err", [

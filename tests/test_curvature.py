@@ -22,12 +22,12 @@ from circulant4 import (
     sectional,
 )
 from circulant4.curvature import (
-    metric_derivatives,
+    _metric_arrays,
     random_qbase_seeds,
     riemann_core,
     symmetry_residuals,
 )
-from circulant4.fields import eval_jet
+from circulant4.fields import eval_jets
 
 S_WAVE = (2.0, 0.1, 3.0, 1.0)
 CONTROL = (3.0, 0.1, 1.0, 2.0)
@@ -67,9 +67,9 @@ class TestChristoffel:
         # d_a g_ij - Gamma^l_ai g_lj - Gamma^l_aj g_il = 0
         spec = make_family(name, params)
         rng = np.random.default_rng(41)
-        for p in sample_points(rng, 10):
-            jet = eval_jet(spec, p)
-            g, dg, _ = metric_derivatives(jet)
+        points = sample_points(rng, 10)
+        gs, dgs, _ = _metric_arrays(*eval_jets(spec, points))
+        for p, g, dg in zip(points, gs, dgs):
             gamma = christoffel(spec, p)
             nabla_g = (
                 dg
@@ -101,21 +101,20 @@ class TestNablaQ:
 
 class TestRiemann:
     def test_constant_family_vanishes(self):
-        ct = riemann(make_family("constant", CONSTANT), [0.5, 0.5, 0.5, 0.5])
-        assert np.all(ct.r == 0)
+        assert np.all(riemann(make_family("constant", CONSTANT), [0.5, 0.5, 0.5, 0.5]) == 0)
 
     def test_classical_symmetries_analytic(self):
         spec = make_family("s_wave", S_WAVE)
         rng = np.random.default_rng(44)
         for p in sample_points(rng, 10):
-            res = symmetry_residuals(riemann(spec, p).r)
+            res = symmetry_residuals(riemann(spec, p))
             assert max(res.values()) <= 1e-9
 
     def test_classical_symmetries_fd(self):
         spec = make_family("s_wave", S_WAVE, derivative_mode="finite_difference")
         rng = np.random.default_rng(45)
         for p in sample_points(rng, 5):
-            res = symmetry_residuals(riemann(spec, p).r)
+            res = symmetry_residuals(riemann(spec, p))
             assert max(res.values()) <= 1e-6
 
     def test_fd_matches_analytic(self):
@@ -123,13 +122,12 @@ class TestRiemann:
         fd = make_family("s_wave", S_WAVE, derivative_mode="finite_difference")
         rng = np.random.default_rng(46)
         for p in sample_points(rng, 10):
-            diff = np.max(np.abs(riemann(analytic, p).r - riemann(fd, p).r))
+            diff = np.max(np.abs(riemann(analytic, p) - riemann(fd, p)))
             assert diff <= 1e-5
 
     def test_parallel_family_is_curved(self):
         # The equality checks must not be vacuous: curvature is nonzero.
-        ct = riemann(make_family("s_wave", S_WAVE), [0.3, -0.2, 0.5, 0.1])
-        assert np.max(np.abs(ct.r)) > 1e-3
+        assert np.max(np.abs(riemann(make_family("s_wave", S_WAVE), [0.3, -0.2, 0.5, 0.1]))) > 1e-3
 
 
 class TestQInvariance:
@@ -174,6 +172,18 @@ class TestSectional:
             mu1 = sectional(spec, p, x, y)
             mu2 = sectional(spec, p, 2 * x, y + 3 * x)
             assert mu2 == pytest.approx(mu1, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [-60, -20, 20, 60])
+    def test_scaled_vectors_give_the_same_curvature(self, k):
+        # Scaling by 2^k is exact, so the verdict and the curvature are too: short vectors span a section.
+        spec, p, (x, y) = make_family("s_wave", S_WAVE), [0.3, -0.2, 0.5, 0.1], np.eye(4)[:2]
+        assert sectional(spec, p, 2.0**k * x, 2.0**k * y) == sectional(spec, p, x, y)
+
+    @pytest.mark.parametrize("k", [-60, -20, 0, 20, 60])
+    def test_nearly_parallel_section_rejected_at_every_scale(self, k):
+        spec, p, (x, y) = make_family("s_wave", S_WAVE), [0.3, -0.2, 0.5, 0.1], np.eye(4)[:2]
+        with pytest.raises(ValueError, match="^degenerate 2-section: Gram determinant "):
+            sectional(spec, p, 2.0**k * x, 2.0**k * (x + 1e-9 * y))
 
 
 class TestQSections:
@@ -338,7 +348,7 @@ class TestOrbitBasisAgainstDirectContraction:
     )
     def test_mu_and_identities_match_einsum(self, name, params, p, x):
         spec = make_family(name, params)
-        r = riemann(spec, p).r
+        r = riemann(spec, p)
         g = metric_matrix(coeffs_at(spec, p))
         v = [np.roll(np.asarray(x, dtype=float), -k) for k in range(4)]
 

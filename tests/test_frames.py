@@ -14,7 +14,6 @@ from circulant4 import (
     spectral_frame,
     verify_frame,
 )
-from circulant4.algebra import apply_q
 from conftest import random_admissible
 
 # Decades 1e-150 to 1e150, far enough that B^2 and A C stay finite.
@@ -43,7 +42,7 @@ def ulp_neighbour_triples(draw):
 
 class TestSpectralFrame:
     def test_example_weights(self):
-        frame = spectral_frame(CirculantCoeffs(3, 1, 2))
+        seed = spectral_frame(CirculantCoeffs(3, 1, 2))
         alpha = 1 / (2 * math.sqrt(28))
         beta = 1 / (2 * math.sqrt(12))
         s = 0.5
@@ -52,39 +51,40 @@ class TestSpectralFrame:
             + beta * np.array([1, -1, 1, -1])
             + s * np.array([1, 0, -1, 0])
         )
-        assert np.allclose(frame.seed, expected, atol=1e-15)
+        assert np.allclose(seed, expected, atol=1e-15)
 
     def test_example_residual(self):
-        frame = spectral_frame(CirculantCoeffs(3, 1, 2))
-        res = verify_frame(frame.coeffs, frame.seed)
+        c = CirculantCoeffs(3, 1, 2)
+        res = verify_frame(c, spectral_frame(c))
         assert res.max_deviation <= 1e-12
 
     def test_ill_conditioned_but_valid(self):
         eps = 1e-3
         c = CirculantCoeffs(1 + eps, eps / 2, eps)
-        res = verify_frame(c, spectral_frame(c).seed)
+        res = verify_frame(c, spectral_frame(c))
         assert res.max_deviation <= 1e-10
 
     def test_rejects_a_equals_c(self):
         with pytest.raises(ValueError):
             spectral_frame(CirculantCoeffs(3, 1, 3))
 
-    def test_vectors_are_exact_q_iterates(self):
-        frame = spectral_frame(CirculantCoeffs(4, 0.5, 2))
-        for k in range(4):
-            assert np.array_equal(frame.vectors[k], apply_q(frame.seed, k))
+    def test_returns_the_seed_and_checks_the_arity(self):
+        seed = spectral_frame((4, 0.5, 2))
+        assert type(seed) is np.ndarray and seed.shape == (4,) and seed.dtype == float
+        with pytest.raises(TypeError):
+            spectral_frame((4, 0.5))
 
     def test_seed_is_a_qbase(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             c = random_admissible(rng)
-            assert qbase_predicate(spectral_frame(c).seed)
+            assert qbase_predicate(spectral_frame(c))
 
     def test_residual_scales_with_a(self):
         rng = np.random.default_rng(22)
         for _ in range(200):
             c = random_admissible(rng, high=50.0)
-            res = verify_frame(c, spectral_frame(c).seed)
+            res = verify_frame(c, spectral_frame(c))
             assert res.max_deviation <= 1e-12 * (1 + c.a)
 
 
@@ -118,7 +118,7 @@ class TestVerifyFrame:
         rng = np.random.default_rng(24)
         for _ in range(100):
             c = random_admissible(rng)
-            seed = spectral_frame(c).seed + rng.normal(size=4) * 1e-6
+            seed = spectral_frame(c) + rng.normal(size=4) * 1e-6
             res = verify_frame(c, seed)
             tol = max(abs(res.gram[0, 0] - 1), abs(res.gram[0, 1]), abs(res.gram[0, 2]))
             assert res.max_deviation <= 4 * tol + 1e-14
@@ -150,7 +150,7 @@ class TestClosedFormFrame:
     def test_side_by_side_with_spectral(self):
         c = CirculantCoeffs(4, 1, 2)
         audit = closed_form_frame(c)
-        spectral_res = verify_frame(c, spectral_frame(c).seed)
+        spectral_res = verify_frame(c, spectral_frame(c))
         # The audited radical formulas do not beat the spectral construction.
         assert spectral_res.max_deviation <= audit.residual.max_deviation
 
@@ -199,4 +199,4 @@ class TestFloatOverflow:
 
     def test_spectral_frame_below_the_limit_is_orthonormal(self):
         c = CirculantCoeffs(1e200, 1e199, 5e199)
-        assert verify_frame(c, spectral_frame(c).seed).max_deviation <= 1e-12
+        assert verify_frame(c, spectral_frame(c)).max_deviation <= 1e-12

@@ -37,7 +37,7 @@ class TestExampleValues:
 
     def test_orthonormal_seed_gives_equilateral_faces(self):
         c = CirculantCoeffs(3, 1, 2)
-        rep = pyramid_report(c, spectral_frame(c).seed)
+        rep = pyramid_report(c, spectral_frame(c))
         assert rep.cos_gamma == pytest.approx(0.5, abs=1e-9)
         assert rep.cos_delta == pytest.approx(0.5, abs=1e-9)
         assert math.degrees(math.acos(rep.cos_gamma)) == pytest.approx(60.0, abs=1e-7)
@@ -81,6 +81,15 @@ class TestPositiveDefiniteMetric:
         c, x = CirculantCoeffs(1.000000001, 0.9999999995, 1), [1.002, 0.999, 1, 0.999]
         assert all(metric_eigenvalues(c) > 0.0) and qbase_predicate(x)
         with pytest.raises(ValueError, match=r"^degenerate apex: qx is parallel to x \(cos alpha = 1\)$"):
+            pyramid_report(c, x)
+
+    @pytest.mark.parametrize("c", ["2.9999999999999", "2.999999999"])
+    def test_nearly_fixed_q_squared_gives_a_degenerate_base(self, c):
+        # q^2 x - x = (-0.02, 0, 0.02, 0) lies on the eigenvector (1, 0, -1, 0) of g, whose eigenvalue A - C is
+        # about 1e-13 or 1e-9 here, so cos beta = g(x, q^2 x) / g(x, x) is within 1e-12 of 1 (1.0 at the first).
+        c, x = CirculantCoeffs(3, 1, float(c)), [2.01, 0, 1.99, 0]
+        assert all(metric_eigenvalues(c) > 0.0) and qbase_predicate(x)
+        with pytest.raises(ValueError, match=r"^degenerate base: q\^2 x is parallel to x \(cos beta = 1\)$"):
             pyramid_report(c, x)
 
     def test_positive_definite_but_not_admissible_is_accepted(self):

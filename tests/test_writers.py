@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from test_serialise import csv_oracle, floats, json_oracle
 
 from circulant4 import RunConfig, reporting, run_verify
+from circulant4.curvature import IDENTITY_NAMES, SYMMETRY_NAMES
 from circulant4.reporting import report_json, report_to_csv
 
 POINT_FIELDS = ["coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
@@ -552,17 +553,30 @@ class TestRowReuse:
 
 
 float_cells = st.one_of(floats, floats.map(np.float64))
-float_dicts = st.dictionaries(st.text(max_size=3), float_cells, min_size=1, max_size=3)
-# Records with run_verify's keys and float or np.float64 cells, which the record path takes.
-layout_records = st.fixed_dictionaries({
+# run_verify's fields, with float or np.float64 leaves, which the record path takes.
+layout_fields = {
     **{name: float_cells for name in ["parallel_residual", "nabla_q_residual", "frame_residual", "frame_tolerance",
                                       "equality_residual", "zero_residual"]},
     "point_index": st.integers(0, 10**6), "seed_index": st.integers(0, 10**6),
     "point": st.lists(float_cells, min_size=4, max_size=4), "seed": st.lists(float_cells, min_size=4, max_size=4),
     "coeffs": st.fixed_dictionaries({"A": float_cells, "B": float_cells, "C": float_cells}),
     "mu": st.lists(float_cells, min_size=6, max_size=6),
-    "identity_residuals": float_dicts, "symmetry_residuals": float_dicts,
-})
+    "identity_residuals": st.fixed_dictionaries(dict.fromkeys(IDENTITY_NAMES, float_cells)),
+    "symmetry_residuals": st.fixed_dictionaries(dict.fromkeys(SYMMETRY_NAMES, float_cells)),
+}
+
+
+@st.composite
+def layout_reports(draw):
+    """1-4 records whose every field holds an object of a pool of 1-3 that the records share, or a copy of it,
+    so that records share the same objects, equal copies or other values in every pattern."""
+    pools = {name: draw(st.lists(field, min_size=1, max_size=3)) for name, field in layout_fields.items()}
+
+    def pick(pool):
+        value = draw(st.sampled_from(pool))
+        return copy.copy(value) if draw(st.booleans()) else value
+
+    return {"records": [{name: pick(pool) for name, pool in pools.items()} for _ in range(draw(st.integers(1, 4)))]}
 
 
 class TestOneRule:
@@ -570,12 +584,12 @@ class TestOneRule:
     hand every other report whole to json.dumps or csv.writer."""
 
     @settings(max_examples=100, deadline=None)
-    @given(records=st.lists(layout_records, min_size=1, max_size=4))
-    def test_csv_record_path_matches_csv_writer(self, records):
-        report = {"records": records}
-        expected = csv_oracle(report)
-        with mock.patch.object(reporting.csv, "writer", side_effect=AssertionError("report_to_csv fell back")):
-            assert report_to_csv(report) == expected
+    @given(report=layout_reports())
+    def test_both_writers_take_the_record_path(self, report):
+        expected = json_oracle(report), csv_oracle(report)  # before csv.writer is made to raise
+        with mock.patch.object(reporting, "_dumps", side_effect=AssertionError("report_json fell back")), \
+                mock.patch.object(reporting.csv, "writer", side_effect=AssertionError("report_to_csv fell back")):
+            assert (report_json(report), report_to_csv(report)) == expected
 
     @pytest.mark.parametrize("text", ["a,b", 'a"b', "x\ny"], ids=["comma", "quote", "newline"])
     @pytest.mark.parametrize("path", [("mu", 0), ("zero_residual",), ("coeffs", "A"), ("seed", 3), ("point_index",)],
