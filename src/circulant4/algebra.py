@@ -99,6 +99,28 @@ def metric_eigenvalues(c: CirculantCoeffs) -> np.ndarray:
     return np.array([a + 2 * b + cc, a - 2 * b + cc, a - cc, a - cc])
 
 
+def _circulant_inverse(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse metrics (..., 4, 4) of generators (..., 3): the circulant matrices whose
+    generators are the inverse DFT of the reciprocal eigenvalues of g (Gray,
+    Toeplitz and Circulant Matrices: A Review, 2006)."""
+    m0, m2, m1, _ = 1.0 / metric_eigenvalues(CirculantCoeffs(*np.moveaxis(coeffs, -1, 0)))
+    return (np.stack([m0 + m2 + 2 * m1, m0 - m2, m0 + m2 - 2 * m1], axis=-1) / 4)[..., CIRCULANT_INDEX]
+
+
+def _spectral_seeds(coeffs: np.ndarray) -> np.ndarray:
+    """spectral_frame seeds (..., 4) of generator rows (..., 3), no admissibility check; finite while A + C + 2B is.
+    Sums stay (A + C) +- 2B: metric_eigenvalues' (A + 2B) + C can differ in the last bit, which reports would show."""
+    a, b, cc = np.moveaxis(coeffs, -1, 0)
+    alpha = 0.25 / np.sqrt(a + cc + 2.0 * b)
+    beta = 0.25 / np.sqrt(a + cc - 2.0 * b)
+    s = 0.5 / np.sqrt(a - cc)
+    return (
+        alpha[..., None] * np.array([1.0, 1.0, 1.0, 1.0])
+        + beta[..., None] * np.array([1.0, -1.0, 1.0, -1.0])
+        + s[..., None] * np.array([1.0, 0.0, -1.0, 0.0])
+    )
+
+
 def _first_inadmissible(rows: np.ndarray) -> Optional[Tuple[int, str]]:
     """None if every generator row (N, 3) of (A, B, C) keeps 0 < B < C < A < inf, else the first row that breaks
     it and a text naming its first broken link; each link is tested in positive form, so a NaN breaks it."""

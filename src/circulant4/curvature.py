@@ -1,22 +1,23 @@
 """Levi-Civita connection and curvature of the circulant metric.
 
-The core routines work on raw arrays (g, dg, ddg) where
+The core routine ``_connection`` works on raw arrays (g, dg, ddg, g^{-1}) where
 
     g[i, j]        metric components,
     dg[a, i, j]    = d_a g_ij,
     ddg[a, b, i, j] = d_a d_b g_ij,
 
-so they can be exercised against arbitrary metrics in tests; inside a
+so it can be exercised against arbitrary metrics in tests; inside a
 ``PointGeometry`` every array gains a leading axis over a block of points.
 ``PointGeometry.from_field`` is the one pass from the block jet of a field
 to metric, Christoffel symbols and Riemann tensor; every entry of g is one
 of A, B, C, selected by the circulant offset (j - i) mod 4, and g^{-1} is
-circulant in closed form.  Every quantity here is a function of the jet
-at a point alone, so the pass keeps one row per distinct jet of the block
-(bit for bit) and maps each point to its row.  ``point_geometry`` and the
-public functions taking a coefficient-field spec and a chart point are
-views over a block of one.  Seed-level quantities read off R in the
-q-orbit basis (x, qx, q^2 x, q^3 x), one projection per row for all seeds.
+the closed form of algebra._circulant_inverse, from the eigenvalues of g.
+Every quantity here is a function of the jet at a point alone, so the pass
+keeps one row per distinct jet of the block (bit for bit) and maps each
+point to its row.  ``point_geometry`` and the public functions taking a
+coefficient-field spec and a chart point are views over a block of one.
+Seed-level quantities read off R in the q-orbit basis (x, qx, q^2 x, q^3 x),
+one projection per row for all seeds.
 
 The (0,4) tensor is read off the second derivatives of g and the Christoffel
 symbols of the first and second kind (Eisenhart, Riemannian Geometry, 1926, section 8):
@@ -40,11 +41,10 @@ import numpy as np
 from .algebra import (
     CIRCULANT_INDEX,
     ORBIT_INDEX,
-    CirculantCoeffs,
+    _circulant_inverse,
     _first_degenerate,
     apply_q,
     as_vector4,
-    metric_eigenvalues,
     orbit_gram,
     qbase_polynomials,
 )
@@ -54,7 +54,6 @@ __all__ = [
     "SectionalReport",
     "PointGeometry",
     "point_geometry",
-    "riemann_core",
     "christoffel",
     "nabla_q_residual",
     "riemann",
@@ -126,14 +125,6 @@ def _metric_arrays(coeffs: np.ndarray, grads: np.ndarray, hessians: np.ndarray):
     return g, dg, ddg
 
 
-def _circulant_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse metrics (..., 4, 4) of generators (..., 3): the circulant matrices whose
-    generators are the inverse DFT of the reciprocal eigenvalues of g (Gray,
-    Toeplitz and Circulant Matrices: A Review, 2006)."""
-    m0, m2, m1, _ = 1.0 / metric_eigenvalues(CirculantCoeffs(*np.moveaxis(coeffs, -1, 0)))
-    return (np.stack([m0 + m2 + 2 * m1, m0 - m2, m0 + m2 - 2 * m1], axis=-1) / 4)[..., CIRCULANT_INDEX]
-
-
 def _connection(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray, ginv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Christoffel symbols gamma[..., k, i, j] and the (0,4) curvature r[..., i, j, k, l].
 
@@ -149,13 +140,6 @@ def _connection(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray, ginv: np.ndarray
     p = (np.swapaxes(first, -1, -2) @ gamma).reshape(lead + (4, 4, 4, 4))
     w = np.moveaxis(0.5 * (ddg - np.swapaxes(ddg, -3, -1)) + p, -2, -4)
     return gamma.reshape(lead + (4, 4, 4)), w - np.swapaxes(w, -4, -3)
-
-
-def riemann_core(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray) -> np.ndarray:
-    """(0,4) curvature r[i, j, k, l] of an arbitrary metric, sphere-positive orientation:
-    R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik)
-    + Gamma_{m,jk} Gamma^m_il - Gamma_{m,ik} Gamma^m_jl (see _connection)."""
-    return _connection(g, dg, ddg, np.linalg.inv(g))[1]
 
 
 @dataclass(frozen=True)
@@ -301,15 +285,19 @@ def sectional(spec: FieldFamilySpec, p, x, y) -> float:
     """Sectional curvature R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) of the 2-section spanned by x and y.
 
     ValueError unless the denominator exceeds 1e-12 g(x,x) g(y,y), i.e. the squared sine of the g-angle of x
-    and y exceeds 1e-12: a scale-free rule, so 2^k x and 2^k y give a bit-identical result (short of overflow).
+    and y exceeds 1e-12: a scale-free rule, so 2^k x and 2^k y give a bit-identical result.  ValueError also if
+    g(x,x) g(y,y) or the denominator overflows a float.
     """
     geo = point_geometry(spec, p)
     g = geo.g[0]
     x = as_vector4(x)
     y = as_vector4(y)
-    gxx, gyy, gxy = x @ g @ x, y @ g @ y, x @ g @ y
-    denom = float(gxx * gyy - gxy**2)
-    if not denom > _SECTION_DENOM_TOL * float(gxx * gyy):
+    with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
+        gxx, gyy, gxy = x @ g @ x, y @ g @ y, x @ g @ y
+        norms, denom = float(gxx * gyy), float(gxx * gyy - gxy**2)
+    if not (np.isfinite(norms) and np.isfinite(denom)):
+        raise ValueError(f"2-section: Gram products overflow a float (g(x,x) g(y,y) = {norms}, determinant {denom})")
+    if not denom > _SECTION_DENOM_TOL * norms:
         raise ValueError(f"degenerate 2-section: Gram determinant {denom} below tolerance")
     return float(np.einsum("ijkl,i,j,k,l->", geo.r[0], x, y, x, y)) / denom
 

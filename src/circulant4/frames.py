@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .algebra import CirculantCoeffs, _first_inadmissible, as_vector4, orbit_gram
+from .algebra import CirculantCoeffs, _first_inadmissible, _spectral_seeds, as_vector4, orbit_gram
 
 __all__ = [
     "FrameResidual",
@@ -76,21 +76,6 @@ def _gate(c: CirculantCoeffs, construction: str) -> Iterator[None]:
         raise ValueError(f"coefficients {tuple(c)}: float arithmetic fails in the {construction} ({exc})") from None
 
 
-def _spectral_seeds(coeffs: np.ndarray) -> np.ndarray:
-    """spectral_frame seeds (..., 4) of generator rows (..., 3); no admissibility check."""
-    a, b, cc = np.moveaxis(coeffs, -1, 0)
-    lam0 = 4.0 * (a + cc + 2.0 * b)
-    lam2 = 4.0 * (a + cc - 2.0 * b)
-    alpha = 1.0 / (2.0 * np.sqrt(lam0))
-    beta = 1.0 / (2.0 * np.sqrt(lam2))
-    s = 1.0 / (2.0 * np.sqrt(a - cc))
-    return (
-        alpha[..., None] * np.array([1.0, 1.0, 1.0, 1.0])
-        + beta[..., None] * np.array([1.0, -1.0, 1.0, -1.0])
-        + s[..., None] * np.array([1.0, 0.0, -1.0, 0.0])
-    )
-
-
 def spectral_frame_residuals(coeffs: np.ndarray) -> np.ndarray:
     """Max Gram deviation from the identity of the spectral frame of each
     admissible generator row (..., 3), as verify_frame(c, spectral_frame(c))."""
@@ -104,8 +89,8 @@ def spectral_frame(c: CirculantCoeffs) -> np.ndarray:
     The seed mixes the three metric eigenspaces with weights chosen so that
     g(x, x) = 1 and g(x, qx) = g(x, q^2 x) = 0; q-invariance of g then
     forces the whole 4x4 Gram matrix to be the identity.  ValueError if c
-    breaks the admissibility rule or a float overflows, as 4 (A + 2B + C)
-    does near the float limit.
+    breaks the admissibility rule or a float overflows, as A + C + 2B does
+    near the float limit.
     """
     c = CirculantCoeffs(*c)
     with _gate(c, "spectral seed"):

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .algebra import _first_degenerate
+from .algebra import CirculantCoeffs, _first_degenerate, metric_eigenvalues
 from .curvature import _BLOCK_PAIRS, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
 from .fields import FieldFamilySpec, _chart_bounds, gradient_residual, make_family
 from .frames import spectral_frame_residuals
@@ -89,15 +89,14 @@ class RunConfig:
         if self.rng_seed is not None and not (type(self.rng_seed) is int and self.rng_seed >= 0):
             raise ConfigError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         self.seeds = self._parse_seeds(raw)
-        # g(x, x) <= lam |x|^2 for lam = A + 2B + C, g's largest eigenvalue, so lam |x|^2 bounds every orbit Gram
-        # entry and its square every q-section denominator; the spectral seed takes 4 lam.
-        a, b, c = _chart_bounds(self.family.family, self.family.params)[1].tolist()
-        lam, norm_sq = a + 2.0 * b + c, float(np.max(np.sum(self.seeds**2, axis=1)))
-        if not (math.isfinite(4.0 * lam) and math.isfinite((lam * norm_sq) * (lam * norm_sq))):
+        # g(x, x) <= lam |x|^2 for lam, g's largest eigenvalue at the chart's upper corner, so lam |x|^2 bounds every
+        # orbit Gram entry and its square every q-section denominator.  Python floats overflow to inf unwarned.
+        upper = CirculantCoeffs(*_chart_bounds(self.family.family, self.family.params)[1].tolist())
+        lam, norm_sq = float(metric_eigenvalues(upper)[0]), float(np.max(np.sum(self.seeds**2, axis=1)))
+        if not math.isfinite((lam * norm_sq) * (lam * norm_sq)):
             raise ConfigError(
                 f"family.params = {list(self.family.params)}: A + 2B + C reaches {lam} on the chart and |x|^2 "
-                f"{norm_sq} over the seeds, so 4 (A + 2B + C) or ((A + 2B + C) |x|^2)^2 overflows a float "
-                "(need both finite)")
+                f"{norm_sq} over the seeds, so ((A + 2B + C) |x|^2)^2 overflows a float (need it finite)")
 
         given = raw.get("tolerances", {})
         if not isinstance(given, dict):

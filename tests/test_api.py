@@ -27,7 +27,7 @@ PUBLIC = {
         "metric_eigenvalues", "is_admissible", "inner", "qbase_predicate", "qbase_polynomial", "det_qorbit",
     ],
     "circulant4.curvature": [
-        "SectionalReport", "PointGeometry", "point_geometry", "riemann_core", "christoffel", "nabla_q_residual",
+        "SectionalReport", "PointGeometry", "point_geometry", "christoffel", "nabla_q_residual",
         "riemann", "sectional", "q_section_curvatures", "identity_suite", "q_invariance_residual",
         "symmetry_residuals", "random_qbase_seeds",
     ],
@@ -66,9 +66,10 @@ def test_package_names_are_the_modules_objects():
 def test_removed_members_stay_removed():
     from circulant4 import curvature, frames
 
-    # riemann returns the array R and spectral_frame the seed, with no record type around either.
+    # riemann returns the array R and spectral_frame the seed, with no record type around either; the one
+    # connection inverts g in closed form, with no public route through np.linalg.inv.
     for module, name in [(circulant4, "CurvatureTensor"), (curvature, "CurvatureTensor"), (circulant4, "QFrame"),
-                         (frames, "QFrame"), (curvature, "metric_derivatives")]:
+                         (frames, "QFrame"), (curvature, "metric_derivatives"), (curvature, "riemann_core")]:
         assert not hasattr(module, name), name
 
     assert not hasattr(circulant4.CirculantCoeffs, "admissible")

@@ -29,9 +29,9 @@ from circulant4.curvature import (
     IDENTITY_NAMES,
     SYMMETRY_NAMES,
     PointGeometry,
-    _circulant_inverse,
     symmetry_residuals,
 )
+from circulant4.algebra import _circulant_inverse
 from circulant4.fields import coeffs_at, eval_jet, eval_jets, gradient_residual
 from circulant4.frames import spectral_frame_residuals
 from circulant4 import curvature, fields, reporting

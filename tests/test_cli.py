@@ -86,7 +86,7 @@ class TestQbase:
         assert "not available" in payload["frames"]
 
     @pytest.mark.parametrize("coeffs,construction,operation", [
-        ("1.7e308,1e307,5e307", "spectral seed", "add"),  # 4 (A + 2B + C)
+        ("1.7e308,1e307,5e307", "spectral seed", "add"),  # A + C
         ("1e200,1e199,5e199", "closed-form frame", "power"),  # B^2
     ])
     def test_overflowing_frame_prints_only_the_error(self, coeffs, construction, operation):

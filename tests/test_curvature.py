@@ -22,9 +22,9 @@ from circulant4 import (
     sectional,
 )
 from circulant4.curvature import (
+    _connection,
     _metric_arrays,
     random_qbase_seeds,
-    riemann_core,
     symmetry_residuals,
 )
 from circulant4.fields import eval_jets
@@ -48,7 +48,7 @@ class TestSignConvention:
         ddg = np.zeros((4, 4, 4, 4))
         dg[0, 1, 1] = 2 * np.sin(theta) * np.cos(theta)
         ddg[0, 0, 1, 1] = 2 * np.cos(2 * theta)
-        r = riemann_core(g, dg, ddg)
+        r = _connection(g, dg, ddg, np.linalg.inv(g))[1]
         mu = r[0, 1, 0, 1] / (g[0, 0] * g[1, 1])
         assert mu == pytest.approx(1.0, rel=1e-12)
 
@@ -184,6 +184,12 @@ class TestSectional:
         spec, p, (x, y) = make_family("s_wave", S_WAVE), [0.3, -0.2, 0.5, 0.1], np.eye(4)[:2]
         with pytest.raises(ValueError, match="^degenerate 2-section: Gram determinant "):
             sectional(spec, p, 2.0**k * x, 2.0**k * (x + 1e-9 * y))
+
+    def test_overflowing_gram_products_rejected(self):
+        # g(x, x) is about 2e400: refused by name, with no numpy warning (pytest makes one an error).
+        spec, p, (x, y) = make_family("s_wave", S_WAVE), [0.3, -0.2, 0.5, 0.1], np.eye(4)[:2]
+        with pytest.raises(ValueError, match=r"^2-section: Gram products overflow a float \(g\(x,x\) g\(y,y\) = inf"):
+            sectional(spec, p, 1e200 * x, 1e200 * y)
 
 
 class TestQSections:

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circulant4 import (
     CirculantCoeffs,
     closed_form_frame,
+    is_admissible,
     qbase_predicate,
     spectral_frame,
     verify_frame,
 )
+from circulant4.algebra import _spectral_seeds
 from conftest import random_admissible
 
 # Decades 1e-150 to 1e150, far enough that B^2 and A C stay finite.
@@ -186,7 +188,7 @@ class TestFloatOverflow:
     its ZeroDivisionError."""
 
     @pytest.mark.parametrize("construct,coeffs", [
-        (spectral_frame, (1.7e308, 1e307, 5e307)),  # 4 (A + 2B + C) overflows, so the alpha weight would be 0
+        (spectral_frame, (1.7e308, 1e307, 5e307)),  # A + C overflows, so the alpha and beta weights would be 0
         (closed_form_frame, (1.7e308, 1e307, 5e307)),  # A + B + 2C overflows
         (closed_form_frame, (1e200, 1e199, 5e199)),  # B^2 overflows
         (closed_form_frame, (1e160, 1.0, 2.0)),  # A C overflows
@@ -197,6 +199,40 @@ class TestFloatOverflow:
         with pytest.raises(ValueError, match=message):
             construct(CirculantCoeffs(*coeffs))
 
-    def test_spectral_frame_below_the_limit_is_orthonormal(self):
-        c = CirculantCoeffs(1e200, 1e199, 5e199)
+    # At (1e308, 1e307, 5e307), A + C + 2B is finite and 4 (A + C + 2B) overflows.
+    @pytest.mark.parametrize("coeffs", [(1e200, 1e199, 5e199), (1e308, 1e307, 5e307)])
+    def test_spectral_frame_below_the_limit_is_orthonormal(self, coeffs):
+        c = CirculantCoeffs(*coeffs)
         assert verify_frame(c, spectral_frame(c)).max_deviation <= 1e-12
+
+
+def _spectral_seeds_as_first_written(coeffs):
+    """The seed formula with weights 1/(2 sqrt(4 lam)), lam = A + C +- 2B, and 1/(2 sqrt(A - C))."""
+    a, b, cc = np.moveaxis(coeffs, -1, 0)
+    alpha = 1.0 / (2.0 * np.sqrt(4.0 * (a + cc + 2.0 * b)))
+    beta = 1.0 / (2.0 * np.sqrt(4.0 * (a + cc - 2.0 * b)))
+    s = 1.0 / (2.0 * np.sqrt(a - cc))
+    return (
+        alpha[..., None] * np.array([1.0, 1.0, 1.0, 1.0])
+        + beta[..., None] * np.array([1.0, -1.0, 1.0, -1.0])
+        + s[..., None] * np.array([1.0, 0.0, -1.0, 0.0])
+    )
+
+
+@st.composite
+def triples_up_to_the_limit(draw):
+    """Admissible (A, B, C) whose 4 (A + C + 2B) is drawn log-uniformly from 1e-290 up to the float limit."""
+    b, c, a = sorted(draw(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3, unique=True)))
+    scale = 10.0 ** draw(st.floats(-290.0, 308.25)) / (4.0 * (a + c + 2.0 * b))
+    return a * scale, b * scale, c * scale
+
+
+class TestSpectralSeedWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(triples_up_to_the_limit())
+    def test_bit_identical_to_the_first_formula(self, coeffs):
+        # 0.25 / sqrt(y) and 1 / (2 sqrt(4 y)) round the same real number, wherever 4 y is finite.
+        a, b, c = coeffs
+        assume(is_admissible(CirculantCoeffs(a, b, c)) and math.isfinite(4.0 * (a + c + 2.0 * b)))
+        coeffs = np.array(coeffs)
+        assert _spectral_seeds(coeffs).tobytes() == _spectral_seeds_as_first_written(coeffs).tobytes()

@@ -257,12 +257,12 @@ class TestFloatScale:
     family.params; below the limit the same family verifies."""
 
     @pytest.mark.parametrize("params,seed", [
-        ([1.7e308, 1e307, 5e307], (1.0, 0.2, -0.3, 0.4)),  # 4 (A + 2B + C) overflows
+        ([1.7e308, 1e307, 5e307], (1.0, 0.2, -0.3, 0.4)),  # A + C, and so A + 2B + C, overflows
         ([1e200, 1e199, 5e199], (1.0, 0.2, -0.3, 0.4)),  # ((A + 2B + C) |x|^2)^2 overflows
         ([1e150, 1e149, 5e149], (1e3, 0.2, -0.3, 0.4)),  # the same, through the seed's length
     ])
     def test_overflowing_scale_rejected(self, params, seed):
-        with pytest.raises(ConfigError, match=r"^family\.params = .* overflows a float \(need both finite\)$"):
+        with pytest.raises(ConfigError, match=r"^family\.params = .* overflows a float \(need it finite\)$"):
             RunConfig(_constant(params, seed))
 
     def test_upper_corner_of_the_chart_counts(self):
@@ -273,8 +273,12 @@ class TestFloatScale:
         cfg["family"]["params"][1] = 1e151
         RunConfig(cfg)
 
-    def test_below_the_limit_verifies(self):
-        report = run_verify(RunConfig(_constant([1e150, 1e149, 5e149])))
+    @pytest.mark.parametrize("params,seed", [
+        ([1e150, 1e149, 5e149], (1.0, 0.2, -0.3, 0.4)),
+        ([1e308, 1e307, 5e307], (3e-78, 6e-79, -9e-79, 1.2e-78)),  # A + 2B + C = 1.7e308; 4 (A + 2B + C) overflows
+    ])
+    def test_below_the_limit_verifies(self, params, seed):
+        report = run_verify(RunConfig(_constant(params, seed)))
         assert report["summary"]["status"] == "pass"
         assert all(map(math.isfinite, report["records"][0]["mu"]))
 
