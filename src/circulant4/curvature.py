@@ -285,8 +285,8 @@ def sectional(spec: FieldFamilySpec, p, x, y) -> float:
     """Sectional curvature R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) of the 2-section spanned by x and y.
 
     ValueError unless the denominator exceeds 1e-12 g(x,x) g(y,y), i.e. the squared sine of the g-angle of x
-    and y exceeds 1e-12: a scale-free rule, so 2^k x and 2^k y give a bit-identical result.  ValueError also if
-    g(x,x) g(y,y) or the denominator overflows a float.
+    and y exceeds 1e-12: a scale-free rule, so 2^k x and 2^k y give a bit-identical result (short of underflow,
+    which reads as degenerate).  ValueError also if g(x,x) g(y,y) or the denominator overflows a float.
     """
     geo = point_geometry(spec, p)
     g = geo.g[0]
@@ -298,7 +298,7 @@ def sectional(spec: FieldFamilySpec, p, x, y) -> float:
     if not (np.isfinite(norms) and np.isfinite(denom)):
         raise ValueError(f"2-section: Gram products overflow a float (g(x,x) g(y,y) = {norms}, determinant {denom})")
     if not denom > _SECTION_DENOM_TOL * norms:
-        raise ValueError(f"degenerate 2-section: Gram determinant {denom} below tolerance")
+        raise ValueError(f"degenerate 2-section: Gram determinant {denom} below tolerance (g(x,x) g(y,y) = {norms})")
     return float(np.einsum("ijkl,i,j,k,l->", geo.r[0], x, y, x, y)) / denom
 
 

@@ -152,9 +152,12 @@ def make_family(family: str, params, derivative_mode: str = "analytic") -> Field
     if len(params) != len(_FAMILIES[family].names):
         raise ValueError(f"{family} family takes params ({', '.join(_FAMILIES[family].names)})")
     # The rule holds on the chart's ranges of (A, B, C) iff it holds at (A_lo, B_lo, C_hi) and (A_lo, B_hi, C_lo).
-    (a_lo, b_lo, c_lo), (_, b_hi, c_hi) = _chart_bounds(family, params)
+    (a_lo, b_lo, c_lo), (a_hi, b_hi, c_hi) = _chart_bounds(family, params)
     if broken := _first_inadmissible(np.array([[a_lo, b_lo, c_hi], [a_lo, b_hi, c_lo]])):
         raise ValueError(f"{family}: {broken[1]}")
+    # The stencil forms 2 f(p) for each of A, B, C, and the rule keeps |B|, |C| < A <= A_hi.
+    if derivative_mode == "finite_difference" and not np.isfinite(2.0 * float(a_hi)):
+        raise ValueError(f"{family}: A reaches {a_hi}, so the finite-difference stencil's 2 A overflows a float")
     return FieldFamilySpec(family=family, params=params, derivative_mode=derivative_mode)
 
 

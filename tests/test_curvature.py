@@ -191,6 +191,13 @@ class TestSectional:
         with pytest.raises(ValueError, match=r"^2-section: Gram products overflow a float \(g\(x,x\) g\(y,y\) = inf"):
             sectional(spec, p, 1e200 * x, 1e200 * y)
 
+    def test_underflowing_gram_products_read_as_degenerate(self):
+        # g(x, x) g(y, y) is about 1e-640, which underflows to 0: the message shows that product.
+        spec, p, (x, y) = make_family("s_wave", S_WAVE), [0.3, -0.2, 0.5, 0.1], np.eye(4)[:2]
+        message = "degenerate 2-section: Gram determinant 0.0 below tolerance (g(x,x) g(y,y) = 0.0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sectional(spec, p, 1e-160 * x, 1e-160 * y)
+
 
 class TestQSections:
     def test_flat_family_all_zero(self):

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -273,14 +274,31 @@ class TestFloatScale:
         cfg["family"]["params"][1] = 1e151
         RunConfig(cfg)
 
-    @pytest.mark.parametrize("params,seed", [
-        ([1e150, 1e149, 5e149], (1.0, 0.2, -0.3, 0.4)),
-        ([1e308, 1e307, 5e307], (3e-78, 6e-79, -9e-79, 1.2e-78)),  # A + 2B + C = 1.7e308; 4 (A + 2B + C) overflows
+    def test_overflowing_stencil_rejected_in_fd_mode(self):
+        # The finite-difference stencil forms 2 A = 2e308, which would give A a -inf Hessian and R = inf - inf.
+        cfg = {**_constant([1e308, 1e307, 5e307], (3e-78, 6e-79, -9e-79, 1.2e-78)), "derivative_mode": "fd"}
+        message = "family: constant: A reaches 1e+308, so the finite-difference stencil's 2 A overflows a float"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(cfg)
+
+    def test_below_the_limit_verifies(self):
+        self._assert_verifies(_constant([1e150, 1e149, 5e149]))
+
+    @pytest.mark.parametrize("params,mode", [
+        ([1e308, 1e307, 5e307], "analytic"),  # A + 2B + C = 1.7e308; 4 (A + 2B + C) overflows
+        ([8.9e307, 1e307, 5e307], "fd"),  # the stencil's 2 A = 1.78e308 is finite
     ])
-    def test_below_the_limit_verifies(self, params, seed):
-        report = run_verify(RunConfig(_constant(params, seed)))
+    def test_near_the_float_limit_verifies(self, params, mode):
+        self._assert_verifies({**_constant(params, (3e-78, 6e-79, -9e-79, 1.2e-78)), "derivative_mode": mode})
+
+    @staticmethod
+    def _assert_verifies(cfg):
+        report = run_verify(RunConfig(cfg))
         assert report["summary"]["status"] == "pass"
         assert all(map(math.isfinite, report["records"][0]["mu"]))
+        # The report's frame_tolerance is frame_tol (1 + A), which no seed misses at such A, so the seed's
+        # dimensionless Gram residual is held to the unscaled bound here.
+        assert report["records"][0]["frame_residual"] <= 1e-12
 
 
 class TestSectionValidation:
