@@ -154,21 +154,25 @@ def _cmd_qbase(args) -> int:
         _emit(payload, args.out)
         return 1
     residual = verify_frame(c, spectral_seed)
-    audit = closed_form_frame(c)
     payload["spectral_frame"] = {
         "seed": spectral_seed.tolist(),
         "gram": residual.gram.tolist(),
         "max_deviation": residual.max_deviation,
     }
-    payload["closed_form_frame"] = {
-        "x2": audit.x2,
-        "sum_x1_x3": audit.sum_x1_x3,
-        "prod_x1_x3": audit.prod_x1_x3,
-        "discriminant": audit.discriminant,
-        "candidate": None if audit.candidate is None else audit.candidate.tolist(),
-        "max_deviation": None if audit.residual is None else audit.residual.max_deviation,
-        "status": audit.status,
-    }
+    try:
+        audit = closed_form_frame(c)
+    except ValueError as exc:  # c is admissible, as spectral_frame found: the radical formulas' float arithmetic fails
+        payload["closed_form_frame"] = f"not available: {exc}"
+    else:
+        payload["closed_form_frame"] = {
+            "x2": audit.x2,
+            "sum_x1_x3": audit.sum_x1_x3,
+            "prod_x1_x3": audit.prod_x1_x3,
+            "discriminant": audit.discriminant,
+            "candidate": None if audit.candidate is None else audit.candidate.tolist(),
+            "max_deviation": None if audit.residual is None else audit.residual.max_deviation,
+            "status": audit.status,
+        }
     _emit(payload, args.out)
     return 0
 

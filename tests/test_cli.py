@@ -87,7 +87,6 @@ class TestQbase:
 
     @pytest.mark.parametrize("coeffs,construction,operation", [
         ("1.7e308,1e307,5e307", "spectral seed", "add"),  # A + C
-        ("1e200,1e199,5e199", "closed-form frame", "power"),  # B^2
     ])
     def test_overflowing_frame_prints_only_the_error(self, coeffs, construction, operation):
         # Admissible and finite, so the frames are not "not available": a float overflow is an error.
@@ -97,6 +96,22 @@ class TestQbase:
         assert result.stderr == (f"error: coefficients {given}: float arithmetic fails in the {construction} "
                                  f"(overflow encountered in scalar {operation})\n")
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("coeffs,numpy_error", [
+        ("1e308,1e307,5e307", "overflow encountered in scalar add"),  # A + B + 2C
+        ("1e200,1e199,5e199", "overflow encountered in scalar power"),  # B^2
+        ("4e-300,1e-300,2e-300", "invalid value encountered in scalar divide"),  # x^1 x^3 is 0 / 0
+    ], ids=["overflow-add", "overflow-power", "underflow-divide"])
+    def test_failing_closed_form_leaves_the_spectral_frame(self, capsys, coeffs, numpy_error):
+        # The spectral seed is finite here, so only the closed-form audit is not available.
+        assert main(["qbase", "--coeffs", coeffs]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["spectral_frame"]["max_deviation"] <= 1e-12
+        given = tuple(float(v) for v in coeffs.split(","))
+        assert payload["closed_form_frame"] == (f"not available: coefficients {given}: float arithmetic fails in "
+                                                f"the closed-form frame ({numpy_error})")
 
 
 class TestPyramid:

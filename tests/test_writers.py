@@ -320,6 +320,53 @@ class TestDistinctSpelling:
         assert_bytes({"records": real_report(seeds="random:1", family=family)["records"][:1]})
 
 
+def decade_sweep():
+    """Every power of ten 10^d, d in [-324, 308], with its two float neighbours and four random mantissas in
+    [1, 10), both signs, in one float64 array."""
+    rng = np.random.default_rng(27)
+    values = []
+    for d in range(-324, 309):
+        edge = float(f"1e{d}")  # 0.0 for d = -324, whose neighbour is the least subnormal
+        values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+        values += [float(f"{m!r}e{d}") for m in rng.uniform(1.0, 10.0, 4).tolist()]  # inf past the float limit
+    return np.array(values + [-value for value in values])
+
+
+class TestReprs:
+    """reporting._reprs spells each float64 as float.__repr__ does, inside the bands it respells (NaN, inf,
+    1e-9 <= |x| < 1e-4 and |x| >= 1e16) and outside them."""
+
+    @staticmethod
+    def assert_reprs(values):
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        assert reporting._reprs(values) == list(map(float.__repr__, values.tolist()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    def test_bit_patterns(self, bits):
+        self.assert_reprs(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(floats, max_size=40))
+    def test_floats(self, values):
+        self.assert_reprs(values)
+
+    def test_every_decade(self):
+        values = decade_sweep()
+        assert np.isinf(values).any() and (values == 0.0).any() and (values == 5e-324).any()
+        self.assert_reprs(values)
+
+    @pytest.mark.parametrize("edge", [1e-9, 1e-4, 1e16])
+    def test_band_edges(self, edge):
+        neighbours = [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+        self.assert_reprs(neighbours + [-value for value in neighbours])
+
+    def test_specials_and_empty(self):
+        self.assert_reprs([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                           5e-324, -5e-324, 2.2250738585072014e-308])
+        assert reporting._reprs(np.array([])) == []
+
+
 class TestSpelledOnce:
     """Each distinct bit pattern among the pair floats is spelled once per report."""
 
