@@ -165,10 +165,9 @@ def _cmd_qbase(args) -> int:
         payload["closed_form_frame"] = f"not available: {exc}"
     else:
         payload["closed_form_frame"] = {
-            "x2": audit.x2,
-            "sum_x1_x3": audit.sum_x1_x3,
-            "prod_x1_x3": audit.prod_x1_x3,
-            "discriminant": audit.discriminant,
+            # JSON has no NaN: the radicals that a sqrt_domain_failure leaves undefined are null.
+            **{name: None if math.isnan(getattr(audit, name)) else getattr(audit, name)
+               for name in ("x2", "sum_x1_x3", "prod_x1_x3", "discriminant")},
             "candidate": None if audit.candidate is None else audit.candidate.tolist(),
             "max_deviation": None if audit.residual is None else audit.residual.max_deviation,
             "status": audit.status,
@@ -277,6 +276,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             tokens.append(token)
     args = parser.parse_args(tokens)
     try:
+        if args.out == "":  # else it would read as no --out, and the output go to output.path or stdout
+            raise ConfigError("--out must be a non-empty file path, got ''")
         return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

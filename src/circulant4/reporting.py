@@ -116,8 +116,8 @@ class RunConfig:
         if not (isinstance(self.output_format, str) and self.output_format in WRITERS):
             raise ConfigError(f"output.format must be {' or '.join(map(repr, WRITERS))}, got {self.output_format!r}")
         self.output_path = out.get("path")
-        if not (self.output_path is None or isinstance(self.output_path, str)):
-            raise ConfigError(f"output.path must be a file path string, got {self.output_path!r}")
+        if not (self.output_path is None or isinstance(self.output_path, str) and self.output_path):
+            raise ConfigError(f"output.path must be a non-empty file path string, got {self.output_path!r}")
 
     @staticmethod
     def _vectors(value: Any, field: str) -> np.ndarray:
@@ -386,31 +386,15 @@ def _reprs(values: np.ndarray) -> List[str]:
     # orjson writes repr's shortest round-trip digits, and spells a float otherwise just where it is NaN or inf
     # (null), 1e-9 <= |x| < 1e-4 (1e-9 for repr's 1e-09, 0.0000162 for 1.62e-05) or |x| >= 1e16 (1e16 for 1e+16):
     # with orjson 3.8.3, every float of those bands and none outside them, over 400k random bit patterns and 253k
-    # floats of every decade 1e-324 to 1e308, both signs.  So repr respells just those.  On seeds_heavy's 8790
-    # distinct floats at rng_seed 101 (127 respelled; best of 300 interleaved calls, 2-vCPU VM) this takes
-    # 0.77 ms, against 6.7 ms for repr alone and 11.2 ms for numpy's astype(str); a run_verify + report_json
-    # call takes 10.3 ms, against 16.9 ms with repr alone.
+    # floats of every decade 1e-324 to 1e308, both signs.  So repr respells just those.  On all 15971 leaves of
+    # seeds_heavy's distinct objects at rng_seed 101 (148 respelled; best of 300 interleaved calls, 2-vCPU VM)
+    # one call takes 1.5-1.6 ms, against 12.8 ms for repr alone, of a 10.6-11.2 ms run_verify + report_json call.
     texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",") if values.size else []
     magnitudes = np.abs(values)
     respelled = np.flatnonzero(~((magnitudes < 1e-9) | ((magnitudes >= 1e-4) & (magnitudes < 1e16))))
     for i, value in zip(respelled.tolist(), values[respelled].tolist()):
         texts[i] = float.__repr__(value)
     return texts
-
-
-def _spell_distinct(items: List[Any], non_finite: Dict[str, str]) -> List[List[str]]:
-    """Each item's floats as spelled by one ``_reprs`` call on their distinct float64 bit patterns (not values:
-    0.0 == -0.0 while their texts differ, and a NaN equals nothing), each non-finite one's text respelled by
-    ``non_finite``."""
-    ends = list(itertools.accumulate(map(len, items)))
-    values = np.fromiter(itertools.chain.from_iterable(items), np.float64, ends[-1])
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    texts = _reprs(distinct)
-    for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
-        texts[i] = non_finite.get(texts[i], texts[i])
-    texts = np.array(texts, dtype=object)[inverse].tolist()
-    return [texts[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _columns(records: Any, fields: Tuple[str, ...]) -> Tuple[List[List[Any]], np.ndarray]:
@@ -473,9 +457,10 @@ def _record_texts(records: Any, fields: List[_Field], templates: List[str],
                   non_finite: Dict[str, str]) -> Tuple[List[List[str]], np.ndarray]:
     """Both writers' one rule and record path: for a non-empty list or tuple of dicts with as many keys as
     ``_LAYOUT`` has fields, ``fields`` among them, laid out as ``_leaves`` checks with float leaves of a type in
-    ``_FLOATS``, each field's distinct objects' texts, made once from ``templates`` with the leaves spelled in
-    one ``_spell_distinct`` call (an index's is its ``str``), and ``_columns``' numbers.  Else TypeError or
-    KeyError, and the writer hands the whole report to json.dumps or csv.writer."""
+    ``_FLOATS``, each field's distinct objects' texts, made once from ``templates`` with the leaves of all of
+    them spelled in one ``_reprs`` call, a non-finite leaf's text respelled by ``non_finite`` (an index's text
+    is its ``str``), and ``_columns``' numbers.  Else TypeError or KeyError, and the writer hands the whole
+    report to json.dumps or csv.writer."""
     if not (isinstance(records, (list, tuple)) and records
             and all(isinstance(record, dict) and len(record) == len(_LAYOUT) for record in records)):
         raise TypeError("records are not run_verify's")
@@ -483,7 +468,12 @@ def _record_texts(records: Any, fields: List[_Field], templates: List[str],
     leaves = [_leaves(values, field.leaves) for field, values in zip(fields, distinct)]
     if not set(map(type, itertools.chain.from_iterable(leaves))) <= _FLOATS:
         raise TypeError("a float leaf of a record is not a float")
-    texts = _spell_distinct(leaves, non_finite)
+    ends = list(itertools.accumulate(map(len, leaves)))
+    floats = np.fromiter(itertools.chain.from_iterable(leaves), np.float64, ends[-1])
+    spelled = _reprs(floats)
+    for i in np.flatnonzero(~np.isfinite(floats)).tolist():
+        spelled[i] = non_finite.get(spelled[i], spelled[i])
+    texts = [spelled[start:end] for start, end in zip([0, *ends], ends)]
     for j, (field, template, values) in enumerate(zip(fields, templates, distinct)):
         if field.leaves == "index":
             texts[j] = list(map(str, values))

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -112,6 +113,22 @@ class TestQbase:
         given = tuple(float(v) for v in coeffs.split(","))
         assert payload["closed_form_frame"] == (f"not available: coefficients {given}: float arithmetic fails in "
                                                 f"the closed-form frame ({numpy_error})")
+
+    @pytest.mark.parametrize("coeffs,status", [("3,1,2", "sqrt_domain_failure"),
+                                               ("5,1,2", "residual_exceeds_tolerance")])
+    def test_closed_form_audit_is_strict_json(self, capsys, coeffs, status):
+        # RFC 8259 has no NaN: the radicals that a sqrt_domain_failure leaves undefined are null, as its candidate is.
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert main(["qbase", "--coeffs", coeffs, "--seed-vector", "1,0.2,-0.3,0.4"]) == 0
+        audit = json.loads(capsys.readouterr().out, parse_constant=refuse)["closed_form_frame"]
+        assert audit["status"] == status
+        radicals = [audit[key] for key in ("x2", "sum_x1_x3", "prod_x1_x3", "discriminant")]
+        if status == "sqrt_domain_failure":
+            assert radicals + [audit["candidate"], audit["max_deviation"]] == [None] * 6
+        else:
+            assert all(type(value) is float for value in radicals)
 
 
 class TestPyramid:
@@ -683,6 +700,34 @@ class TestOutFile:
         assert main(["verify", "--config", write_config(tmp_path, output={"path": str(out)})]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+
+
+class TestEmptyOutputPath:
+    """An empty output path is refused before any work, with one line and exit 2: else it reads as no path, and
+    the output goes to stdout (or, for verify --out "", to the config's output.path)."""
+
+    @pytest.mark.parametrize("argv", [["inspect", "--coeffs", "3,1,2"], ["qbase", "--coeffs", "3,1,2"],
+                                      ["pyramid", "--coeffs", "3,1,2", "--seed-vector", "1,0,0,0"],
+                                      ["curvature"], ["verify"], ["verify", "--format", "csv"]],
+                             ids=["inspect", "qbase", "pyramid", "curvature", "verify", "verify-csv"])
+    def test_empty_out_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        name = argv[0]
+        _, *rest = cli._COMMANDS[name]
+        monkeypatch.setitem(cli._COMMANDS, name, (mock.Mock(side_effect=AssertionError("the command ran")), *rest))
+        if name in ("curvature", "verify"):
+            argv = [*argv, "--config", write_config(tmp_path, output={"path": str(tmp_path / "report.json")})]
+        assert main([*argv, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: --out must be a non-empty file path, got ''\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.iterdir()) == ([tmp_path / "run.json"] if name in ("curvature", "verify") else [])
+
+    def test_empty_output_path_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_verify", mock.Mock(side_effect=AssertionError("a point was evaluated")))
+        assert main(["verify", "--config", write_config(tmp_path, output={"path": ""})]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: output.path must be a non-empty file path string, got ''\n"
+        assert captured.out == ""
 
 
 class TestOutputOpenedBeforeTheRun:

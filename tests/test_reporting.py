@@ -324,6 +324,11 @@ class TestSectionValidation:
         with pytest.raises(ConfigError, match=r"output\.path"):
             RunConfig(base_config(output={"path": path}))
 
+    def test_empty_output_path_rejected(self):
+        # An empty path would read as none, and the report go to stdout.
+        with pytest.raises(ConfigError, match=r"output\.path must be a non-empty file path string, got ''"):
+            RunConfig(base_config(output={"path": ""}))
+
 
 def _without(key, **overrides):
     cfg = base_config(**overrides)

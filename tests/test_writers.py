@@ -252,7 +252,8 @@ class LoudFloat(float):
 
 
 class TestDistinctSpelling:
-    """Pair floats are spelled once per distinct bit pattern; the bytes stay the stdlib's."""
+    """Pair floats that one value spells two ways (signed zeros, NaN payloads), equal floats of two types, and
+    leaves of other types: the bytes stay the stdlib's."""
 
     def test_signed_zeros(self, no_fallback):
         records = real_report()["records"]
@@ -367,39 +368,6 @@ class TestReprs:
         assert reporting._reprs(np.array([])) == []
 
 
-class TestSpelledOnce:
-    """Each distinct bit pattern among the pair floats is spelled once per report."""
-
-    def spelled(self, monkeypatch, write, report):
-        count = [0]
-
-        def reprs(values):
-            values = list(values)
-            count[0] += len(values)
-            return list(map(float.__repr__, values))
-
-        monkeypatch.setattr(reporting, "_reprs", reprs)
-        write(report)
-        return count[0]
-
-    @staticmethod
-    def distinct(values):
-        return len({struct.pack("<d", value) for value in values})
-
-    def test_json(self, monkeypatch, no_fallback):
-        records = real_report()["records"]
-        pairs = [value for record in records for value in (
-            record["equality_residual"], *(record["identity_residuals"][k] for k in sorted(record["identity_residuals"])),
-            *record["mu"], record["zero_residual"])]
-        assert self.distinct(pairs) < len(pairs)  # else this report cannot tell
-        # A point's leaves once per run of records holding its objects, a seed's once per (seed, index).
-        runs = 1 + sum(a["coeffs"] is not b["coeffs"] for a, b in zip(records, records[1:]))
-        point_leaves = 11 + len(records[0]["symmetry_residuals"])
-        seed_leaves = 4 * len({(id(r["seed"]), r["seed_index"]) for r in records})
-        spelled = self.spelled(monkeypatch, report_json, {"records": records})
-        assert spelled <= self.distinct(pairs) + runs * point_leaves + seed_leaves
-
-
 # The benchmark's three workload configs: many seeds at few points, finite-difference jets at many points, and
 # the non-parallel control family.
 WORKLOADS = {
@@ -424,14 +392,6 @@ def bit_pattern(value):
     return struct.pack("<d", value)
 
 
-def csv_float_cells(record):
-    """A record's CSV cells that hold floats: every cell but the two indices."""
-    return [*record["point"], *record["seed"], *(record["coeffs"][k] for k in "ABC"), record["parallel_residual"],
-            record["nabla_q_residual"], record["frame_residual"], *record["mu"], record["equality_residual"],
-            record["zero_residual"], max(record["identity_residuals"].values()),
-            max(record["symmetry_residuals"].values())]
-
-
 def float_leaves(value):
     """Every float leaf of a nested record value."""
     if isinstance(value, dict):
@@ -441,14 +401,40 @@ def float_leaves(value):
     return [value] if isinstance(value, float) else []
 
 
+# The float CSV cells of each field's object: every cell but the two indices (the CSV has no tolerance column).
+CSV_FLOAT_CELLS = {
+    "point": list, "seed": list, "coeffs": lambda d: [d[k] for k in "ABC"], "mu": list,
+    **dict.fromkeys(["parallel_residual", "nabla_q_residual", "frame_residual", "equality_residual",
+                     "zero_residual"], lambda v: [v]),
+    **dict.fromkeys(["identity_residuals", "symmetry_residuals"], lambda d: [max(d.values())]),
+}
+
+
 class TestOneSpellingPass:
-    """Each writer spells all float leaves (report_json) or float cells (report_to_csv) of the records in
-    one call, with exactly their distinct bit patterns."""
+    """Each writer spells the float leaves (report_json) or float cells (report_to_csv) of each field's distinct
+    objects, told apart by identity, in one _reprs call: an object that many records share is spelled once."""
 
     @staticmethod
-    def spell_calls(monkeypatch, report, write=report_json, oracle=json_oracle):
-        """The sorted bit patterns of the values of each _reprs call the writer makes."""
-        calls = []
+    def leaves(records, cells, shared):
+        """The sorted bit patterns of the float leaves, or given ``cells`` the float CSV cells, of each field's
+        objects: once per distinct object if ``shared``, else once per record."""
+        found = []
+        for field in records[0]:
+            if cells is None or field in cells:
+                objects = [record[field] for record in records]
+                if shared:
+                    objects = list({id(value): value for value in objects}.values())
+                found += [leaf for value in objects
+                          for leaf in (float_leaves(value) if cells is None else cells[field](value))]
+        return sorted(map(bit_pattern, found))
+
+    @classmethod
+    def assert_one_call(cls, monkeypatch, report, write=report_json, oracle=json_oracle, cells=None):
+        """Check that the writer writes the oracle's bytes with one _reprs call, whose values are the leaves of
+        each field's distinct objects."""
+        records, calls = report["records"], []
+        expected = cls.leaves(records, cells, shared=True)
+        assert len(expected) < len(cls.leaves(records, cells, shared=False))  # else the records share no leaf
 
         def reprs(values):
             values = list(values)
@@ -457,27 +443,19 @@ class TestOneSpellingPass:
 
         monkeypatch.setattr(reporting, "_reprs", reprs)
         assert write(report) == oracle(report)
-        return calls
+        assert calls == [expected]
 
-    @staticmethod
-    def distinct(records, floats=float_leaves):
-        """The sorted distinct bit patterns of the records' floats."""
-        return sorted({bit_pattern(value) for record in records for value in floats(record)})
+    def test_real_report(self, monkeypatch, no_fallback):
+        # A point's objects are shared by the records of its seeds, and a seed's by those of its points.
+        self.assert_one_call(monkeypatch, real_report())
 
     @pytest.mark.parametrize("name", list(WORKLOADS))
     def test_workload_is_spelled_in_one_call(self, monkeypatch, no_fallback, name):
-        report = workload_report(name)
-        records = report["records"]
-        assert len(self.distinct(records)) < sum(len(float_leaves(r)) for r in records)  # else this cannot tell
-        assert self.spell_calls(monkeypatch, report) == [self.distinct(records)]
+        self.assert_one_call(monkeypatch, workload_report(name))
 
     @pytest.mark.parametrize("name", list(WORKLOADS))
     def test_csv_workload_is_spelled_in_one_call(self, monkeypatch, name):
-        report = workload_report(name)
-        records = report["records"]
-        distinct = self.distinct(records, csv_float_cells)
-        assert len(distinct) < sum(len(csv_float_cells(r)) for r in records)  # else this cannot tell
-        assert self.spell_calls(monkeypatch, report, report_to_csv, csv_oracle) == [distinct]
+        self.assert_one_call(monkeypatch, workload_report(name), report_to_csv, csv_oracle, CSV_FLOAT_CELLS)
 
     def test_signed_zero_coordinates(self, monkeypatch, no_fallback):
         report = run_verify(RunConfig({
@@ -487,7 +465,7 @@ class TestOneSpellingPass:
         }))
         signs = [[math.copysign(1.0, x) for x in r["point"]] for r in report["records"][::2]]
         assert signs == [[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0], [1.0] * 4]
-        assert self.spell_calls(monkeypatch, report) == [self.distinct(report["records"])]
+        self.assert_one_call(monkeypatch, report)
 
     @pytest.mark.parametrize("field", ["parallel_residual", "nabla_q_residual", "frame_residual"])
     def test_nan_point_residual(self, monkeypatch, no_fallback, field):
@@ -497,7 +475,7 @@ class TestOneSpellingPass:
         records[3:6] = [{**r, **{k: nan_point[k] for k in POINT_FIELDS}} for r in records[3:6]]
         report = {"records": records}
         assert "NaN" in report_json(report)
-        assert self.spell_calls(monkeypatch, report) == [self.distinct(records)]
+        self.assert_one_call(monkeypatch, report)
 
 
 PAIR_FIELDS = ["equality_residual", "identity_residuals", "mu", "zero_residual"]
@@ -651,9 +629,9 @@ class TestOneRule:
                     **{field: list(map(np.float64, r[field])) for field in ("point", "seed", "mu")}}
                    for r in workload_report("control")["records"]]
         report = {"records": records}
-        assert {type(cell) for r in records for cell in csv_float_cells(r)} == {float, np.float64}
-        distinct = TestOneSpellingPass.distinct(records, csv_float_cells)
-        assert TestOneSpellingPass.spell_calls(monkeypatch, report, report_to_csv, csv_oracle) == [distinct]
+        assert {type(cell) for r in records for field, cells in CSV_FLOAT_CELLS.items()
+                for cell in cells(r[field])} == {float, np.float64}
+        TestOneSpellingPass.assert_one_call(monkeypatch, report, report_to_csv, csv_oracle, CSV_FLOAT_CELLS)
 
     @pytest.mark.parametrize("records", [[], ()], ids=["list", "tuple"])
     def test_empty_reports_go_whole(self, no_fallback, records):
