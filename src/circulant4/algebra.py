@@ -66,11 +66,6 @@ def apply_q(x, k: int = 1) -> np.ndarray:
     return as_vector4(x)[ORBIT_INDEX[k % 4]]
 
 
-def q_orbit(x) -> np.ndarray:
-    """The 4x4 matrix with rows x, qx, q^2 x, q^3 x."""
-    return as_vector4(x)[ORBIT_INDEX]
-
-
 def orbit_gram(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gram matrices gram[..., a, b] = g(q^a x, q^b x) for generators c (..., 3) and
     vectors x (..., 4) whose leading axes broadcast; no validation."""
@@ -199,5 +194,11 @@ def qbase_predicate(x) -> bool:
 
 
 def det_qorbit(x) -> float:
-    """Determinant of the 4x4 matrix with rows x, qx, q^2 x, q^3 x."""
-    return float(np.linalg.det(q_orbit(x)))
+    """Determinant of the 4x4 matrix with rows x, qx, q^2 x, q^3 x, made without numpy warnings: 0 where it
+    underflows, ValueError naming x where it overflows a float, as qbase_polynomial."""
+    x = as_vector4(x)
+    with np.errstate(all="ignore"):  # numpy's det is sign exp(log |det|): log 0 divides by zero, exp overflows
+        det = float(np.linalg.det(x[ORBIT_INDEX]))
+    if not np.isfinite(det):
+        raise ValueError(f"x = {x.tolist()}: its orbit determinant overflows a float")
+    return det

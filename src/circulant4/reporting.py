@@ -231,8 +231,8 @@ _BLOCK_POINTS = 256
 # (row, seed) pair.  leaves is its layout: "index" (an int), "float", n (a list of n floats) or the names of a
 # dict of floats.  csv holds its CSV columns: a dict's values by those names, or else its largest value.  summary
 # is the summary maximum it feeds; criterion names the criterion that reads it, its tolerance key, and whether
-# it needs nabla q = 0 (nabla_q_zero passes).  The frame criterion's tolerance is each row's frame_tolerance.
-_Field = collections.namedtuple("_Field", "name level leaves csv summary criterion", defaults=((), None, None))
+# it needs nabla q = 0 (nabla_q_zero passes).  A criterion passes when its summary maximum is at most its tolerance.
+_Field = collections.namedtuple("_Field", "name level leaves csv summary criterion", defaults=(None, None))
 _LAYOUT = (
     _Field("point_index", "point", "index", ("point_index",)),
     _Field("seed_index", "seed", "index", ("seed_index",)),
@@ -244,7 +244,6 @@ _LAYOUT = (
            ("nabla_q_zero", "curvature_tol", False)),
     _Field("frame_residual", "row", "float", ("frame_residual",), "max_frame_residual",
            ("spectral_frame", "frame_tol", False)),
-    _Field("frame_tolerance", "row", "float"),
     _Field("mu", "pair", 6, tuple(f"mu_{i}" for i in range(1, 7))),
     _Field("equality_residual", "pair", "float", ("equality_residual",), "max_equality_residual",
            ("section_equalities", "section_tol", True)),
@@ -277,14 +276,13 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
     jets are equal bit for bit form a row.  Records share each field's
     object as its ``_LAYOUT`` level says, and the writers spell each object
     once.  Records are in (point, seed) order.  The summary's maxima come
-    from the block arrays, so a NaN residual makes its maximum NaN and
-    fails its criterion.  It writes no file; ``circulant4 verify`` does.
+    from the block arrays, and each criterion passes when its maximum is at
+    most its tolerance, so a NaN residual makes its maximum NaN and fails
+    its criterion.  It writes no file; ``circulant4 verify`` does.
     """
     # Made once, so that the records of one seed share its index object too.
     seeds = _shared("seed", {"seed_index": np.arange(len(config.seeds)), "seed": config.seeds})
     summarised = [field for field in _LAYOUT if field.summary]
-    judged = [field.criterion + (field.name,) for field in _LAYOUT if field.criterion]
-    passed = {name: True for name, *_ in judged}
     records, worst = [], []  # worst: each block's largest value per summary maximum
     size = max(1, min(_BLOCK_POINTS, _BLOCK_PAIRS // len(seeds)))
     for start in range(0, len(config.points), size):
@@ -294,14 +292,11 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
         arrays = {
             "coeffs": geo.coeffs, "parallel_residual": gradient_residual(geo.grads),
             "nabla_q_residual": geo.nabla_q_residual(), "frame_residual": spectral_frame_residuals(geo.coeffs),
-            "frame_tolerance": config.tolerances["frame_tol"] * (1.0 + geo.coeffs[:, 0]), "mu": sections.mu,
-            "equality_residual": sections.equality_residual, "zero_residual": sections.zero_residual,
-            "identity_residuals": identities, "symmetry_residuals": geo.symmetry_residuals(),
+            "mu": sections.mu, "equality_residual": sections.equality_residual,
+            "zero_residual": sections.zero_residual, "identity_residuals": identities,
+            "symmetry_residuals": geo.symmetry_residuals(),
         }
         worst.append([np.max(arrays[field.name]) for field in summarised])
-        limits = {**config.tolerances, "frame_tol": arrays["frame_tolerance"]}
-        for name, key, _, field in judged:
-            passed[name] = passed[name] and bool(np.all(arrays[field] <= limits[key]))
         rows, n = _shared("row", arrays), len(seeds)
         pairs = [{**seed, **pair} for seed, pair in zip(itertools.cycle(seeds), _shared("pair", arrays))]
         for point, row in zip(_shared("point", {"point_index": np.arange(start, start + len(block)), "point": block}),
@@ -309,8 +304,12 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
             base = {**point, **rows[row]}
             records += [{**base, **pair} for pair in pairs[row * n:(row + 1) * n]]
 
+    maxima = dict(zip((field.summary for field in summarised), np.max(worst, axis=0).tolist()))
+    judged = [(field.summary, *field.criterion) for field in _LAYOUT if field.criterion]
+    # np.max keeps a NaN, and NaN <= tolerance is False.
+    passed = {name: maxima[summary] <= config.tolerances[key] for summary, name, key, _ in judged}
     criteria = {name: ("pass" if passed[name] else "fail") if passed["nabla_q_zero"] or not needs_parallel
-                else "not applicable (non-parallel)" for name, _, needs_parallel, _ in judged}
+                else "not applicable (non-parallel)" for _, name, _, needs_parallel in judged}
     return {
         "tool": "circulant4",
         "version": __version__,
@@ -318,7 +317,7 @@ def run_verify(config: RunConfig) -> Dict[str, Any]:
         "rng_seed": config.rng_seed,
         "records": records,
         "summary": {
-            **dict(zip((field.summary for field in summarised), np.max(worst, axis=0).tolist())),
+            **maxima,
             "criteria": criteria,
             "status": "fail" if "fail" in criteria.values() else "pass",
         },
@@ -375,8 +374,7 @@ _RECORD = _template(dict.fromkeys(_NAMES, _SLOT), "")
 _FIELD_TEMPLATES = [_template(_SLOT if isinstance(f.leaves, str) else dict.fromkeys(f.leaves, _SLOT)
                               if isinstance(f.leaves, tuple) else [_SLOT] * f.leaves, "  ") for f in _SORTED]
 # The CSV's fields in column order (a dict with one column, its largest value, laid out as "max"), and its header.
-_CSV = [f._replace(leaves="max") if isinstance(f.leaves, tuple) and f.csv != f.leaves else f
-        for f in _LAYOUT if f.csv]
+_CSV = [f._replace(leaves="max") if isinstance(f.leaves, tuple) and f.csv != f.leaves else f for f in _LAYOUT]
 _CSV_COLUMNS = tuple(itertools.chain.from_iterable(field.csv for field in _CSV))
 
 

@@ -284,6 +284,26 @@ class TestQBasePredicate:
         assert abs(det_qorbit([1, 0, 0, 0])) == pytest.approx(1.0, rel=1e-14)
         assert det_qorbit([1, 1, 1, 1]) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("x", [[1e-310, 0, 0, 0], [5e-324, 0, 0, 0], [1e-100, 0, 0, 0]],
+                             ids=["subnormal", "smallest-subnormal", "tiny"])
+    def test_underflowing_orbit_determinant_is_zero_without_a_warning(self, x):
+        # numpy's det is sign exp(log |det|); for a subnormal x it took log 0 and warned of a division by zero.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert det_qorbit(x) == 0.0
+
+    @pytest.mark.parametrize("x", [[1e100, 0, 0, 0], [1e80, 1, 2, 3]], ids=["e1", "mixed"])
+    def test_overflowing_orbit_determinant_raises_naming_x(self, x):
+        # numpy's det warned of an overflow and returned -inf.
+        message = f"x = {[float(v) for v in x]}: its orbit determinant overflows a float"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                det_qorbit(x)
+
+    def test_orbit_determinant_near_the_float_limit(self):
+        assert abs(det_qorbit([1e77, 0, 0, 0])) == pytest.approx(1e308, rel=1e-12)
+
     def test_polynomial_matches_determinant_in_exact_arithmetic(self):
         # The polynomial equals +-det of the orbit matrix; check exactly
         # over rationals with a cofactor-expansion determinant.

@@ -81,6 +81,17 @@ class TestQbase:
                                 "its independence polynomial overflows a float\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed", ["1e-310,0,0,0", "5e-324,0,0,0"])
+    def test_subnormal_seed_reports_a_zero_determinant(self, capsys, seed):
+        # Its orbit determinant underflows, where numpy's det wrote a divide-by-zero warning to stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["qbase", "--coeffs", "3,1,2", "--seed-vector", seed]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)["seed"]
+        assert (report["orbit_determinant"], report["is_qbase"]) == (0.0, False)
+
     def test_inadmissible_coeffs_exit_1(self, capsys):
         assert main(["qbase", "--coeffs", "1,2,3", "--seed-vector", "1,0,0,0"]) == 1
         payload = json.loads(capsys.readouterr().out)

@@ -128,8 +128,11 @@ class TestRunVerify:
 
 
 class TestNaNVerdicts:
-    def test_nan_at_a_later_point_fails_its_criterion(self):
+    # With one point per geometry block, the NaN point sits in the second block.
+    @pytest.mark.parametrize("block_points", [256, 1])
+    def test_nan_at_a_later_point_fails_its_criterion(self, monkeypatch, block_points):
         # A NaN Hessian at the second of two points makes its Riemann tensor NaN.
+        monkeypatch.setattr(reporting, "_BLOCK_POINTS", block_points)
         spec = make_custom_family(
             lambda p: (3.0, 1.0, 2.0),
             lambda p: np.zeros((3, 4)),
@@ -296,9 +299,36 @@ class TestFloatScale:
         report = run_verify(RunConfig(cfg))
         assert report["summary"]["status"] == "pass"
         assert all(map(math.isfinite, report["records"][0]["mu"]))
-        # The report's frame_tolerance is frame_tol (1 + A), which no seed misses at such A, so the seed's
-        # dimensionless Gram residual is held to the unscaled bound here.
+        # spectral_frame passes when the largest Gram residual is at most frame_tol, 1e-12 by default; the
+        # residual is dimensionless, so it is held to that bound at any scale of A.
         assert report["records"][0]["frame_residual"] <= 1e-12
+
+
+class TestScaleInvariance:
+    """The Gram and nabla q residuals are dimensionless: scaling a family's params by a power of 4 scales A, B, C
+    and their derivatives exactly, leaves every record's residuals equal bit for bit, and leaves the verdicts that
+    read them as they were."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    @pytest.mark.parametrize("name,params", [
+        ("constant", [1.0, 0.3, 0.999999]),  # its frame residual, 1.6e-11, fails frame_tol 1e-12 at every scale
+        ("s_wave", [2.0, 0.1, 3.0, 1.0]),
+        ("control", [4.0, 0.5, 1.0, 2.0]),
+    ])
+    def test_residuals_and_verdicts_ignore_the_scale(self, name, params, mode):
+        def outcome(k):
+            report = run_verify(RunConfig({
+                "family": {"name": name, "params": [p * 4.0**k for p in params]},
+                "grid": {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [2] * 4},
+                "seeds": "random:4", "rng_seed": 7, "derivative_mode": mode,
+            }))
+            residuals = [(r["frame_residual"].hex(), r["nabla_q_residual"].hex()) for r in report["records"]]
+            criteria = report["summary"]["criteria"]
+            return residuals, criteria["spectral_frame"], criteria["nabla_q_zero"]
+
+        base = outcome(0)
+        for k in (-3, 2, 5, 10):
+            assert outcome(k) == base, f"params x 4^{k}"
 
 
 class TestSectionValidation:

@@ -20,8 +20,8 @@ from circulant4 import RunConfig, reporting, run_verify
 from circulant4.curvature import IDENTITY_NAMES, SYMMETRY_NAMES
 from circulant4.reporting import report_json, report_to_csv
 
-POINT_FIELDS = ["coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual",
-                "parallel_residual", "point", "point_index", "symmetry_residuals"]
+POINT_FIELDS = ["coeffs", "frame_residual", "nabla_q_residual", "parallel_residual", "point", "point_index",
+                "symmetry_residuals"]
 
 
 S_WAVE, CONTROL = ("s_wave", [2.0, 0.1, 3.0, 1.0]), ("control", [3.0, 0.1, 1.0, 2.0])
@@ -130,7 +130,7 @@ class TestSeedReuse:
         assert_bytes({"records": records})
 
 
-SLOTS = [("coeffs", "B"), ("frame_residual",), ("frame_tolerance",), ("point", 2),
+SLOTS = [("coeffs", "B"), ("frame_residual",), ("point", 2),
          ("symmetry_residuals", "pair_symmetry"), ("seed", 1), ("equality_residual",), ("mu", 3),
          ("identity_residuals", "e_zero"), ("zero_residual",)]
 
@@ -490,10 +490,8 @@ class TestPairGroupReuse:
         assert_bytes({"records": records})
 
 
-JSON_FIELDS = ["coeffs", "equality_residual", "frame_residual", "frame_tolerance", "identity_residuals", "mu",
-               "nabla_q_residual", "parallel_residual", "point", "point_index", "seed", "seed_index",
-               "symmetry_residuals", "zero_residual"]
-CSV_FIELDS = [field for field in JSON_FIELDS if field != "frame_tolerance"]  # the CSV has no tolerance column
+JSON_FIELDS = ["coeffs", "equality_residual", "frame_residual", "identity_residuals", "mu", "nabla_q_residual",
+               "parallel_residual", "point", "point_index", "seed", "seed_index", "symmetry_residuals", "zero_residual"]
 
 
 class TestOneFieldPass:
@@ -513,10 +511,10 @@ class TestOneFieldPass:
             return distinct, numbers
 
         monkeypatch.setattr(reporting, "_columns", hooked)
-        for write, oracle, fields in ((report_json, json_oracle, JSON_FIELDS), (report_to_csv, csv_oracle, CSV_FIELDS)):
+        for write, oracle in ((report_json, json_oracle), (report_to_csv, csv_oracle)):
             calls.append([])
             assert write(report) == oracle(report)
-            assert calls[-1] == [{field: len({id(r[field]) for r in records}) for field in fields}]
+            assert calls[-1] == [{field: len({id(r[field]) for r in records}) for field in JSON_FIELDS}]
         return calls[0][0]
 
     # Every workload at three RNG seeds in both derivative modes, so both writers' bytes are checked at full size.
@@ -541,8 +539,7 @@ class TestOneFieldPass:
         assert (found["point"], found["seed"]) == (3, 3)
 
 
-ROW_FIELDS = ["coeffs", "frame_residual", "frame_tolerance", "nabla_q_residual", "parallel_residual",
-              "symmetry_residuals"]
+ROW_FIELDS = ["coeffs", "frame_residual", "nabla_q_residual", "parallel_residual", "symmetry_residuals"]
 
 
 def with_row(records, point_index, row):
@@ -580,8 +577,8 @@ class TestRowReuse:
 float_cells = st.one_of(floats, floats.map(np.float64))
 # run_verify's fields, with float or np.float64 leaves, which the record path takes.
 layout_fields = {
-    **{name: float_cells for name in ["parallel_residual", "nabla_q_residual", "frame_residual", "frame_tolerance",
-                                      "equality_residual", "zero_residual"]},
+    **{name: float_cells for name in ["parallel_residual", "nabla_q_residual", "frame_residual", "equality_residual",
+                                      "zero_residual"]},
     "point_index": st.integers(0, 10**6), "seed_index": st.integers(0, 10**6),
     "point": st.lists(float_cells, min_size=4, max_size=4), "seed": st.lists(float_cells, min_size=4, max_size=4),
     "coeffs": st.fixed_dictionaries({"A": float_cells, "B": float_cells, "C": float_cells}),
