@@ -8,6 +8,7 @@ Everything in this module is a pure function of its arguments.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -79,9 +80,17 @@ def metric_matrix(c: CirculantCoeffs) -> np.ndarray:
 
 
 def metric_det_closed(c: CirculantCoeffs) -> float:
-    """det g = (A-C)^2 ((A+C)^2 - 4B^2), the circulant closed form."""
+    """det g = (A-C)^2 ((A+C)^2 - 4B^2), the circulant closed form, made without numpy warnings; ValueError
+    naming c where it overflows a float, to inf or to NaN as inf - inf, as det_qorbit."""
     a, b, cc = c
-    return (a - cc) ** 2 * ((a + cc) ** 2 - 4 * b**2)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars overflow to inf with a warning
+            det = (a - cc) ** 2 * ((a + cc) ** 2 - 4 * b**2)
+    except OverflowError:  # float ** raises where * gives inf
+        det = math.inf
+    if not math.isfinite(det):
+        raise ValueError(f"(A, B, C) = {list(map(float, c))}: its closed-form determinant overflows a float")
+    return det
 
 
 def metric_eigenvalues(c: CirculantCoeffs) -> np.ndarray:

@@ -116,14 +116,14 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 def _cmd_inspect(args) -> int:
     c = _coeffs(args)
+    overflow = f"--coeffs {list(c)}: a float overflows in "
+    eigenvalues = metric_eigenvalues(c).tolist()
+    if not all(map(math.isfinite, eigenvalues)):
+        raise ValueError(overflow + "eigenvalues")
     try:
         det = metric_det_closed(c)
-    except OverflowError:  # float ** raises where + and * give inf
-        det = math.inf
-    eigenvalues = metric_eigenvalues(c).tolist()
-    for name, values in (("eigenvalues", eigenvalues), ("det_closed_form", [det])):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"--coeffs {list(c)}: a float overflows in {name}")
+    except ValueError:  # det g overflows
+        raise ValueError(overflow + "det_closed_form") from None
     _emit({
         "coeffs": {"A": c.a, "B": c.b, "C": c.c},
         "metric": metric_matrix(c).tolist(),

@@ -1,10 +1,10 @@
 """Levi-Civita connection and curvature of the circulant metric.
 
-The core routine ``_connection`` works on raw arrays (g, dg, ddg, g^{-1}) where
+The core routine ``_connection`` works on raw arrays (dg, ddg, g^{-1}) where
 
-    g[i, j]        metric components,
     dg[a, i, j]    = d_a g_ij,
     ddg[a, b, i, j] = d_a d_b g_ij,
+    ginv[i, j]     = g^{ij}, the inverse metric,
 
 so it can be exercised against arbitrary metrics in tests; inside a
 ``PointGeometry`` every array gains a leading axis over a block of points.
@@ -125,7 +125,7 @@ def _metric_arrays(coeffs: np.ndarray, grads: np.ndarray, hessians: np.ndarray):
     return g, dg, ddg
 
 
-def _connection(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray, ginv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _connection(dg: np.ndarray, ddg: np.ndarray, ginv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Christoffel symbols gamma[..., k, i, j] and the (0,4) curvature r[..., i, j, k, l].
 
     With Gamma_{l,ij} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij) and Gamma^k_ij = g^{kl} Gamma_{l,ij},
@@ -134,7 +134,7 @@ def _connection(g: np.ndarray, dg: np.ndarray, ddg: np.ndarray, ginv: np.ndarray
     W_ijkl - W_jikl for W_ijkl = 1/2 (d_j d_k g_il - d_j d_l g_ik) + P_jkil, so it is antisymmetric
     in (i, j) bit for bit.  Leading axes of all arguments are a block of points.
     """
-    lead = g.shape[:-2]
+    lead = ginv.shape[:-2]
     first = 0.5 * (np.moveaxis(dg, -1, -3) + np.swapaxes(dg, -1, -3) - dg).reshape(lead + (4, 16))
     gamma = ginv @ first
     p = (np.swapaxes(first, -1, -2) @ gamma).reshape(lead + (4, 4, 4, 4))
@@ -186,7 +186,7 @@ class PointGeometry:
         take = np.unique(rows, return_index=True)[1]
         coeffs, grads = coeffs[take], grads[take]
         g, dg, ddg = _metric_arrays(coeffs, grads, hessians[take])
-        gamma, r = _connection(g, dg, ddg, _circulant_inverse(coeffs))
+        gamma, r = _connection(dg, ddg, _circulant_inverse(coeffs))
         return cls(coeffs=coeffs, grads=grads, g=g, gamma=gamma, r=r, rows=rows)
 
     def nabla_q_residual(self) -> np.ndarray:
@@ -323,16 +323,18 @@ def identity_suite(spec: FieldFamilySpec, p, x) -> Dict[str, float]:
 
 
 def q_invariance_residual(spec: FieldFamilySpec, p, vectors: Sequence) -> float:
-    """Max normalized |R(x,y,q^k z,q^k u) - R(x,y,z,u)| over k = 1, 2, 3."""
+    """Max normalized |R(x,y,q^k z,q^k u) - R(x,y,z,u)| over k = 1, 2, 3.
+
+    ValueError naming the vectors if a contraction R(x,y,q^k z,q^k u) overflows a float, as inf or as NaN.
+    """
     x, y, z, u = (as_vector4(v) for v in vectors)
     r = point_geometry(spec, p).r[0]
-    base = float(np.einsum("ijkl,i,j,k,l->", r, x, y, z, u))
+    with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
+        base, *shifted = (float(np.einsum("ijkl,i,j,k,l->", r, x, y, apply_q(z, k), apply_q(u, k))) for k in range(4))
+    if not np.isfinite([base, *shifted]).all():
+        raise ValueError(f"x, y, z, u = {[v.tolist() for v in (x, y, z, u)]}: R(x, y, q^k z, q^k u) overflows a float")
     norm = max(1.0, abs(base))
-    worst = 0.0
-    for k in (1, 2, 3):
-        val = float(np.einsum("ijkl,i,j,k,l->", r, x, y, apply_q(z, k), apply_q(u, k)))
-        worst = max(worst, abs(val - base) / norm)
-    return worst
+    return max(abs(val - base) / norm for val in shifted)
 
 
 # Smallest |P(x)|, the q-base independence polynomial, a random seed may have: a sampling policy, stricter on the

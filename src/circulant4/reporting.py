@@ -339,8 +339,7 @@ def report_json(report: Dict[str, Any]) -> str:
     # Only the top-level key sits after a newline and exactly two spaces,
     # and JSON strings hold no raw newline, so this spot is unique.
     head, tail = outer.split('\n  "records": []', 1)
-    return _fill(f'{head}\n  "records": [{_RECORD_INDENT}', _RECORD, _RECORD_SEPARATOR, texts, numbers,
-                 f"\n  ]{tail}\n")
+    return _fill(f'{head}\n  "records": [{_RECORD_INDENT}', _RECORD_SEPARATOR, texts, numbers, f"\n  ]{tail}\n")
 
 
 def _dumps(report: Dict[str, Any]) -> str:
@@ -368,14 +367,22 @@ def _template(like: Any, indent: str) -> str:
         json.dumps(_SLOT), "%s")
 
 
-# A record's text at depth 2 of the report with a "%s" per field, and each field's with a "%s" per leaf, in
-# sorted key order; a scalar field's template is "%s".
-_RECORD = _template(dict.fromkeys(_NAMES, _SLOT), "")
-_FIELD_TEMPLATES = [_template(_SLOT if isinstance(f.leaves, str) else dict.fromkeys(f.leaves, _SLOT)
-                              if isinstance(f.leaves, tuple) else [_SLOT] * f.leaves, "  ") for f in _SORTED]
-# The CSV's fields in column order (a dict with one column, its largest value, laid out as "max"), and its header.
+def _carrying(record: str, separator: str, templates: List[str]) -> List[str]:
+    """Each field's template followed by the text of the record template ``record`` after the field's slot, the
+    first field's also preceded by ``separator`` and the record's text before its first slot."""
+    first, *pieces = record.split("%s")
+    return [separator + first + templates[0] + pieces[0], *map(operator.add, templates[1:], pieces[1:])]
+
+
+# Each field's text at depth 2 of the report with a "%s" per leaf, in sorted key order, carrying the record's text.
+_FIELD_TEMPLATES = _carrying(_template(dict.fromkeys(_NAMES, _SLOT), ""), _RECORD_SEPARATOR, [
+    _template(_SLOT if isinstance(f.leaves, str) else dict.fromkeys(f.leaves, _SLOT)
+              if isinstance(f.leaves, tuple) else [_SLOT] * f.leaves, "  ") for f in _SORTED])
+# The CSV's fields in column order (a dict with one column, its largest value, laid out as "max"), its header, and
+# each field's cells with a "%s" per leaf, carrying the row's text.
 _CSV = [f._replace(leaves="max") if isinstance(f.leaves, tuple) and f.csv != f.leaves else f for f in _LAYOUT]
 _CSV_COLUMNS = tuple(itertools.chain.from_iterable(field.csv for field in _CSV))
+_CSV_TEMPLATES = _carrying(",".join(["%s"] * len(_CSV)) + "\r\n", "", [",".join(["%s"] * len(f.csv)) for f in _CSV])
 
 
 def _reprs(values: np.ndarray) -> List[str]:
@@ -409,25 +416,13 @@ def _columns(records: Any, fields: Tuple[str, ...]) -> Tuple[List[List[Any]], np
     return distinct, numbers
 
 
-def _fill(head: str, template: str, separator: str, texts: List[List[str]], numbers: np.ndarray,
-          tail: str) -> str:
-    """``head``, then ``template`` once per record, joined by ``separator`` and filled with the text of its
-    object in each field (``texts[j][numbers[i, j]]`` for record i), then ``tail``.
-
-    One ``str.join`` writes it all: each text of field j gets the template's piece after slot j appended, and
-    each text of the first field also the separator and the template's first piece as a prefix, which the
-    first record drops.  Each field's texts with their pieces replace its entry of ``texts``, so that its
-    plain texts are freed at once.
-    """
-    first, *pieces = template.split("%s")
-    for j, piece in enumerate(pieces):
-        texts[j] = list(map(operator.add, texts[j], itertools.repeat(piece)))
-    texts[0] = list(map(operator.add, itertools.repeat(separator + first), texts[0]))
+def _fill(head: str, separator: str, texts: List[List[str]], numbers: np.ndarray, tail: str) -> str:
+    """``head``, then the text of each record i's object in each field j, ``texts[j][numbers[i, j]]``, then
+    ``tail``, in one ``str.join``.  Each text carries the record text that follows its field, and the first
+    field's texts start with the ``separator`` between records, which the first record drops."""
     offsets = np.cumsum([0, *map(len, texts[:-1])])
     args = np.array(list(itertools.chain.from_iterable(texts)), dtype=object)[numbers + offsets].ravel().tolist()
-    if args:
-        args[0] = args[0][len(separator):]
-    args.insert(0, head)
+    args[0] = head + args[0][len(separator):]
     args.append(tail)
     return "".join(args)
 
@@ -455,10 +450,10 @@ def _record_texts(records: Any, fields: List[_Field], templates: List[str],
                   non_finite: Dict[str, str]) -> Tuple[List[List[str]], np.ndarray]:
     """Both writers' one rule and record path: for a non-empty list or tuple of dicts with as many keys as
     ``_LAYOUT`` has fields, ``fields`` among them, laid out as ``_leaves`` checks with float leaves of a type in
-    ``_FLOATS``, each field's distinct objects' texts, made once from ``templates`` with the leaves of all of
-    them spelled in one ``_reprs`` call, a non-finite leaf's text respelled by ``non_finite`` (an index's text
-    is its ``str``), and ``_columns``' numbers.  Else TypeError or KeyError, and the writer hands the whole
-    report to json.dumps or csv.writer."""
+    ``_FLOATS``, each field's distinct objects' texts, each its field's template filled with its leaves' texts,
+    and ``_columns``' numbers.  An index's one leaf text is its ``str``; the float leaves of all fields are spelled
+    in one ``_reprs`` call, a non-finite leaf's text respelled by ``non_finite``.  Else TypeError or KeyError,
+    and the writer hands the whole report to json.dumps or csv.writer."""
     if not (isinstance(records, (list, tuple)) and records
             and all(isinstance(record, dict) and len(record) == len(_LAYOUT) for record in records)):
         raise TypeError("records are not run_verify's")
@@ -471,13 +466,10 @@ def _record_texts(records: Any, fields: List[_Field], templates: List[str],
     spelled = _reprs(floats)
     for i in np.flatnonzero(~np.isfinite(floats)).tolist():
         spelled[i] = non_finite.get(spelled[i], spelled[i])
-    texts = [spelled[start:end] for start, end in zip([0, *ends], ends)]
-    for j, (field, template, values) in enumerate(zip(fields, templates, distinct)):
-        if field.leaves == "index":
-            texts[j] = list(map(str, values))
-        elif template != "%s":  # else each object's text is its one spelled leaf
-            texts[j] = [template % leaf_texts for leaf_texts in zip(*[iter(texts[j])] * template.count("%s"))]
-    return texts, numbers
+    texts = [list(map(str, values)) if field.leaves == "index" else spelled[start:end]
+             for field, values, start, end in zip(fields, distinct, [0, *ends], ends)]
+    return [[template % group for group in zip(*[iter(leaf_texts)] * template.count("%s"))]
+            for template, leaf_texts in zip(templates, texts)], numbers
 
 
 def _cells(field: _Field) -> Callable[[Any], Any]:
@@ -498,13 +490,13 @@ def report_to_csv(report: Dict[str, Any]) -> str:
     ``str.join``; any other report goes to csv.writer whole, each row its fields' ``_cells``.
     """
     try:
-        texts, numbers = _record_texts(report.get("records"), _CSV, [",".join(["%s"] * len(f.csv)) for f in _CSV], {})
+        texts, numbers = _record_texts(report.get("records"), _CSV, _CSV_TEMPLATES, {})
     except (TypeError, KeyError):  # records that the record path does not take
         buffer, cells = io.StringIO(), [(field.name, _cells(field)) for field in _CSV]
         csv.writer(buffer).writerows(itertools.chain([_CSV_COLUMNS], (
             [cell for name, get in cells for cell in get(record[name])] for record in report["records"])))
         return buffer.getvalue()
-    return _fill(",".join(_CSV_COLUMNS) + "\r\n", ",".join(["%s"] * len(_CSV)) + "\r\n", "", texts, numbers, "")
+    return _fill(",".join(_CSV_COLUMNS) + "\r\n", "", texts, numbers, "")
 
 
 WRITERS: Dict[str, Callable[[Dict[str, Any]], str]] = {"json": report_json, "csv": report_to_csv}

@@ -115,6 +115,17 @@ class TestDeterminant:
             lu = np.linalg.det(metric_matrix(c))
             assert abs(metric_det_closed(c) - lu) <= 1e-10 * max(1.0, abs(lu))
 
+    @pytest.mark.parametrize("c", [(1e200, 1e199, 5e199), (1.2e154, 1e150, 1e151)], ids=["power", "product"])
+    def test_overflowing_determinant_raises_naming_the_coefficients(self, c):
+        # Python's float ** raised OverflowError for the first; * gave inf for the second.
+        message = f"(A, B, C) = {list(c)}: its closed-form determinant overflows a float"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                metric_det_closed(CirculantCoeffs(*c))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                metric_det_closed(CirculantCoeffs(*np.array(c)))
+
 
 class TestEigenvalues:
     def test_example(self):

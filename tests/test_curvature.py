@@ -48,7 +48,7 @@ class TestSignConvention:
         ddg = np.zeros((4, 4, 4, 4))
         dg[0, 1, 1] = 2 * np.sin(theta) * np.cos(theta)
         ddg[0, 0, 1, 1] = 2 * np.cos(2 * theta)
-        r = _connection(g, dg, ddg, np.linalg.inv(g))[1]
+        r = _connection(dg, ddg, np.linalg.inv(g))[1]
         mu = r[0, 1, 0, 1] / (g[0, 0] * g[1, 1])
         assert mu == pytest.approx(1.0, rel=1e-12)
 
@@ -151,6 +151,21 @@ class TestQInvariance:
             for p in sample_points(rng, 10)
         )
         assert worst > 1e-6  # negative control: invariance genuinely fails
+
+    @pytest.mark.parametrize("scales", [(1e100, 1e100, 1e100, 1e100), (1e160, 1e160, 1.0, 1.0)],
+                             ids=["all", "x-and-y"])
+    def test_overflowing_contraction_is_refused_without_a_warning(self, scales):
+        # The contraction overflowed to inf, inf - inf made a NaN residual, and max() dropped it: the
+        # control family, whose residual here is 0.1125, read as perfectly q-invariant.
+        spec, p = make_family("control", (4.0, 0.5, 1.0, 2.0)), [0.3, -0.2, 0.5, 0.1]
+        vectors = np.array([[1, 0.2, -0.3, 0.4], [0.1, 1, 0.5, -0.2], [1, 0, 0, 0], [0, 1, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q_invariance_residual(spec, p, vectors) == pytest.approx(0.1125, abs=1e-4)
+            scaled = vectors * np.array(scales)[:, None]
+            message = f"x, y, z, u = {scaled.tolist()}: R(x, y, q^k z, q^k u) overflows a float"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                q_invariance_residual(spec, p, scaled)
 
 
 class TestSectional:
