@@ -12,6 +12,7 @@ import pytest
 
 from circulant4 import RunConfig, cli
 from circulant4.cli import main
+from test_contract import strict_json
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -73,6 +74,13 @@ class TestQbase:
             "ok", "sqrt_domain_failure", "residual_exceeds_tolerance",
         )
 
+    def test_spectral_frame_without_a_seed(self, capsys):
+        assert main(["qbase", "--coeffs", "3,1,2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert "seed" not in payload
+        assert len(payload["spectral_frame"]["seed"]) == 4
+        assert payload["spectral_frame"]["max_deviation"] <= 1e-12
+
     @pytest.mark.parametrize("command", ["qbase", "pyramid"])
     def test_overflowing_seed_exits_2_naming_it(self, capsys, command):
         assert main([command, "--coeffs", "3,1,2", "--seed-vector", "1e200,1,0,0"]) == 2
@@ -129,11 +137,8 @@ class TestQbase:
                                                ("5,1,2", "residual_exceeds_tolerance")])
     def test_closed_form_audit_is_strict_json(self, capsys, coeffs, status):
         # RFC 8259 has no NaN: the radicals that a sqrt_domain_failure leaves undefined are null, as its candidate is.
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
         assert main(["qbase", "--coeffs", coeffs, "--seed-vector", "1,0.2,-0.3,0.4"]) == 0
-        audit = json.loads(capsys.readouterr().out, parse_constant=refuse)["closed_form_frame"]
+        audit = strict_json(capsys.readouterr().out)["closed_form_frame"]
         assert audit["status"] == status
         radicals = [audit[key] for key in ("x2", "sum_x1_x3", "prod_x1_x3", "discriminant")]
         if status == "sqrt_domain_failure":
@@ -184,6 +189,17 @@ class TestPyramid:
         assert captured.out == ""
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [["inspect", "--coeffs", "3,1,2"],
+                                      ["pyramid", "--coeffs", "3,1,2", "--seed-vector", "1,0,0,0"]],
+                             ids=["inspect", "pyramid"])
+    def test_output_is_strict_json(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        strict_json(captured.out)
+
+
 class TestErrorLines:
     @pytest.mark.parametrize("argv,err", [
         (["inspect", "--coeffs", "3,x,2"], "config error: --coeffs: could not convert string to float: 'x'\n"),
@@ -202,15 +218,22 @@ class TestErrorLines:
 
 class TestCurvature:
     def test_point_override(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+        cfg, out = write_config(tmp_path), tmp_path / "curvature.json"
         code = main(["curvature", "--config", cfg, "--point", "0,0,0,0",
-                     "--seed-vector", "1,0.2,-0.3,0.4"])
+                     "--seed-vector", "1,0.2,-0.3,0.4", "--out", str(out)])
         assert code == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert capsys.readouterr() == ("", "")
+        payload = json.loads(out.read_text())
         assert len(payload["points"]) == 1
         entry = payload["points"][0]
         assert entry["nabla_q_residual"] <= 1e-9
         assert len(entry["sections"][0]["mu"]) == 6
+
+    def test_negative_first_point_after_a_space(self, tmp_path, capsys):
+        argv = ["curvature", "--config", write_config(tmp_path), "--point", "-0.1,0,0,0",
+                "--seed-vector", "1,0.2,-0.3,0.4"]
+        assert main(argv) == 0
+        assert [p["point"] for p in json.loads(capsys.readouterr().out)["points"]] == [[-0.1, 0.0, 0.0, 0.0]]
 
     def test_fd_mode(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -224,6 +247,10 @@ class TestCurvature:
         assert main(["curvature"]) == 2
 
 
+NEAR_LIMIT = {"family": {"name": "constant", "params": [1e308, 1e307, 5e307]}, "points": [[0, 0, 0, 0]],
+              "seeds": [[3e-78, 6e-79, -9e-79, 1.2e-78]]}
+
+
 class TestVerify:
     def test_pass_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -234,6 +261,39 @@ class TestVerify:
         cfg = write_config(tmp_path, family={"name": "control", "params": [3.0, 0.1, 1.0, 2.0]})
         assert main(["verify", "--config", cfg]) == 1
         assert json.loads(capsys.readouterr().out)["summary"]["status"] == "fail"
+
+    def test_records_hold_the_documented_fields(self, tmp_path, capsys):
+        assert main(["verify", "--config", write_config(tmp_path)]) == 0
+        fields = ["coeffs", "equality_residual", "frame_residual", "identity_residuals", "mu", "nabla_q_residual",
+                  "parallel_residual", "point", "point_index", "seed", "seed_index", "symmetry_residuals",
+                  "zero_residual"]
+        assert [sorted(record) for record in json.loads(capsys.readouterr().out)["records"]] == [fields] * 4
+
+    def test_unscaled_frame_residual_fails_spectral_frame(self, tmp_path, capsys):
+        # Its Gram residual, 1.6e-11, misses frame_tol 1e-12: the residual is dimensionless, so it is not scaled
+        # by 1 + A.
+        cfg = write_config(tmp_path, family={"name": "constant", "params": [16, 4.8, 15.999984]},
+                           points=[[0, 0, 0, 0]], seeds=[[1, 0.2, -0.3, 0.4]])
+        assert main(["verify", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["summary"]["criteria"]["spectral_frame"] == "fail"
+
+    def test_near_the_float_limit_passes(self, tmp_path, capsys):
+        # A + 2B + C = 1.7e308: 4 (A + 2B + C) overflows, but nothing the analytic run computes does.
+        cfg = write_config(tmp_path, **NEAR_LIMIT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["summary"]["status"] == "pass"
+
+    def test_near_the_float_limit_is_refused_in_fd_mode(self, tmp_path, capsys):
+        # The finite-difference stencil forms 2 A = 2e308.
+        assert main(["curvature", "--config", write_config(tmp_path, **NEAR_LIMIT), "--mode", "fd"]) == 2
+        assert capsys.readouterr() == ("", "config error: family: constant: A reaches 1e+308, so the "
+                                           "finite-difference stencil's 2 A overflows a float\n")
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, family={"name": "constant", "params": [1, 2, 3]})
@@ -540,8 +600,8 @@ class TestNonFiniteFlagValue:
             argv.append(f"{name}={value if name != flag else bad + value[value.index(','):]}")
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"config error: {flag} = ")
-        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {flag} = ") and captured.err.endswith(" is not finite\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 # The flags each subcommand's handler reads (16); the other 19 pairs must be refused.
@@ -704,7 +764,7 @@ class TestOutFile:
             command = [*command, "--config", write_config(tmp_path)]
         assert main([*command, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
 
     def test_unwritable_output_path_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"

@@ -16,8 +16,8 @@ from circulant4 import (
     parallel_residual,
     run_verify,
 )
-from circulant4 import fields
-from circulant4.fields import eval_jets
+from circulant4 import curvature, fields
+from circulant4.fields import eval_jets, gradient_residual
 from circulant4.reporting import DEFAULT_TOLERANCES
 
 S_WAVE = (2.0, 0.1, 3.0, 1.0)
@@ -130,6 +130,42 @@ class TestEvalJet:
                 jf = eval_jet(fd, p)
                 assert np.max(np.abs(ja.grads - jf.grads)) <= 1e-8
                 assert np.max(np.abs(ja.hessians - jf.hessians)) <= 1e-6
+
+
+class TestGradientRelations:
+    """The gradient form of parallelism, d_i A = d_{i+2} C and d_i B = (d_{i+1} C + d_{i+3} C)/2, against nabla q
+    from the connection, on random jets with zero Hessians: jets built from the relations satisfy both, and
+    generic jets, whose gradients of A and B are free, satisfy neither."""
+
+    @staticmethod
+    def jets(related):
+        rng = np.random.default_rng(19)
+        b, c_minus_b, a_minus_c = rng.uniform([0.1, 0.5, 0.5], [1.0, 2.0, 2.0], size=(2000, 3)).T
+        a, c = b + c_minus_b + a_minus_c, b + c_minus_b  # 0 < B < C < A, eigenvalues A - C and A + C - 2B >= 0.5
+        grad_c = rng.normal(size=(2000, 4))
+        if related:  # the shifts written with np.roll, not through ORBIT_INDEX
+            grad_a = np.roll(grad_c, -2, axis=1)
+            grad_b = (np.roll(grad_c, -1, axis=1) + np.roll(grad_c, -3, axis=1)) / 2
+        else:
+            grad_a, grad_b = rng.normal(size=(2, 2000, 4))
+        return np.stack([a, b, c], axis=1), np.stack([grad_a, grad_b, grad_c], axis=1)
+
+    @staticmethod
+    def nabla_q(coeffs, grads):
+        """Max |(nabla_i q)_j^k| = |Gamma^k_{i,j+1} - Gamma^{k-1}_{ij}| per jet, Gamma from the connection."""
+        g, dg, ddg = curvature._metric_arrays(coeffs, grads, np.zeros(grads.shape + (4,)))
+        gamma, _ = curvature._connection(dg, ddg, np.linalg.inv(g))  # gamma[..., k, i, j]
+        return np.max(np.abs(np.roll(gamma, -1, axis=-1) - np.roll(gamma, 1, axis=-3)), axis=(1, 2, 3))
+
+    def test_related_jets_are_parallel_by_both_checks(self):
+        coeffs, grads = self.jets(related=True)
+        assert np.max(gradient_residual(grads)) <= 1e-14
+        assert np.max(self.nabla_q(coeffs, grads)) <= 1e-14
+
+    def test_generic_jets_fail_both_checks(self):
+        coeffs, grads = self.jets(related=False)
+        assert np.min(gradient_residual(grads)) >= 0.1
+        assert np.min(self.nabla_q(coeffs, grads)) >= 0.1
 
 
 class TestParallelResidual:

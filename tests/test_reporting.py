@@ -127,6 +127,32 @@ class TestRunVerify:
         assert lines[0].startswith("point_index,seed_index")
 
 
+# The benchmark's seeds_heavy config, and each criterion with the summary maximum and the tolerance it reads.
+SEEDS_HEAVY = {"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]}, "seeds": "random:64", "rng_seed": 101,
+               "grid": {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [2] * 4}}
+CRITERIA = [
+    ("nabla_q_zero", "max_nabla_q_residual", "curvature_tol"),
+    ("spectral_frame", "max_frame_residual", "frame_tol"),
+    ("section_equalities", "max_equality_residual", "section_tol"),
+    ("section_zeros", "max_zero_residual", "section_tol"),
+    ("identity_suite", "max_identity_residual", "section_tol"),
+    ("riemann_symmetries", "max_symmetry_residual", "curvature_tol"),
+]
+
+
+class TestVerdictBoundary:
+    """A criterion passes at a tolerance equal to its summary maximum and fails at the next float below it."""
+
+    @pytest.mark.parametrize("criterion,maximum,key", CRITERIA, ids=[c[0] for c in CRITERIA])
+    def test_tolerance_at_the_maximum_passes_and_just_below_fails(self, criterion, maximum, key):
+        largest = run_verify(RunConfig(SEEDS_HEAVY))["summary"][maximum]
+        assert largest > 0.0
+        for tolerance, verdict in ((largest, "pass"), (float(np.nextafter(largest, 0.0)), "fail")):
+            # Other criteria may share the key, so only this one's verdict is read.
+            summary = run_verify(RunConfig({**SEEDS_HEAVY, "tolerances": {key: tolerance}}))["summary"]
+            assert (summary[maximum], summary["criteria"][criterion]) == (largest, verdict)
+
+
 class TestNaNVerdicts:
     # With one point per geometry block, the NaN point sits in the second block.
     @pytest.mark.parametrize("block_points", [256, 1])
