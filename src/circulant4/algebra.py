@@ -8,7 +8,6 @@ Everything in this module is a pure function of its arguments.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -82,13 +81,10 @@ def metric_matrix(c: CirculantCoeffs) -> np.ndarray:
 def metric_det_closed(c: CirculantCoeffs) -> float:
     """det g = (A-C)^2 ((A+C)^2 - 4B^2), the circulant closed form, made without numpy warnings; ValueError
     naming c where it overflows a float, to inf or to NaN as inf - inf, as det_qorbit."""
-    a, b, cc = c
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars overflow to inf with a warning
-            det = (a - cc) ** 2 * ((a + cc) ** 2 - 4 * b**2)
-    except OverflowError:  # float ** raises where * gives inf
-        det = math.inf
-    if not math.isfinite(det):
+    a, b, cc = np.asarray(c, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float((a - cc) ** 2 * ((a + cc) ** 2 - 4 * b**2))
+    if not np.isfinite(det):
         raise ValueError(f"(A, B, C) = {list(map(float, c))}: its closed-form determinant overflows a float")
     return det
 
@@ -98,16 +94,18 @@ def metric_eigenvalues(c: CirculantCoeffs) -> np.ndarray:
 
     The Fourier basis diagonalizes every circulant matrix; the double
     eigenvalue A-C belongs to the plane spanned by (1,0,-1,0), (0,1,0,-1).
+    Made in float64 without numpy warnings: a sum that overflows is inf, or NaN as inf - inf.
     """
-    a, b, cc = c
-    return np.array([a + 2 * b + cc, a - 2 * b + cc, a - cc, a - cc])
+    a, b, cc = np.asarray(c, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.array([a + 2 * b + cc, a - 2 * b + cc, a - cc, a - cc])
 
 
 def _circulant_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Inverse metrics (..., 4, 4) of generators (..., 3): the circulant matrices whose
     generators are the inverse DFT of the reciprocal eigenvalues of g (Gray,
     Toeplitz and Circulant Matrices: A Review, 2006)."""
-    m0, m2, m1, _ = 1.0 / metric_eigenvalues(CirculantCoeffs(*np.moveaxis(coeffs, -1, 0)))
+    m0, m2, m1, _ = 1.0 / metric_eigenvalues(np.moveaxis(coeffs, -1, 0))
     return (np.stack([m0 + m2 + 2 * m1, m0 - m2, m0 + m2 - 2 * m1], axis=-1) / 4)[..., CIRCULANT_INDEX]
 
 

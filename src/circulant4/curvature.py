@@ -163,14 +163,13 @@ class PointGeometry:
     """Geometry at a block of N chart points, one row per distinct field jet.
 
     Point n has row rows[n]; each other array has a leading axis over the
-    R rows: field values coeffs[m] = (A, B, C), their gradients grads[m]
-    (3, 4), metric g[m], Christoffel symbols gamma[m, k, i, j] and (0,4)
-    Riemann tensor r[m, i, j, k, l].  Rows are in the order their jets are
-    first seen, so a block of one has rows == [0]."""
+    R rows: field values coeffs[m] = (A, B, C), all of the metric g[m],
+    their gradients grads[m] (3, 4), Christoffel symbols gamma[m, k, i, j]
+    and (0,4) Riemann tensor r[m, i, j, k, l].  Rows are in the order their
+    jets are first seen, so a block of one has rows == [0]."""
 
     coeffs: np.ndarray
     grads: np.ndarray
-    g: np.ndarray
     gamma: np.ndarray
     r: np.ndarray
     rows: np.ndarray
@@ -185,9 +184,9 @@ class PointGeometry:
         rows = np.array([first.setdefault(key, len(first)) for key in keys], dtype=int)
         take = np.unique(rows, return_index=True)[1]
         coeffs, grads = coeffs[take], grads[take]
-        g, dg, ddg = _metric_arrays(coeffs, grads, hessians[take])
+        _, dg, ddg = _metric_arrays(coeffs, grads, hessians[take])
         gamma, r = _connection(dg, ddg, _circulant_inverse(coeffs))
-        return cls(coeffs=coeffs, grads=grads, g=g, gamma=gamma, r=r, rows=rows)
+        return cls(coeffs=coeffs, grads=grads, gamma=gamma, r=r, rows=rows)
 
     def nabla_q_residual(self) -> np.ndarray:
         """(R,) max component of the covariant derivative of the affinor.
@@ -289,7 +288,7 @@ def sectional(spec: FieldFamilySpec, p, x, y) -> float:
     which reads as degenerate).  ValueError also if g(x,x) g(y,y) or the denominator overflows a float.
     """
     geo = point_geometry(spec, p)
-    g = geo.g[0]
+    g = geo.coeffs[0, CIRCULANT_INDEX]
     x = as_vector4(x)
     y = as_vector4(y)
     with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below

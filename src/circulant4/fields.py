@@ -144,7 +144,7 @@ def gradient_residual(grads: np.ndarray) -> np.ndarray:
 
 def make_family(family: str, params, derivative_mode: str = "analytic") -> FieldFamilySpec:
     """Validate parameters (interval check over the whole chart) and build a spec."""
-    if family not in _FAMILIES:
+    if not (isinstance(family, str) and family in _FAMILIES):  # a list or dict name is unhashable
         raise ValueError(f"unknown family {family!r}; use make_custom_family for custom fields")
     if derivative_mode not in ("analytic", "finite_difference"):
         raise ValueError(f"derivative_mode must be 'analytic' or 'finite_difference', got {derivative_mode!r}")

@@ -35,8 +35,8 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
 
     cos(alpha) = g(x, qx)/g(x, x) and cos(beta) = g(x, q^2 x)/g(x, x) are
     well defined because every q-iterate has the same norm.  Raises on
-    degenerate input (g not positive definite, seed not a q-base, g(x, x) not a positive
-    finite float, or qx or q^2 x parallel to x).
+    degenerate input (g not positive definite, seed not a q-base, g(x, x) or a squared edge
+    not a positive finite float, or qx or q^2 x parallel to x).
     """
     c = CirculantCoeffs(*c)
     eigenvalues = metric_eigenvalues(c)
@@ -57,6 +57,9 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
         raise ValueError("degenerate base: q^2 x is parallel to x (cos beta = 1)")
     edge_sq_long = 2.0 * norm_sq * (1.0 - cos_alpha)
     edge_sq_short = 2.0 * norm_sq * (1.0 - cos_beta)
+    if not (math.isfinite(edge_sq_long) and math.isfinite(edge_sq_short)):  # Python floats overflow unwarned
+        raise ValueError(f"seed {x.tolist()} has squared edges {edge_sq_long} and {edge_sq_short} under g "
+                         "(need both finite floats)")
     cos_gamma = (1.0 - cos_beta) / (2.0 * math.sqrt(1.0 - cos_alpha) * math.sqrt(1.0 - cos_beta))
     cos_delta = (1.0 - 2.0 * cos_alpha + cos_beta) / (2.0 * (1.0 - cos_alpha))
     gamma = math.acos(cos_gamma)

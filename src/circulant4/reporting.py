@@ -151,7 +151,7 @@ class RunConfig:
             if math.prod(grid["count"]) > _MAX_GRID_POINTS:
                 raise ConfigError(f"grid.count {grid['count']!r} makes more than {_MAX_GRID_POINTS} points")
             axes = [np.linspace(lo[i], hi[i], n) for i, n in enumerate(grid["count"])]
-            return np.array(list(itertools.product(*axes)))
+            return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
         raise ConfigError("config needs 'points' or 'grid'")
 
     def _parse_seeds(self, raw: Dict[str, Any]) -> np.ndarray:
@@ -385,9 +385,9 @@ _CSV_COLUMNS = tuple(itertools.chain.from_iterable(field.csv for field in _CSV))
 _CSV_TEMPLATES = _carrying(",".join(["%s"] * len(_CSV)) + "\r\n", "", [",".join(["%s"] * len(f.csv)) for f in _CSV])
 
 
-def _reprs(values: np.ndarray) -> List[str]:
-    """Each float's ``float.__repr__``, for a C-contiguous float64 array: its text in csv.writer's cells, and in
-    JSON's if finite."""
+def _reprs(values: np.ndarray, non_finite: Dict[str, str]) -> List[str]:
+    """Each float's ``float.__repr__``, csv.writer's text, for a C-contiguous float64 array; a NaN's or inf's text
+    is replaced by its entry in ``non_finite`` if it has one (json.dumps' spelling, with ``_NON_FINITE``)."""
     # orjson writes repr's shortest round-trip digits, and spells a float otherwise just where it is NaN or inf
     # (null), 1e-9 <= |x| < 1e-4 (1e-9 for repr's 1e-09, 0.0000162 for 1.62e-05) or |x| >= 1e16 (1e16 for 1e+16):
     # with orjson 3.8.3, every float of those bands and none outside them, over 400k random bit patterns and 253k
@@ -398,7 +398,8 @@ def _reprs(values: np.ndarray) -> List[str]:
     magnitudes = np.abs(values)
     respelled = np.flatnonzero(~((magnitudes < 1e-9) | ((magnitudes >= 1e-4) & (magnitudes < 1e16))))
     for i, value in zip(respelled.tolist(), values[respelled].tolist()):
-        texts[i] = float.__repr__(value)
+        text = float.__repr__(value)
+        texts[i] = non_finite.get(text, text)
     return texts
 
 
@@ -452,7 +453,7 @@ def _record_texts(records: Any, fields: List[_Field], templates: List[str],
     ``_LAYOUT`` has fields, ``fields`` among them, laid out as ``_leaves`` checks with float leaves of a type in
     ``_FLOATS``, each field's distinct objects' texts, each its field's template filled with its leaves' texts,
     and ``_columns``' numbers.  An index's one leaf text is its ``str``; the float leaves of all fields are spelled
-    in one ``_reprs`` call, a non-finite leaf's text respelled by ``non_finite``.  Else TypeError or KeyError,
+    in one ``_reprs`` call, which spells a non-finite leaf by ``non_finite``.  Else TypeError or KeyError,
     and the writer hands the whole report to json.dumps or csv.writer."""
     if not (isinstance(records, (list, tuple)) and records
             and all(isinstance(record, dict) and len(record) == len(_LAYOUT) for record in records)):
@@ -463,9 +464,7 @@ def _record_texts(records: Any, fields: List[_Field], templates: List[str],
         raise TypeError("a float leaf of a record is not a float")
     ends = list(itertools.accumulate(map(len, leaves)))
     floats = np.fromiter(itertools.chain.from_iterable(leaves), np.float64, ends[-1])
-    spelled = _reprs(floats)
-    for i in np.flatnonzero(~np.isfinite(floats)).tolist():
-        spelled[i] = non_finite.get(spelled[i], spelled[i])
+    spelled = _reprs(floats, non_finite)
     texts = [list(map(str, values)) if field.leaves == "index" else spelled[start:end]
              for field, values, start, end in zip(fields, distinct, [0, *ends], ends)]
     return [[template % group for group in zip(*[iter(leaf_texts)] * template.count("%s"))]

@@ -153,6 +153,14 @@ class TestEigenvalues:
             assert np.all(metric_eigenvalues(coeffs) > 0)
             np.linalg.cholesky(metric_matrix(coeffs))  # must not raise
 
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_overflowing_sum_is_inf_without_a_warning(self, cast):
+        # numpy scalars warned "overflow encountered in scalar add" where Python floats gave inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eigenvalues = metric_eigenvalues(CirculantCoeffs(*map(cast, (1.7e308, 1e307, 5e307))))
+        assert eigenvalues.tolist() == [math.inf, math.inf, 1.7e308 - 5e307, 1.7e308 - 5e307]
+
     def test_product_equals_determinant(self):
         c = CirculantCoeffs(4.2, -0.7, 1.9)
         assert np.prod(metric_eigenvalues(c)) == pytest.approx(metric_det_closed(c), rel=1e-12)

@@ -259,7 +259,7 @@ class TestDistinctJets:
         )
         geo = PointGeometry.from_field(spec, np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [0.0, 1, 0, 0]]))
         assert geo.rows.tolist() == [0, 1, 0]
-        assert len(geo.g) == len(geo.r) == 2
+        assert len(geo.coeffs) == len(geo.r) == 2
         assert np.signbit(geo.grads[1]).all() and not np.signbit(geo.grads[0]).any()
 
 

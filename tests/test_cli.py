@@ -173,6 +173,31 @@ class TestPyramid:
                                  "not a positive finite float\n")
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("coeffs,seed,edges", [
+        ("1e308,1e307,5e307", "1,0,0,0", "inf and inf"),
+        ("1.5670105710131144e+307,5.761661809093871e+306,1.18768610648311e+307",
+         "-0.023444959997027354,0.0010149361764430554,1.7329290983880103,-1.5997137662805831",
+         "inf and 4.284228737217388e+307"),
+    ], ids=["both", "long"])
+    def test_overflowing_squared_edge_exits_2_naming_the_edges(self, capsys, coeffs, seed, edges):
+        # g(x, x) is finite, but 2 g(x, x) (1 - cos) overflows: the report held Infinity, and the run exited 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pyramid", "--coeffs", coeffs, "--seed-vector", seed]) == 2
+        captured = capsys.readouterr()
+        vector = [float(v) for v in seed.split(",")]
+        assert captured.err == f"error: seed {vector} has squared edges {edges} under g (need both finite floats)\n"
+        assert captured.out == ""
+
+    def test_finite_squared_edges_whose_sum_overflows_exit_0(self, capsys):
+        argv = ["pyramid", "--coeffs", "1.6853373139334212e+307,5.617791046444737e+306,1.1235582092889474e+307",
+                "--seed-vector", "2,1,0,-1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        payload = strict_json(capsys.readouterr().out)
+        assert (payload["edge_sq_long"], payload["edge_sq_short"]) == (1.1235582092889474e+308, 8.98846567431158e+307)
+
     def test_near_singular_metric_exits_2_with_the_degenerate_apex(self, capsys):
         argv = ["pyramid", "--coeffs", "1.000000001,0.9999999995,1", "--seed-vector", "1.002,0.999,1,0.999"]
         assert main(argv) == 2
@@ -441,6 +466,17 @@ class TestParseTimeValidationExitCode:
         assert result.stderr.startswith(f"config error: family.params = {params}: A + 2B + C reaches ")
         assert result.stderr.count("\n") == 1
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("command", ["verify", "curvature"])
+    @pytest.mark.parametrize("name", [["s_wave"], {}], ids=["list", "dict"])
+    def test_non_string_family_name_prints_one_line(self, tmp_path, capsys, command, name):
+        # An unhashable name was looked up in the family table: a TypeError traceback and exit 1.
+        cfg = write_config(tmp_path, family={"name": name, "params": [2.0, 0.1, 3.0, 1.0]})
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: family: unknown family {name!r}; "
+                                "use make_custom_family for custom fields\n")
+        assert captured.out == ""
 
     def test_non_finite_grid_exits_2(self, tmp_path, capsys):
         grid = {"min": [float("-inf"), 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 1, 1, 1]}

@@ -38,6 +38,10 @@ SEEDS = [(1.0, 0.0, 0.0, 0.0), (1.0, 0.2, -0.3, 0.4), (0.3, -1.0, 2.0, 0.5), (2.
 # of a seed of length 1e-80 underflow to 0.
 UNDERFLOW = {"family": {"name": "constant", "params": [3e-3, 1e-3, 2e-3]}, "points": [[0.0, 0.0, 0.0, 0.0]],
              "seeds": [[1e-80, 0.0, 0.0, 0.0]]}
+# A family named by a list, not a string, and a pyramid whose squared edges overflow though g(x, x) is finite.
+LIST_NAME = {"family": {"name": ["s_wave"], "params": [2.0, 0.1, 3.0, 1.0]}, "points": [[0, 0, 0, 0]],
+             "seeds": [[1, 0.2, -0.3, 0.4]]}
+EDGE_OVERFLOW = ["pyramid", "--coeffs", "1e308,1e307,5e307", "--seed-vector", "1,0,0,0"]
 
 magnitude = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
                       st.sampled_from([-1.0, 1.0]), st.floats(-320.0, 308.0))
@@ -101,6 +105,8 @@ def test_every_run_exits_0_or_1_with_its_output_or_2_with_one_line():
     @given(run=runs())
     @example(run=(["verify", "--format", "json"], UNDERFLOW, 2))
     @example(run=(["curvature", "--mode", "analytic"], UNDERFLOW, 2))
+    @example(run=(["verify", "--format", "json"], LIST_NAME, 2))
+    @example(run=(EDGE_OVERFLOW, None, 2))
     def check(run):
         argv, config, expected = run
         with tempfile.TemporaryDirectory() as tmp:

@@ -21,7 +21,9 @@ from circulant4 import (
     riemann,
     sectional,
 )
+from circulant4.algebra import ORBIT_INDEX
 from circulant4.curvature import (
+    PointGeometry,
     _connection,
     _metric_arrays,
     random_qbase_seeds,
@@ -268,6 +270,42 @@ class TestQSections:
         seeds = random_qbase_seeds(rng, 5)
         reps = [q_section_curvatures(spec, [0.3, 0.1, -0.2, 0.5], s) for s in seeds]
         assert len(reps) == 5
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+@pytest.mark.parametrize("name,params", [("s_wave", S_WAVE), ("control", CONTROL), ("constant", CONSTANT)])
+class TestScaleRelations:
+    """Exact relations of the geometry pass under rescaling, on every built-in family in both derivative modes:
+    a power of 2 scales a float exactly, so these hold bit for bit, and the q-shift of the seeds permutes the
+    six q-sections."""
+
+    SEEDS = random_qbase_seeds(np.random.default_rng(61), 16)
+
+    @staticmethod
+    def geometry(name, params, mode, scale=1.0):
+        points = sample_points(np.random.default_rng(60), 40)
+        return PointGeometry.from_field(make_family(name, [p * scale for p in params], derivative_mode=mode), points)
+
+    def test_seed_scale_leaves_mu_bit_identical(self, name, params, mode):
+        geo = self.geometry(name, params, mode)
+        mu = geo.seed_checks(self.SEEDS)[0].mu
+        for k in (-3, 1, 5):
+            assert geo.seed_checks(self.SEEDS * 2.0**k)[0].mu.tobytes() == mu.tobytes(), f"seeds x 2^{k}"
+
+    def test_params_times_4_keep_gamma_and_scale_r_and_mu(self, name, params, mode):
+        geo, scaled = self.geometry(name, params, mode), self.geometry(name, params, mode, 4.0)
+        assert scaled.rows.tolist() == geo.rows.tolist()
+        assert scaled.gamma.tobytes() == geo.gamma.tobytes()
+        assert scaled.r.tobytes() == (4.0 * geo.r).tobytes()
+        mu = geo.seed_checks(self.SEEDS)[0].mu
+        assert scaled.seed_checks(self.SEEDS)[0].mu.tobytes() == (mu / 4.0).tobytes()
+
+    def test_q_shifted_seeds_permute_mu(self, name, params, mode):
+        # The sections of qx are {qx,q2x}, {qx,q3x}, {x,qx}, {q2x,q3x}, {q2x,x}, {q3x,x}: mu4, mu5, mu1, mu6, mu2, mu3.
+        geo = self.geometry(name, params, mode)
+        mu = geo.seed_checks(self.SEEDS)[0].mu
+        shifted = geo.seed_checks(self.SEEDS[:, ORBIT_INDEX[1]])[0].mu
+        assert np.max(np.abs(shifted - mu[..., [3, 4, 0, 5, 1, 2]])) <= 1e-12 * np.max(np.abs(mu))
 
 
 class TestRandomSeeds:

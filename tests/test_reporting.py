@@ -1,5 +1,6 @@
 """Batch verification runs and report serialization."""
 
+import itertools
 import json
 import math
 import pathlib
@@ -39,11 +40,15 @@ class TestRunConfig:
         assert config.seeds.shape == (3, 4)
 
     def test_grid_expansion(self):
+        # The product of the axes in itertools.product order, the last axis fastest, bit for bit.
         cfg = base_config()
         del cfg["points"]
-        cfg["grid"] = {"min": [0, 0, 0, 0], "max": [1, 1, 1, 1], "count": [2, 2, 1, 1]}
+        lo, hi, count = [-1.0, 0.1, 2.0, -3.0], [1.0, 0.7, 2.5, 3.0], [3, 1, 4, 5]
+        cfg["grid"] = {"min": lo, "max": hi, "count": count}
         config = RunConfig(cfg)
-        assert config.points.shape == (4, 4)
+        assert config.points.shape == (60, 4)
+        axes = [np.linspace(*bounds) for bounds in zip(lo, hi, count)]
+        assert config.points.tobytes() == np.array(list(itertools.product(*axes))).tobytes()
 
     def test_missing_family(self):
         with pytest.raises(ConfigError, match="family"):

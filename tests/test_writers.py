@@ -335,12 +335,14 @@ def decade_sweep():
 
 class TestReprs:
     """reporting._reprs spells each float64 as float.__repr__ does, inside the bands it respells (NaN, inf,
-    1e-9 <= |x| < 1e-4 and |x| >= 1e16) and outside them."""
+    1e-9 <= |x| < 1e-4 and |x| >= 1e16) and outside them, and NaN and inf by the spellings it is given."""
 
     @staticmethod
     def assert_reprs(values):
         values = np.ascontiguousarray(values, dtype=np.float64)
-        assert reporting._reprs(values) == list(map(float.__repr__, values.tolist()))
+        for non_finite in ({}, reporting._NON_FINITE):
+            texts = map(float.__repr__, values.tolist())
+            assert reporting._reprs(values, non_finite) == [non_finite.get(text, text) for text in texts]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
@@ -365,7 +367,7 @@ class TestReprs:
     def test_specials_and_empty(self):
         self.assert_reprs([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
                            5e-324, -5e-324, 2.2250738585072014e-308])
-        assert reporting._reprs(np.array([])) == []
+        assert reporting._reprs(np.array([]), {}) == []
 
 
 # The benchmark's three workload configs: many seeds at few points, finite-difference jets at many points, and
@@ -436,10 +438,10 @@ class TestOneSpellingPass:
         expected = cls.leaves(records, cells, shared=True)
         assert len(expected) < len(cls.leaves(records, cells, shared=False))  # else the records share no leaf
 
-        def reprs(values):
+        def reprs(values, non_finite):
             values = list(values)
             calls.append(sorted(map(bit_pattern, values)))
-            return list(map(float.__repr__, values))
+            return [non_finite.get(text, text) for text in map(float.__repr__, values)]
 
         monkeypatch.setattr(reporting, "_reprs", reprs)
         assert write(report) == oracle(report)
