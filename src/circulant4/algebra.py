@@ -70,12 +70,12 @@ def orbit_gram(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gram matrices gram[..., a, b] = g(q^a x, q^b x) for generators c (..., 3) and
     vectors x (..., 4) whose leading axes broadcast; no validation."""
     v = x[..., ORBIT_INDEX]
-    return v @ c[..., CIRCULANT_INDEX] @ np.swapaxes(v, -1, -2)
+    return v @ metric_matrix(c) @ np.swapaxes(v, -1, -2)
 
 
 def metric_matrix(c: CirculantCoeffs) -> np.ndarray:
-    """Assemble the symmetric circulant metric with first row (A, B, C, B)."""
-    return np.asarray(c)[CIRCULANT_INDEX]
+    """Assemble the symmetric circulant metric with first row (A, B, C, B); generators (..., 3) give (..., 4, 4)."""
+    return np.asarray(c)[..., CIRCULANT_INDEX]
 
 
 def metric_det_closed(c: CirculantCoeffs) -> float:
@@ -106,7 +106,7 @@ def _circulant_inverse(coeffs: np.ndarray) -> np.ndarray:
     generators are the inverse DFT of the reciprocal eigenvalues of g (Gray,
     Toeplitz and Circulant Matrices: A Review, 2006)."""
     m0, m2, m1, _ = 1.0 / metric_eigenvalues(np.moveaxis(coeffs, -1, 0))
-    return (np.stack([m0 + m2 + 2 * m1, m0 - m2, m0 + m2 - 2 * m1], axis=-1) / 4)[..., CIRCULANT_INDEX]
+    return metric_matrix(np.stack([m0 + m2 + 2 * m1, m0 - m2, m0 + m2 - 2 * m1], axis=-1) / 4)
 
 
 def _spectral_seeds(coeffs: np.ndarray) -> np.ndarray:
@@ -159,19 +159,14 @@ def qbase_polynomial(x) -> float:
     return _finite_qbase_polynomials(as_vector4(x), "x")
 
 
-def qbase_polynomials(xs: np.ndarray) -> np.ndarray:
-    """qbase_polynomial of each vector of a stack (..., 4); no validation."""
-    x1, x2, x3, x4 = np.moveaxis(xs, -1, 0)
-    return ((x1 - x3) ** 2 + (x2 - x4) ** 2) * (x1 - x2 + x3 - x4) * (x1 + x2 + x3 + x4)
-
-
 def _finite_qbase_polynomials(xs: np.ndarray, name: str, error: type = ValueError) -> np.ndarray:
-    """qbase_polynomials of the vectors xs (N, 4), or of one vector (4,), made without numpy warnings; ``error``
+    """qbase_polynomial of the vectors xs (N, 4), or of one vector (4,), made without numpy warnings; ``error``
     naming the first vector, as ``name.format(its index)``, whose polynomial overflows a float to inf, or to NaN
     as inf * 0.  One vector is not made a stack of one: numpy's scalar arithmetic takes half the time, and
     qbase_polynomial, qbase_predicate and the pyramid pass one vector at a time."""
+    x1, x2, x3, x4 = np.moveaxis(xs, -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        polys = qbase_polynomials(xs)
+        polys = ((x1 - x3) ** 2 + (x2 - x4) ** 2) * (x1 - x2 + x3 - x4) * (x1 + x2 + x3 + x4)
     if not np.isfinite(polys).all():
         i = int(np.argmin(np.isfinite(polys)))
         vector = xs.reshape(-1, 4)[i].tolist()

@@ -42,11 +42,12 @@ from .algebra import (
     CIRCULANT_INDEX,
     ORBIT_INDEX,
     _circulant_inverse,
+    _finite_qbase_polynomials,
     _first_degenerate,
     apply_q,
     as_vector4,
+    metric_matrix,
     orbit_gram,
-    qbase_polynomials,
 )
 from .fields import FieldFamilySpec, eval_jets
 
@@ -117,12 +118,11 @@ _COLS, _COL_OF = np.unique(4 * _READ[2] + _READ[3], return_inverse=True)
 _BLOCK_PAIRS = 4096
 
 
-def _metric_arrays(coeffs: np.ndarray, grads: np.ndarray, hessians: np.ndarray):
-    """(g, dg, ddg) from jets (..., 3), (..., 3, 4), (..., 3, 4, 4); leading axes kept."""
-    g = coeffs[..., CIRCULANT_INDEX]
+def _metric_arrays(grads: np.ndarray, hessians: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(dg, ddg) from the jets' gradients (..., 3, 4) and Hessians (..., 3, 4, 4); leading axes kept."""
     dg = np.moveaxis(grads[..., CIRCULANT_INDEX, :], -1, -3)
     ddg = np.moveaxis(hessians[..., CIRCULANT_INDEX, :, :], (-2, -1), (-4, -3))
-    return g, dg, ddg
+    return dg, ddg
 
 
 def _connection(dg: np.ndarray, ddg: np.ndarray, ginv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -184,8 +184,7 @@ class PointGeometry:
         rows = np.array([first.setdefault(key, len(first)) for key in keys], dtype=int)
         take = np.unique(rows, return_index=True)[1]
         coeffs, grads = coeffs[take], grads[take]
-        _, dg, ddg = _metric_arrays(coeffs, grads, hessians[take])
-        gamma, r = _connection(dg, ddg, _circulant_inverse(coeffs))
+        gamma, r = _connection(*_metric_arrays(grads, hessians[take]), _circulant_inverse(coeffs))
         return cls(coeffs=coeffs, grads=grads, gamma=gamma, r=r, rows=rows)
 
     def nabla_q_residual(self) -> np.ndarray:
@@ -288,7 +287,7 @@ def sectional(spec: FieldFamilySpec, p, x, y) -> float:
     which reads as degenerate).  ValueError also if g(x,x) g(y,y) or the denominator overflows a float.
     """
     geo = point_geometry(spec, p)
-    g = geo.coeffs[0, CIRCULANT_INDEX]
+    g = metric_matrix(geo.coeffs[0])
     x = as_vector4(x)
     y = as_vector4(y)
     with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
@@ -342,10 +341,11 @@ _MIN_QBASE_POLY = 1e-3
 
 
 def random_qbase_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Rejection-sample seeds from the unit cube away from degenerate orbits.  Each round draws as many
-    vectors as are still missing, so the stream, and the seeds, are those of one draw at a time."""
+    """Rejection-sample seeds from the unit cube, where |P(x)| <= 16 never overflows, away from degenerate orbits.
+    Each round draws as many vectors as are still missing, so the stream, and the seeds, are those of one draw at
+    a time."""
     seeds = np.empty((0, 4))
     while len(seeds) < n:
         x = rng.uniform(-1.0, 1.0, size=(n - len(seeds), 4))
-        seeds = np.concatenate([seeds, x[np.abs(qbase_polynomials(x)) >= _MIN_QBASE_POLY]])
+        seeds = np.concatenate([seeds, x[np.abs(_finite_qbase_polynomials(x, "x[{}]")) >= _MIN_QBASE_POLY]])
     return seeds

@@ -183,12 +183,37 @@ def _mode_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(terms, axis, 0))
 
 
-def _values(spec: FieldFamilySpec, pts: np.ndarray) -> np.ndarray:
-    """Field values (..., 3) of (A, B, C) of a built-in family at chart points (..., 4)."""
+def _phases(spec: FieldFamilySpec, pts: np.ndarray) -> list:
+    """Each wave's phases modes . (lin x), (..., M), at chart points (..., 4); one that overflows is unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [pts @ lin.T @ modes.T for _, lin, modes, _, _ in _FAMILIES[spec.family].waves]
+
+
+def _first_unevaluable(spec: FieldFamilySpec, points: np.ndarray) -> Optional[Tuple[int, str]]:
+    """None if every chart point (N, 4) has finite wave phases and, in finite_difference mode, moves by +-FD_STEP
+    in each coordinate that a wave reads, else the first point that does not and a text saying why: a phase
+    that overflows makes sin NaN, and a coordinate that the step leaves as it is makes every difference 0."""
+    if spec.family == "custom":
+        return None
+    for theta in _phases(spec, points):
+        for n in np.flatnonzero(~np.isfinite(theta).all(axis=-1))[:1]:
+            return int(n), f"a wave phase of {spec.family} overflows a float"
+    if spec.derivative_mode == "finite_difference":
+        read = np.vstack([np.zeros(4), *(w.lin for w in _FAMILIES[spec.family].waves)]).any(axis=0)
+        stuck = read & ((points + FD_STEP == points) | (points - FD_STEP == points))
+        for n in np.flatnonzero(stuck.any(axis=1))[:1]:
+            i = int(np.argmax(stuck[n]))
+            return int(n), (f"x{i + 1} +- {FD_STEP}, the finite-difference step, rounds to x{i + 1} = {points[n, i]}, "
+                            f"so its finite differences read 0 (need a smaller |x{i + 1}| or analytic mode)")
+    return None
+
+
+def _values(spec: FieldFamilySpec, pts: np.ndarray, phases: Optional[list] = None) -> np.ndarray:
+    """Field values (..., 3) of (A, B, C) of a built-in family at chart points (..., 4), from their _phases if given."""
     _, base, waves = _FAMILIES[spec.family]
     values = np.broadcast_to(np.take(spec.params, base), pts.shape[:-1] + (3,))
-    for amp, lin, modes, divisors, direction in waves:
-        f = spec.params[amp] * _mode_sum(np.sin(pts @ lin.T @ modes.T) / divisors, -1)
+    for (amp, _, _, divisors, direction), theta in zip(waves, _phases(spec, pts) if phases is None else phases):
+        f = spec.params[amp] * _mode_sum(np.sin(theta) / divisors, -1)
         values = values + f[..., None] * direction
     return values
 
@@ -200,12 +225,11 @@ def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
     return CirculantCoeffs(*np.asarray(values, dtype=float).tolist())
 
 
-def _wave_derivatives(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of a built-in family at points (N, 4),
-    summed over its waves from +0.0, so a zero entry is never -0.0."""
+def _wave_derivatives(spec: FieldFamilySpec, pts: np.ndarray, phases: list) -> Tuple[np.ndarray, np.ndarray]:
+    """Closed-form gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of a built-in family at points (N, 4) of
+    _phases ``phases``, summed over its waves from +0.0, so a zero entry is never -0.0."""
     grads, hessians = np.zeros((len(pts), 3, 4)), np.zeros((len(pts), 3, 4, 4))
-    for amp, lin, modes, divisors, direction in _FAMILIES[spec.family].waves:
-        theta = pts @ lin.T @ modes.T
+    for (amp, lin, modes, divisors, direction), theta in zip(_FAMILIES[spec.family].waves, phases):
         # Derivatives of F in the wave's coordinates, pulled back along lin.
         grad = (spec.params[amp] * _mode_sum((np.cos(theta) / divisors)[..., None] * modes, -2)) @ lin
         hess = lin.T @ (-spec.params[amp] * _mode_sum(
@@ -234,14 +258,17 @@ def _stencil_jet(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np
 def eval_jets(spec: FieldFamilySpec, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values (N, 3), gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of (A, B, C) at chart points (N, 4).
 
-    Raises if a value breaks the admissibility chain, naming the first such
-    point and the violated inequality.
+    Raises, naming the first such point and why, if a point is one that
+    _first_unevaluable refuses or a value breaks the admissibility chain.
     """
+    if broken := _first_unevaluable(spec, points):
+        raise ValueError(f"points[{broken[0]}] = {points[broken[0]].tolist()}: {broken[1]}")
     if spec.family == "custom":
         jets = [(spec.value_fn(p), spec.grad_fn(p), spec.hess_fn(p)) for p in points]
         values, grads, hessians = (np.array(part, dtype=float) for part in zip(*jets))
     elif spec.derivative_mode == "analytic":
-        values, (grads, hessians) = _values(spec, points), _wave_derivatives(spec, points)
+        phases = _phases(spec, points)
+        values, (grads, hessians) = _values(spec, points, phases), _wave_derivatives(spec, points, phases)
     else:
         values, grads, hessians = _stencil_jet(spec, points)
     if broken := _first_inadmissible(values):

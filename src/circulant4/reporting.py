@@ -36,7 +36,7 @@ import orjson
 from . import __version__
 from .algebra import CirculantCoeffs, _first_degenerate, metric_eigenvalues
 from .curvature import _BLOCK_PAIRS, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
-from .fields import FieldFamilySpec, _chart_bounds, gradient_residual, make_family
+from .fields import FieldFamilySpec, _chart_bounds, _first_unevaluable, gradient_residual, make_family
 from .frames import spectral_frame_residuals
 
 __all__ = ["ConfigError", "RunConfig", "run_verify", "report_to_csv", "report_json"]
@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigError(f"family: {exc}") from exc
 
         self.points = self._parse_points(raw)
+        if broken := _first_unevaluable(self.family, self.points):
+            raise ConfigError(f"points[{broken[0]}] = {self.points[broken[0]].tolist()}: {broken[1]}")
         self.rng_seed: Optional[int] = raw.get("rng_seed")
         # bool is an int subclass; np.random.default_rng takes neither floats nor negatives.
         if self.rng_seed is not None and not (type(self.rng_seed) is int and self.rng_seed >= 0):
@@ -150,6 +152,9 @@ class RunConfig:
                 raise ConfigError(f"'grid' needs per-axis 'min', 'max', 'count': {exc}") from None
             if math.prod(grid["count"]) > _MAX_GRID_POINTS:
                 raise ConfigError(f"grid.count {grid['count']!r} makes more than {_MAX_GRID_POINTS} points")
+            for i in (i for i in range(4) if not math.isfinite(hi[i] - lo[i])):  # else linspace makes NaN and inf
+                raise ConfigError(f"grid axis {i} spans min {lo[i]} to max {hi[i]}, and max - min overflows a float "
+                                  f"(need it finite)")
             axes = [np.linspace(lo[i], hi[i], n) for i, n in enumerate(grid["count"])]
             return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
         raise ConfigError("config needs 'points' or 'grid'")

@@ -12,7 +12,7 @@ import pytest
 
 from circulant4 import RunConfig, cli
 from circulant4.cli import main
-from test_contract import strict_json
+from test_contract import FD_STEP_LOST, GRID_SPAN, PHASE_OVERFLOW, strict_json
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -487,6 +487,48 @@ class TestParseTimeValidationExitCode:
         }))
         assert main(["verify", "--config", str(path)]) == 2
         assert "grid.min" in capsys.readouterr().err
+
+
+# The three configs of test_contract whose points no run can evaluate, two variants, and the line each prints.
+_UNEVALUABLE = {
+    "fd-step": (FD_STEP_LOST, "points[0] = [10000000000000.0, 0.2, 0.1, 0.4]: x1 +- 0.0003, the finite-difference "
+                "step, rounds to x1 = 10000000000000.0, so its finite differences read 0 (need a smaller |x1| or "
+                "analytic mode)"),
+    "grid-span": (GRID_SPAN, "grid axis 0 spans min -1e+308 to max 1e+308, and max - min overflows a float "
+                  "(need it finite)"),
+    "grid-span-one-point": ({**GRID_SPAN, "grid": {**GRID_SPAN["grid"], "count": [1, 1, 1, 1]}},
+                            "grid axis 0 spans min -1e+308 to max 1e+308, and max - min overflows a float "
+                            "(need it finite)"),
+    "phase-analytic": (PHASE_OVERFLOW, "points[0] = [1e+308, 0.0, -1e+308, 0.0]: a wave phase of s_wave "
+                       "overflows a float"),
+    "phase-fd": ({**PHASE_OVERFLOW, "derivative_mode": "fd"}, "points[0] = [1e+308, 0.0, -1e+308, 0.0]: a wave "
+                 "phase of s_wave overflows a float"),
+    "phase-sum": ({**PHASE_OVERFLOW, "points": [[1e308, 1e308, 0, 0]]}, "points[0] = [1e+308, 1e+308, 0.0, 0.0]: "
+                  "a wave phase of s_wave overflows a float"),
+}
+
+
+class TestUnevaluablePointExitCode:
+    @pytest.mark.parametrize("command", ["verify", "curvature"])
+    @pytest.mark.parametrize("case", sorted(_UNEVALUABLE))
+    def test_exits_2_with_one_line_and_keeps_the_out_file(self, tmp_path, capsys, command, case):
+        config, reason = _UNEVALUABLE[case]
+        out = tmp_path / "report.json"
+        out.write_bytes(b'{"earlier": "report"}\r\n')
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"config error: {reason}\n")
+        assert out.read_bytes() == b'{"earlier": "report"}\r\n'
+
+    def test_curvature_point_flag_is_refused_in_fd_mode(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, family={"name": "control", "params": [4.0, 0.5, 1.0, 2.0]})
+        assert main(["curvature", "--config", cfg, "--mode", "fd", "--point", "1e13,0.2,0.1,0.4"]) == 2
+        assert capsys.readouterr().err == f"config error: {_UNEVALUABLE['fd-step'][1]}\n"
+        assert main(["curvature", "--config", cfg, "--mode", "analytic", "--point", "1e13,0.2,0.1,0.4"]) == 0
 
 
 class TestSectionValidationExitCode:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from circulant4 import make_custom_family, make_family
+from circulant4 import make_custom_family, make_family, metric_matrix
 from circulant4.curvature import PointGeometry, _connection, _metric_arrays
 from circulant4.fields import eval_jets
 
@@ -102,7 +102,8 @@ class TestParentOracle:
     @staticmethod
     def _check(spec, points):
         geo = PointGeometry.from_field(spec, points)
-        g, dg, ddg = _metric_arrays(*eval_jets(spec, points))
+        coeffs, grads, hessians = eval_jets(spec, points)
+        g, (dg, ddg) = metric_matrix(coeffs), _metric_arrays(grads, hessians)
         gamma, r = _parent_connection(g, dg, ddg, np.linalg.inv(g))
         _assert_close(geo.gamma[geo.rows], gamma)
         _assert_close(geo.r[geo.rows], r)
@@ -134,7 +135,8 @@ class TestExtendedPrecision:
         mpmath = pytest.importorskip("mpmath")
         spec = make_family(name, params, mode)
         geo = PointGeometry.from_field(spec, _ACCURACY_POINTS)
-        g, dg, ddg = _metric_arrays(*eval_jets(spec, _ACCURACY_POINTS))
+        coeffs, grads, hessians = eval_jets(spec, _ACCURACY_POINTS)
+        g, (dg, ddg) = metric_matrix(coeffs), _metric_arrays(grads, hessians)
         with mpmath.workdps(40):
             for n, row in enumerate(geo.rows):
                 exact = np.array(_reference_riemann(mpmath, g[n], dg[n], ddg[n]), dtype=object)

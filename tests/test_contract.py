@@ -13,6 +13,7 @@ import collections
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -42,6 +43,15 @@ UNDERFLOW = {"family": {"name": "constant", "params": [3e-3, 1e-3, 2e-3]}, "poin
 LIST_NAME = {"family": {"name": ["s_wave"], "params": [2.0, 0.1, 3.0, 1.0]}, "points": [[0, 0, 0, 0]],
              "seeds": [[1, 0.2, -0.3, 0.4]]}
 EDGE_OVERFLOW = ["pyramid", "--coeffs", "1e308,1e307,5e307", "--seed-vector", "1,0,0,0"]
+# Three configs that parse to points no run can evaluate: at x1 = 1e13 the finite-difference step rounds away, a
+# grid whose span max - min overflows, and a wave phase x1 - x3 that overflows.
+FD_STEP_LOST = {"family": {"name": "control", "params": [4.0, 0.5, 1.0, 2.0]}, "points": [[1e13, 0.2, 0.1, 0.4]],
+                "seeds": "random:8", "rng_seed": 7, "derivative_mode": "fd"}
+GRID_SPAN = {"family": {"name": "constant", "params": [3.0, 1.0, 2.0]},
+             "grid": {"min": [-1e308, 0, 0, 0], "max": [1e308, 0, 0, 0], "count": [3, 1, 1, 1]},
+             "seeds": [[1, 0.2, -0.3, 0.4]]}
+PHASE_OVERFLOW = {"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]}, "points": [[1e308, 0, -1e308, 0]],
+                  "seeds": [[1, 0.2, -0.3, 0.4]]}
 
 magnitude = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
                       st.sampled_from([-1.0, 1.0]), st.floats(-320.0, 308.0))
@@ -66,6 +76,10 @@ def runs(draw):
         family = draw(st.sampled_from(sorted(DEFAULTS)))
         params, k = draw(params_for(DEFAULTS[family]))
         points = draw(st.lists(st.tuples(*[st.one_of(st.floats(-4.0, 4.0), magnitude)] * 4), min_size=1, max_size=3))
+        # Some runs take a grid instead: per-axis min and max of random magnitudes or +-1e308, so that some spans
+        # max - min overflow, and 1 to 3 points an axis.
+        end = st.one_of(magnitude, st.sampled_from([-1e308, 1e308]))
+        grid = draw(st.one_of(st.none(), st.tuples(*[st.tuples(end, end, st.integers(1, 3))] * 4)))
         # Explicit seeds are q-bases times 2^j or vectors of random magnitudes (j None).
         seeds = draw(st.one_of(st.just("random:3"), st.lists(st.one_of(
             st.tuples(st.sampled_from(SEEDS), st.one_of(st.just(0), power)),
@@ -74,14 +88,19 @@ def runs(draw):
         config = {"family": {"name": family, "params": list(params)}, "points": [list(p) for p in points],
                   "seeds": seeds if seeds == "random:3" else [[v * 2.0 ** (j or 0) for v in s] for s, j in seeds],
                   "rng_seed": 7}
+        if grid is not None:
+            del config["points"]
+            config["grid"] = dict(zip(("min", "max", "count"), map(list, zip(*grid))))
         if command == "verify":
             argv = ["verify", "--format", draw(st.sampled_from(["json", "csv"]))]
             config["derivative_mode"] = mode
         else:
             argv = ["curvature", "--mode", mode]
-        # A flat metric at any power of 2 of its defaults verifies, in both modes, with seeds of unit scale.
+        # A flat metric at any power of 2 of its defaults verifies, in both modes, with seeds of unit scale, on
+        # points or on a grid whose every span max - min is a finite float.
         unit = seeds == "random:3" or all(j == 0 for _, j in seeds)
-        return argv, config, 0 if family == "constant" and k is not None and unit else None
+        spans = grid is None or all(math.isfinite(hi - lo) for lo, hi, _ in grid)
+        return argv, config, 0 if family == "constant" and k is not None and unit and spans else None
     coeffs, _ = draw(params_for(DEFAULTS["constant"]))
     argv = [command, "--coeffs", vector(coeffs)]
     if command == "pyramid" or (command == "qbase" and draw(st.booleans())):
@@ -107,6 +126,9 @@ def test_every_run_exits_0_or_1_with_its_output_or_2_with_one_line():
     @example(run=(["curvature", "--mode", "analytic"], UNDERFLOW, 2))
     @example(run=(["verify", "--format", "json"], LIST_NAME, 2))
     @example(run=(EDGE_OVERFLOW, None, 2))
+    @example(run=(["verify", "--format", "json"], FD_STEP_LOST, 2))
+    @example(run=(["verify", "--format", "csv"], GRID_SPAN, 2))
+    @example(run=(["curvature", "--mode", "finite_difference"], PHASE_OVERFLOW, 2))
     def check(run):
         argv, config, expected = run
         with tempfile.TemporaryDirectory() as tmp:

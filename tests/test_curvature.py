@@ -70,7 +70,8 @@ class TestChristoffel:
         spec = make_family(name, params)
         rng = np.random.default_rng(41)
         points = sample_points(rng, 10)
-        gs, dgs, _ = _metric_arrays(*eval_jets(spec, points))
+        coeffs, grads, hessians = eval_jets(spec, points)
+        gs, (dgs, _) = metric_matrix(coeffs), _metric_arrays(grads, hessians)
         for p, g, dg in zip(points, gs, dgs):
             gamma = christoffel(spec, p)
             nabla_g = (

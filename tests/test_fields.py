@@ -1,6 +1,7 @@
 """Coefficient-field families, jets, and the parallelism residual."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from circulant4 import (
     eval_jet,
     make_custom_family,
     make_family,
+    metric_matrix,
     parallel_residual,
     run_verify,
 )
@@ -153,7 +155,7 @@ class TestGradientRelations:
     @staticmethod
     def nabla_q(coeffs, grads):
         """Max |(nabla_i q)_j^k| = |Gamma^k_{i,j+1} - Gamma^{k-1}_{ij}| per jet, Gamma from the connection."""
-        g, dg, ddg = curvature._metric_arrays(coeffs, grads, np.zeros(grads.shape + (4,)))
+        g, (dg, ddg) = metric_matrix(coeffs), curvature._metric_arrays(grads, np.zeros(grads.shape + (4,)))
         gamma, _ = curvature._connection(dg, ddg, np.linalg.inv(g))  # gamma[..., k, i, j]
         return np.max(np.abs(np.roll(gamma, -1, axis=-1) - np.roll(gamma, 1, axis=-3)), axis=(1, 2, 3))
 
@@ -382,3 +384,58 @@ class TestFiniteDifferenceRule:
         summary = report["summary"]
         assert summary["status"] == "pass"
         assert summary["max_identity_residual"] <= DEFAULT_TOLERANCES["section_tol"] / 5
+
+    @pytest.mark.parametrize("x1", [1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_control_fails_nabla_q_zero_short_of_the_refused_range(self, x1):
+        # Below 2^42 the step moves x1, so the control's finite differences see its wave and it stays non-parallel.
+        report = run_verify(RunConfig({
+            "family": {"name": "control", "params": [4.0, 0.5, 1.0, 2.0]}, "points": [[x1, 0.2, 0.1, 0.4]],
+            "seeds": "random:8", "rng_seed": 7, "derivative_mode": "fd",
+        }))
+        assert report["summary"]["criteria"]["nabla_q_zero"] == "fail"
+
+
+STEP_REASON = "x{} +- 0.0003, the finite-difference step, rounds to x{} = {}, so its finite differences read 0"
+
+
+class TestUnevaluablePoints:
+    """eval_jets refuses, naming the first such point, a wave phase that overflows and, in finite_difference mode,
+    a coordinate that a wave reads and that FD_STEP leaves as it is; with warnings as errors, so none is made."""
+
+    @staticmethod
+    def refusal(name, params, mode, points):
+        points = np.array(points, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                eval_jets(make_family(name, params, mode), points)
+        return str(info.value)
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    @pytest.mark.parametrize("point", [[1e308, 0.0, -1e308, 0.0], [1e308, 1e308, 0.0, 0.0]], ids=["r", "r+t"])
+    def test_overflowing_wave_phase(self, mode, point):
+        text = self.refusal("s_wave", S_WAVE, mode, [[0.1, 0.2, 0.3, 0.4], point])
+        assert text == f"points[1] = {point}: a wave phase of s_wave overflows a float"
+
+    @pytest.mark.parametrize("name,params,point,axis", [
+        ("control", (4.0, 0.5, 1.0, 2.0), [1e13, 0.2, 0.1, 0.4], 1),
+        ("control", CONTROL, [-(2.0**42), 0.2, 0.1, 0.4], 1),
+        ("s_wave", S_WAVE, [0.1, 0.2, 0.3, 2.0**60], 4),
+    ])
+    def test_coordinate_the_step_leaves_as_it_is(self, name, params, point, axis):
+        text = self.refusal(name, params, "finite_difference", [point])
+        assert text == f"points[0] = {point}: " + STEP_REASON.format(axis, axis, point[axis - 1]) + (
+            f" (need a smaller |x{axis}| or analytic mode)")
+
+    @pytest.mark.parametrize("name,params,mode,point", [
+        ("control", CONTROL, "finite_difference", [np.nextafter(2.0**42, 0.0), 0.2, 0.1, 0.4]),
+        ("control", CONTROL, "finite_difference", [0.1, 1e300, -1e300, 1e300]),  # control reads x1 alone
+        ("constant", (3.0, 1.0, 2.0), "finite_difference", [1e300, 1e300, 1e300, 1e300]),
+        ("s_wave", S_WAVE, "analytic", [1e13, 2.0**60, 0.3, 0.4]),
+        ("s_wave", S_WAVE, "analytic", [8e307, 0.0, -8e307, 0.0]),
+    ])
+    def test_accepted(self, name, params, mode, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, _, _ = eval_jets(make_family(name, params, mode), np.array([point]))
+        assert np.isfinite(values).all()
