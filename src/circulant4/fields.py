@@ -189,16 +189,18 @@ def _phases(spec: FieldFamilySpec, pts: np.ndarray) -> list:
         return [pts @ lin.T @ modes.T for _, lin, modes, _, _ in _FAMILIES[spec.family].waves]
 
 
-def _first_unevaluable(spec: FieldFamilySpec, points: np.ndarray) -> Optional[Tuple[int, str]]:
-    """None if every chart point (N, 4) has finite wave phases and, in finite_difference mode, moves by +-FD_STEP
-    in each coordinate that a wave reads, else the first point that does not and a text saying why: a phase
-    that overflows makes sin NaN, and a coordinate that the step leaves as it is makes every difference 0."""
+def _first_unevaluable(spec: FieldFamilySpec, points: np.ndarray,
+                       differenced: bool = True) -> Optional[Tuple[int, str]]:
+    """None if every chart point (N, 4) has finite wave phases and, if ``differenced`` in finite_difference mode,
+    moves by +-FD_STEP in each coordinate that a wave reads, else the first point that does not and a text saying
+    why: a phase that overflows makes sin NaN, and a coordinate that the step leaves as it is makes every
+    difference 0."""
     if spec.family == "custom":
         return None
     for theta in _phases(spec, points):
         for n in np.flatnonzero(~np.isfinite(theta).all(axis=-1))[:1]:
             return int(n), f"a wave phase of {spec.family} overflows a float"
-    if spec.derivative_mode == "finite_difference":
+    if differenced and spec.derivative_mode == "finite_difference":
         read = np.vstack([np.zeros(4), *(w.lin for w in _FAMILIES[spec.family].waves)]).any(axis=0)
         stuck = read & ((points + FD_STEP == points) | (points - FD_STEP == points))
         for n in np.flatnonzero(stuck.any(axis=1))[:1]:
@@ -219,8 +221,11 @@ def _values(spec: FieldFamilySpec, pts: np.ndarray, phases: Optional[list] = Non
 
 
 def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
-    """Field values (A, B, C) at a chart point (no admissibility check)."""
+    """Field values (A, B, C) at a chart point (no admissibility check); else ValueError, naming the point, where
+    a wave phase overflows (_first_unevaluable without the step rule, as no difference is taken)."""
     p = as_vector4(p)
+    if broken := _first_unevaluable(spec, p[None], differenced=False):
+        raise ValueError(f"point {p.tolist()}: {broken[1]}")
     values = spec.value_fn(p) if spec.family == "custom" else _values(spec, p)
     return CirculantCoeffs(*np.asarray(values, dtype=float).tolist())
 

@@ -410,15 +410,19 @@ def _reprs(values: np.ndarray, non_finite: Dict[str, str]) -> List[str]:
 
 def _columns(records: Any, fields: Tuple[str, ...]) -> Tuple[List[List[Any]], np.ndarray]:
     """The one pass over the records' fields: each field's distinct objects, told apart by identity (equal
-    copies count apart), and a (record, field) array of each record's number among them; else KeyError."""
-    # The records hold the objects, so no two of them share an id.
-    ids = np.fromiter(map(id, itertools.chain.from_iterable(map(operator.itemgetter(*fields), records))),
-                      np.uint64, len(records) * len(fields)).reshape(-1, len(fields))
+    copies count apart), and a (record, field) array of each record's number among them; else KeyError.
+
+    An identity is read as the object's address, which CPython's ``id`` is and an object array holds: one
+    ``tobytes`` reads them all, with no Python int per (record, field)."""
+    # The array holds the objects, so no two of them share an address while it lives.
+    objects = np.fromiter(itertools.chain.from_iterable(map(operator.itemgetter(*fields), records)), object,
+                          len(records) * len(fields)).reshape(-1, len(fields))
+    ids = np.frombuffer(objects.tobytes(), np.uintp).reshape(objects.shape)
     distinct = []
     numbers = np.empty(ids.shape, dtype=np.intp)
-    for j, (field, column) in enumerate(zip(fields, ids.T)):
+    for j, column in enumerate(ids.T):
         _, first, numbers[:, j] = np.unique(column, return_index=True, return_inverse=True)
-        distinct.append(list(map(operator.itemgetter(field), map(records.__getitem__, first.tolist()))))
+        distinct.append(objects[first, j].tolist())
     return distinct, numbers
 
 

@@ -417,6 +417,23 @@ class TestUnevaluablePoints:
         text = self.refusal("s_wave", S_WAVE, mode, [[0.1, 0.2, 0.3, 0.4], point])
         assert text == f"points[1] = {point}: a wave phase of s_wave overflows a float"
 
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    @pytest.mark.parametrize("point", [[1e308, 0.0, -1e308, 0.0], [1e308, 1e308, 0.0, 0.0]], ids=["r", "r+t"])
+    def test_coeffs_at_refuses_an_overflowing_wave_phase(self, mode, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                coeffs_at(make_family("s_wave", S_WAVE, mode), point)
+        assert str(info.value) == f"point {point}: a wave phase of s_wave overflows a float"
+
+    @pytest.mark.parametrize("point", [[1e13, 0.2, 0.1, 0.4], [0.1, 0.2, 0.3, 2.0**60]])
+    def test_coeffs_at_takes_no_step_rule(self, point):
+        # coeffs_at takes no difference, so a coordinate that FD_STEP leaves as it is is no reason to refuse.
+        spec = make_family("s_wave", S_WAVE, "finite_difference")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert coeffs_at(spec, point) == coeffs_at(make_family("s_wave", S_WAVE), point)
+
     @pytest.mark.parametrize("name,params,point,axis", [
         ("control", (4.0, 0.5, 1.0, 2.0), [1e13, 0.2, 0.1, 0.4], 1),
         ("control", CONTROL, [-(2.0**42), 0.2, 0.1, 0.4], 1),

@@ -541,6 +541,70 @@ class TestOneFieldPass:
         assert (found["point"], found["seed"]) == (3, 3)
 
 
+# The fields that each writer passes to _columns: JSON's in sorted key order, the CSV's in column order.
+COLUMN_FIELDS = {"json": reporting._NAMES, "csv": tuple(field.name for field in reporting._CSV)}
+
+
+def columns_by_id(records, fields):
+    """_columns' reference, built with id(): each field's distinct objects in ascending id order, and a (record,
+    field) array of each record's number among them."""
+    distinct, numbers = [], []
+    for field in fields:
+        by_id = {id(record[field]): record[field] for record in records}
+        order = sorted(by_id)
+        rank = {key: n for n, key in enumerate(order)}
+        distinct.append([by_id[key] for key in order])
+        numbers.append([rank[id(record[field])] for record in records])
+    return distinct, np.array(numbers, dtype=np.intp).T
+
+
+def assert_columns_by_id(records):
+    """For each writer's fields, _columns gives the reference's numbers and the very same distinct objects."""
+    for fields in COLUMN_FIELDS.values():
+        distinct, numbers = reporting._columns(records, fields)
+        expected, expected_numbers = columns_by_id(records, fields)
+        assert numbers.tolist() == expected_numbers.tolist()
+        assert list(map(len, distinct)) == list(map(len, expected))
+        assert all(got is want for objects, wanted in zip(distinct, expected) for got, want in zip(objects, wanted))
+
+
+class TestColumnsById:
+    """_columns, which reads each identity from an object array, numbers the records' objects as id() does."""
+
+    # layout_reports is defined further down, beside the rule it draws records for.
+    @settings(max_examples=100, deadline=None)
+    @given(report=st.deferred(lambda: layout_reports()))
+    def test_drawn_records(self, report):
+        assert_columns_by_id(report["records"])
+
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    def test_workloads(self, name, mode):
+        assert_columns_by_id(workload_report(name, mode=mode)["records"])
+
+    def test_one_list_as_point_and_seed(self):
+        records = [{**r, "seed": r["point"]} for r in real_report()["records"]]
+        assert_columns_by_id(records)
+        assert len(reporting._columns(records, ("point", "seed"))[0][1]) == 3
+
+    def test_np_float64_and_small_int_leaves(self):
+        # Small ints are cached, so equal indices made apart are one object; np.float64 scalars made apart are not.
+        records = [{**r, "point_index": int(str(r["point_index"])), "seed_index": r["seed_index"] % 2,
+                    **{field: np.float64(r[field]) for field in ("parallel_residual", "zero_residual")}}
+                   for r in real_report()["records"]]
+        assert_columns_by_id(records)
+        distinct, _ = reporting._columns(records, ("point_index", "seed_index", "parallel_residual"))
+        assert list(map(len, distinct)) == [3, 2, len(records)]
+
+    @pytest.mark.parametrize("writer", list(COLUMN_FIELDS))
+    def test_a_missing_field_raises_key_error(self, writer):
+        # The writers' fallback trigger: a record without one of the fields.
+        records = real_report()["records"]
+        records[4] = {key: value for key, value in records[4].items() if key != "mu"}
+        with pytest.raises(KeyError):
+            reporting._columns(records, COLUMN_FIELDS[writer])
+
+
 ROW_FIELDS = ["coeffs", "frame_residual", "nabla_q_residual", "parallel_residual", "symmetry_residuals"]
 
 
