@@ -67,10 +67,11 @@ def apply_q(x, k: int = 1) -> np.ndarray:
 
 
 def orbit_gram(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gram matrices gram[..., a, b] = g(q^a x, q^b x) for generators c (..., 3) and
-    vectors x (..., 4) whose leading axes broadcast; no validation."""
+    """Gram matrices gram[..., a, b] = g(q^a x, q^b x) for generators c (..., 3) and vectors x (..., 4) whose leading
+    axes broadcast; no validation and, as inner, no numpy warning: an overflow is inf or NaN for its caller to test."""
     v = x[..., ORBIT_INDEX]
-    return v @ metric_matrix(c) @ np.swapaxes(v, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return v @ metric_matrix(c) @ np.swapaxes(v, -1, -2)
 
 
 def metric_matrix(c: CirculantCoeffs) -> np.ndarray:
@@ -141,9 +142,10 @@ def is_admissible(c: CirculantCoeffs) -> bool:
 
 
 def inner(c: CirculantCoeffs, x, y) -> float:
-    """Bilinear form g(x, y) = g_ij x^i y^j for the metric generated by c."""
-    g = metric_matrix(c)
-    return float(as_vector4(x) @ g @ as_vector4(y))
+    """Bilinear form g(x, y) = g_ij x^i y^j for the metric generated by c, made without numpy warnings: a
+    product that overflows is inf, or NaN as inf - inf, for the caller to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(as_vector4(x) @ metric_matrix(c) @ as_vector4(y))
 
 
 def qbase_polynomial(x) -> float:

@@ -46,7 +46,7 @@ from .algebra import (
     _first_degenerate,
     apply_q,
     as_vector4,
-    metric_matrix,
+    inner,
     orbit_gram,
 )
 from .fields import FieldFamilySpec, eval_jets
@@ -287,12 +287,10 @@ def sectional(spec: FieldFamilySpec, p, x, y) -> float:
     which reads as degenerate).  ValueError also if g(x,x) g(y,y) or the denominator overflows a float.
     """
     geo = point_geometry(spec, p)
-    g = metric_matrix(geo.coeffs[0])
     x = as_vector4(x)
     y = as_vector4(y)
-    with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
-        gxx, gyy, gxy = x @ g @ x, y @ g @ y, x @ g @ y
-        norms, denom = float(gxx * gyy), float(gxx * gyy - gxy**2)
+    gxx, gyy, gxy = (inner(geo.coeffs[0], u, v) for u, v in ((x, x), (y, y), (x, y)))
+    norms, denom = gxx * gyy, gxx * gyy - gxy * gxy  # Python floats overflow unwarned, but ** raises OverflowError
     if not (np.isfinite(norms) and np.isfinite(denom)):
         raise ValueError(f"2-section: Gram products overflow a float (g(x,x) g(y,y) = {norms}, determinant {denom})")
     if not denom > _SECTION_DENOM_TOL * norms:

@@ -155,6 +155,10 @@ def make_family(family: str, params, derivative_mode: str = "analytic") -> Field
     (a_lo, b_lo, c_lo), (a_hi, b_hi, c_hi) = _chart_bounds(family, params)
     if broken := _first_inadmissible(np.array([[a_lo, b_lo, c_hi], [a_lo, b_hi, c_lo]])):
         raise ValueError(f"{family}: {broken[1]}")
+    # g's inverse sums 1/(A + 2B + C) + 1/(A - 2B + C) + 2/(A - C) <= 4/(A - C), and A - C is least at (A_lo, C_hi).
+    if not np.isfinite(4.0 / (gap := float(a_lo - c_hi))):  # Python floats divide unwarned
+        raise ValueError(f"{family}: A - C falls to {gap} on the chart, so the inverse metric overflows a "
+                         "float (need 4 / (A - C) finite)")
     # The stencil forms 2 f(p) for each of A, B, C, and the rule keeps |B|, |C| < A <= A_hi.
     if derivative_mode == "finite_difference" and not np.isfinite(2.0 * float(a_hi)):
         raise ValueError(f"{family}: A reaches {a_hi}, so the finite-difference stencil's 2 A overflows a float")

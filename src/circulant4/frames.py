@@ -117,7 +117,7 @@ def closed_form_frame(c: CirculantCoeffs) -> ClosedFormFrameReport:
         a, b, cc = np.array(c, dtype=float)  # numpy scalars, whose arithmetic obeys np.errstate
         r_minus = a + b - 2.0 * cc
         r_plus = a + b + 2.0 * cc
-        if r_minus <= 0.0 or r_plus <= 0.0:
+        if r_minus <= 0.0:  # r_plus > 0 for admissible (A, B, C), and an overflow there raises in _gate
             return ClosedFormFrameReport(
                 x2=math.nan, sum_x1_x3=math.nan, prod_x1_x3=math.nan,
                 discriminant=math.nan, candidate=None, residual=None,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import CirculantCoeffs, _first_degenerate, apply_q, as_vector4, inner, metric_eigenvalues
 
 __all__ = ["PyramidReport", "pyramid_report"]
@@ -45,8 +43,7 @@ def pyramid_report(c: CirculantCoeffs, x) -> PyramidReport:
     x = as_vector4(x)
     if broken := _first_degenerate(x, "x"):
         raise ValueError(f"seed vector {broken[1]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
-        norm_sq = inner(c, x, x)
+    norm_sq = inner(c, x, x)
     if not 0.0 < norm_sq < math.inf:  # also an overflow to inf or NaN
         raise ValueError(f"seed {x.tolist()} has squared length {norm_sq} under g, not a positive finite float")
     cos_alpha = inner(c, x, apply_q(x, 1)) / norm_sq

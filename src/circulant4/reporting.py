@@ -34,7 +34,7 @@ import numpy as np
 import orjson
 
 from . import __version__
-from .algebra import CirculantCoeffs, _first_degenerate, metric_eigenvalues
+from .algebra import _first_degenerate, metric_eigenvalues
 from .curvature import _BLOCK_PAIRS, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
 from .fields import FieldFamilySpec, _chart_bounds, _first_unevaluable, gradient_residual, make_family
 from .frames import spectral_frame_residuals
@@ -94,7 +94,7 @@ class RunConfig:
         self.seeds = self._parse_seeds(raw)
         # g(x, x) <= lam |x|^2 for lam, g's largest eigenvalue at the chart's upper corner, so lam |x|^2 bounds every
         # orbit Gram entry and its square every q-section denominator.  Python floats overflow to inf unwarned.
-        upper = CirculantCoeffs(*_chart_bounds(self.family.family, self.family.params)[1].tolist())
+        upper = _chart_bounds(self.family.family, self.family.params)[1]
         lam, norm_sq = float(metric_eigenvalues(upper)[0]), float(np.max(np.sum(self.seeds**2, axis=1)))
         if not math.isfinite((lam * norm_sq) * (lam * norm_sq)):
             raise ConfigError(
@@ -440,32 +440,35 @@ def _fill(head: str, separator: str, texts: List[List[str]], numbers: np.ndarray
 def _leaves(values: List[Any], leaves: Any) -> List[Any]:
     """The float leaves of a field's objects, one object after another, each laid out as ``leaves`` says (a
     dict's in sorted key order, or for "max" its largest value; an index has none); else TypeError, or KeyError
-    for a dict with other keys: a dict with as many keys as names, each found by its getter, has just those."""
+    for a dict with other keys: a dict with as many keys as names, each found by its getter, has just those.
+    Objects are taken by exact type, as the leaves are: a subclass may read its items otherwise than its getter
+    does, as json.dumps and csv.writer do."""
+    types = set(map(type, values))
     if leaves == "index":
-        if all(type(value) is int for value in values):  # json.dumps spells a bool, csv.writer quotes a string
+        if types == {int}:  # json.dumps spells a bool, csv.writer quotes a string
             return []
     elif leaves == "float":
         return values
-    elif leaves == "max":
+    elif types == {dict} and leaves == "max":
         return list(map(max, map(dict.values, values)))
-    elif isinstance(leaves, tuple):
-        if all(isinstance(value, dict) and len(value) == len(leaves) for value in values):
+    elif types == {dict} and isinstance(leaves, tuple):
+        if set(map(len, values)) == {len(leaves)}:
             return list(itertools.chain.from_iterable(map(operator.itemgetter(*sorted(leaves)), values)))
-    elif all(isinstance(value, (list, tuple)) and len(value) == leaves for value in values):
+    elif types <= {list, tuple} and set(map(len, values)) == {leaves}:
         return list(itertools.chain.from_iterable(values))
     raise TypeError("a record field is not laid out as run_verify's")
 
 
 def _record_texts(records: Any, fields: List[_Field], templates: List[str],
                   non_finite: Dict[str, str]) -> Tuple[List[List[str]], np.ndarray]:
-    """Both writers' one rule and record path: for a non-empty list or tuple of dicts with as many keys as
-    ``_LAYOUT`` has fields, ``fields`` among them, laid out as ``_leaves`` checks with float leaves of a type in
-    ``_FLOATS``, each field's distinct objects' texts, each its field's template filled with its leaves' texts,
-    and ``_columns``' numbers.  An index's one leaf text is its ``str``; the float leaves of all fields are spelled
-    in one ``_reprs`` call, which spells a non-finite leaf by ``non_finite``.  Else TypeError or KeyError,
-    and the writer hands the whole report to json.dumps or csv.writer."""
-    if not (isinstance(records, (list, tuple)) and records
-            and all(isinstance(record, dict) and len(record) == len(_LAYOUT) for record in records)):
+    """Both writers' one rule and record path: for a non-empty list or tuple of dicts, each of exact type, with
+    as many keys as ``_LAYOUT`` has fields, ``fields`` among them, laid out as ``_leaves`` checks with float leaves
+    of a type in ``_FLOATS``, each field's distinct objects' texts, each its field's template filled with its
+    leaves' texts, and ``_columns``' numbers.  An index's one leaf text is its ``str``; the float leaves of all
+    fields are spelled in one ``_reprs`` call, which spells a non-finite leaf by ``non_finite``.  Else TypeError
+    or KeyError, and the writer hands the whole report to json.dumps or csv.writer."""
+    if not (type(records) in (list, tuple) and records
+            and set(map(type, records)) == {dict} and set(map(len, records)) == {len(_LAYOUT)}):
         raise TypeError("records are not run_verify's")
     distinct, numbers = _columns(records, tuple(field.name for field in fields))
     leaves = [_leaves(values, field.leaves) for field, values in zip(fields, distinct)]

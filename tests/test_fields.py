@@ -1,6 +1,8 @@
 """Coefficient-field families, jets, and the parallelism residual."""
 
+import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -71,6 +73,53 @@ class TestMakeFamily:
     def test_custom_requires_all_derivatives(self):
         with pytest.raises(ValueError):
             make_custom_family(lambda p: (3, 1, 2), None, None)
+
+
+def least_inverse_gap():
+    """The least A - C whose 4 / (A - C), the bound of the closed-form inverse metric, is a finite float."""
+    gap = 4.0 / sys.float_info.max
+    while not math.isfinite(4.0 / gap):
+        gap = math.nextafter(gap, 1.0)
+    while math.isfinite(4.0 / math.nextafter(gap, 0.0)):
+        gap = math.nextafter(gap, 0.0)
+    return gap
+
+
+INVERSE_REASON = "{}: A - C falls to {} on the chart, so the inverse metric overflows a float (need 4 / (A - C) finite)"
+
+
+class TestInverseMetricRule:
+    """make_family refuses a family whose chart-wide least A - C leaves 4 / (A - C) infinite, in both modes."""
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    def test_at_the_bound_the_geometry_is_finite_and_unwarned(self, mode):
+        gap = least_inverse_gap()
+        spec = make_family("constant", (2.0 * gap, gap / 2.0, gap), mode)  # 2 gap - gap is gap exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geo = curvature.point_geometry(spec, [0.1, 0.2, 0.3, 0.4])
+        assert np.isfinite(geo.gamma).all() and np.isfinite(geo.r).all()
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    def test_just_past_the_bound_is_refused(self, mode):
+        gap = math.nextafter(least_inverse_gap(), 0.0)
+        message = INVERSE_REASON.format("constant", gap)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_family("constant", (2.0 * gap, gap / 2.0, gap), mode)
+
+    @pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+    def test_subnormal_family_and_a_wave_family_at_the_bound(self, mode):
+        with pytest.raises(ValueError, match=f"^{re.escape(INVERSE_REASON.format('constant', 1e-320))}$"):
+            make_family("constant", (3e-320, 1e-320, 2e-320), mode)
+        # s_wave's chart-wide A - C is 0.6333... times its scale, so 2^-1022 of the defaults is refused and
+        # 2^-1021 taken, with a finite connection.
+        with pytest.raises(ValueError, match="^s_wave: A - C falls to "):
+            make_family("s_wave", [p * 2.0**-1022 for p in S_WAVE], mode)
+        spec = make_family("s_wave", [p * 2.0**-1021 for p in S_WAVE], mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            geo = curvature.point_geometry(spec, [0.1, 0.2, 0.3, 0.4])
+        assert np.isfinite(geo.gamma).all() and np.isfinite(geo.r).all()
 
 
 class TestEvalJet:

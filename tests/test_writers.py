@@ -5,6 +5,7 @@ Records laid out as run_verify makes them must take the writer's own path,
 so those cases also run with the json.dumps fallback made to raise.
 """
 
+import collections
 import copy
 import math
 import struct
@@ -234,6 +235,59 @@ class TestOtherLayouts:
         with pytest.raises(TypeError):
             report_json(report)
         assert report_to_csv(report) == csv_oracle(report)
+
+
+class GetsOtherwise(dict):
+    """A dict whose getter reads one key as another value than its items hold."""
+
+    def __getitem__(self, key):
+        value = dict.__getitem__(self, key)
+        return changed(value) if key == "zero_residual" else value
+
+
+class ItemsOtherwise(dict):
+    """A dict whose items() hold other values than its getter reads, as json.dumps reads a dict subclass."""
+
+    def items(self):
+        return [(key, value * 3.0 + 1.0) for key, value in dict.items(self)]
+
+
+class ValuesOtherwise(dict):
+    """A dict whose values() hold other values than its getter reads, as the CSV oracle reads a max column."""
+
+    def values(self):
+        return [value * 3.0 + 1.0 for value in dict.values(self)]
+
+
+def one_point_report():
+    return run_verify(RunConfig({"family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]},
+                                 "points": [[0.3, -0.2, 0.5, 0.1]], "seeds": "random:2", "rng_seed": 5}))
+
+
+class TestExactTypes:
+    """The record path takes records, dict fields and vectors of exact type only: a subclass may read its items
+    otherwise than the writers' getters do, so it goes whole to json.dumps or csv.writer."""
+
+    @pytest.mark.parametrize("wrap", [
+        lambda r: GetsOtherwise(r),
+        lambda r: {**r, "coeffs": ItemsOtherwise(r["coeffs"])},
+        lambda r: {**r, "identity_residuals": ValuesOtherwise(r["identity_residuals"])},
+        lambda r: collections.OrderedDict(r),
+        lambda r: {**r, "coeffs": collections.OrderedDict(r["coeffs"])},
+    ], ids=["record-getter", "coeffs-items", "identity-values", "ordered-record", "ordered-coeffs"])
+    def test_dict_subclasses_give_the_oracles_bytes(self, wrap):
+        records = one_point_report()["records"]
+        records[-1] = wrap(records[-1])
+        assert_bytes({"records": records})
+
+    @pytest.mark.parametrize("field", ["point", "seed", "mu"])
+    def test_a_list_subclass_falls_back(self, monkeypatch, field):
+        records = one_point_report()["records"]
+        records[0] = {**records[0], field: type("Vector", (list,), {})(records[0][field])}
+        report = {"records": records}
+        assert_bytes(report)
+        monkeypatch.setattr(reporting, "_dumps", lambda report: "fallback")
+        assert report_json(report) == "fallback"
 
 
 def pair_slots(record):
