@@ -220,15 +220,15 @@ class PointGeometry:
             raise ValueError(f"seeds[{broken[0]}] = {seeds[broken[0]].tolist()} {broken[1]}")
         gram = orbit_gram(self.coeffs[:, None], seeds)
         r, step = self.r.reshape(-1, 1, 16, 16), max(1, _BLOCK_PAIRS // len(self.r))
-        read = []
-        for v in np.split(seeds[:, ORBIT_INDEX], range(step, len(seeds), step)):
-            vv = (v[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
-            read.append((vv[:, _ROWS] @ r @ np.swapaxes(vv[:, _COLS], -1, -2))[..., _ROW_OF, _COL_OF])
-        numerators, lhs, rhs = np.split(np.concatenate(read, axis=1), [6, 6 + len(IDENTITY_NAMES)], axis=-1)
-
-        a, b = _SECTION_A, _SECTION_B
+        read, a, b = [], _SECTION_A, _SECTION_B
         with np.errstate(over="ignore", invalid="ignore"):  # no numpy warning: an overflow is refused below
+            for v in np.split(seeds[:, ORBIT_INDEX], range(step, len(seeds), step)):
+                vv = (v[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
+                read.append((vv[:, _ROWS] @ r @ np.swapaxes(vv[:, _COLS], -1, -2))[..., _ROW_OF, _COL_OF])
             denoms = gram[..., a, a] * gram[..., b, b] - gram[..., a, b] ** 2
+        numerators, lhs, rhs = np.split(rv := np.concatenate(read, axis=1), [6, 6 + len(IDENTITY_NAMES)], axis=-1)
+        for i in np.flatnonzero(np.isinf(rv).any(axis=(0, 2)))[:1]:  # a NaN from the inputs reaches its criterion
+            raise ValueError(f"seeds[{i}] = {seeds[i].tolist()}: R on its q-orbit overflows a float")
         if not (ok := (denoms > 0.0) & (denoms < np.inf)).all():
             i = int(np.argmin(ok.all(axis=(0, 2))))
             raise ValueError(f"seeds[{i}] = {seeds[i].tolist()}: a q-section Gram determinant is "

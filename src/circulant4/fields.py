@@ -36,16 +36,16 @@ bounds that ``make_family`` checks (base +- the sum over the waves of
   numerically across the config boundary).
 
 Derivatives come either from closed forms (``analytic``) or from central
-first and second differences at one step, ``FD_STEP`` (``finite_difference``),
-for a block of points at once (``eval_jets``); the single-point functions
-are views over a block of one.
+first and second differences in each wave's phase at one step, ``FD_STEP``
+(``finite_difference``), for a block of points at once (``eval_jets``); the
+single-point functions are views over a block of one.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -193,42 +193,34 @@ def _phases(spec: FieldFamilySpec, pts: np.ndarray) -> list:
         return [pts @ lin.T @ modes.T for _, lin, modes, _, _ in _FAMILIES[spec.family].waves]
 
 
-def _first_unevaluable(spec: FieldFamilySpec, points: np.ndarray,
-                       differenced: bool = True) -> Optional[Tuple[int, str]]:
-    """None if every chart point (N, 4) has finite wave phases and, if ``differenced`` in finite_difference mode,
-    moves by +-FD_STEP in each coordinate that a wave reads, else the first point that does not and a text saying
-    why: a phase that overflows makes sin NaN, and a coordinate that the step leaves as it is makes every
-    difference 0."""
+def _first_unevaluable(spec: FieldFamilySpec, points: np.ndarray) -> Optional[Tuple[int, str]]:
+    """None if every chart point (N, 4) has finite wave phases, else the first point that does not and a text saying
+    why: a phase that overflows makes sin NaN."""
     if spec.family == "custom":
         return None
     for theta in _phases(spec, points):
         for n in np.flatnonzero(~np.isfinite(theta).all(axis=-1))[:1]:
             return int(n), f"a wave phase of {spec.family} overflows a float"
-    if differenced and spec.derivative_mode == "finite_difference":
-        read = np.vstack([np.zeros(4), *(w.lin for w in _FAMILIES[spec.family].waves)]).any(axis=0)
-        stuck = read & ((points + FD_STEP == points) | (points - FD_STEP == points))
-        for n in np.flatnonzero(stuck.any(axis=1))[:1]:
-            i = int(np.argmax(stuck[n]))
-            return int(n), (f"x{i + 1} +- {FD_STEP}, the finite-difference step, rounds to x{i + 1} = {points[n, i]}, "
-                            f"so its finite differences read 0 (need a smaller |x{i + 1}| or analytic mode)")
     return None
 
 
-def _values(spec: FieldFamilySpec, pts: np.ndarray, phases: Optional[list] = None) -> np.ndarray:
-    """Field values (..., 3) of (A, B, C) of a built-in family at chart points (..., 4), from their _phases if given."""
+def _values(spec: FieldFamilySpec, pts: np.ndarray, sines: Optional[Iterable] = None) -> np.ndarray:
+    """Field values (..., 3) of (A, B, C) of a built-in family at chart points (..., 4), from the sines of each wave's
+    _phases there if given, whose leading axes may broadcast against those of ``pts``."""
     _, base, waves = _FAMILIES[spec.family]
     values = np.broadcast_to(np.take(spec.params, base), pts.shape[:-1] + (3,))
-    for (amp, _, _, divisors, direction), theta in zip(waves, _phases(spec, pts) if phases is None else phases):
-        f = spec.params[amp] * _mode_sum(np.sin(theta) / divisors, -1)
+    sines = map(np.sin, _phases(spec, pts)) if sines is None else sines
+    for (amp, _, _, divisors, direction), sine in zip(waves, sines):
+        f = spec.params[amp] * _mode_sum(sine / divisors, -1)
         values = values + f[..., None] * direction
     return values
 
 
 def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
     """Field values (A, B, C) at a chart point (no admissibility check); else ValueError, naming the point, where
-    a wave phase overflows (_first_unevaluable without the step rule, as no difference is taken)."""
+    a wave phase overflows (see _first_unevaluable)."""
     p = as_vector4(p)
-    if broken := _first_unevaluable(spec, p[None], differenced=False):
+    if broken := _first_unevaluable(spec, p[None]):
         raise ValueError(f"point {p.tolist()}: {broken[1]}")
     values = spec.value_fn(p) if spec.family == "custom" else _values(spec, p)
     return CirculantCoeffs(*np.asarray(values, dtype=float).tolist())
@@ -249,10 +241,15 @@ def _wave_derivatives(spec: FieldFamilySpec, pts: np.ndarray, phases: list) -> T
 
 
 def _stencil_jet(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Values, gradients and Hessians at points (N, 4) from one evaluation of the (33, N, 4) stencil:
-    central first and second differences, all at step FD_STEP."""
+    """Values, gradients and Hessians at points (N, 4): central first and second differences at step FD_STEP over
+    the 33 stencil points p + FD_STEP s, each wave's phases there theta + delta, delta = FD_STEP s . lin^T modes^T,
+    so its sines are sin theta cos delta + cos theta sin delta and no digit of the step is lost to a large |p|."""
     k = FD_STEP
-    f = _values(spec, k * _STENCIL[:, None] + pts)
+    sines = []
+    for (_, lin, modes, _, _), theta in zip(_FAMILIES[spec.family].waves, _phases(spec, pts)):
+        delta = k * (_STENCIL @ lin.T @ modes.T)[:, None]  # (33, 1, M)
+        sines.append(np.sin(theta) * np.cos(delta) + np.cos(theta) * np.sin(delta))
+    f = np.broadcast_to(_values(spec, pts, sines), (len(_STENCIL), len(pts), 3))
     plus, minus = f[1:9].reshape(2, 4, -1, 3)
     pp, pm, mp, mm = f[9:].reshape(4, 6, -1, 3)
     grads = np.moveaxis((plus - minus) / (2 * k), 0, -1)
@@ -277,7 +274,7 @@ def eval_jets(spec: FieldFamilySpec, points: np.ndarray) -> Tuple[np.ndarray, np
         values, grads, hessians = (np.array(part, dtype=float) for part in zip(*jets))
     elif spec.derivative_mode == "analytic":
         phases = _phases(spec, points)
-        values, (grads, hessians) = _values(spec, points, phases), _wave_derivatives(spec, points, phases)
+        values, (grads, hessians) = _values(spec, points, map(np.sin, phases)), _wave_derivatives(spec, points, phases)
     else:
         values, grads, hessians = _stencil_jet(spec, points)
     if broken := _first_inadmissible(values):

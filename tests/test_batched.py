@@ -195,13 +195,13 @@ class TestDistinctJets:
     @pytest.mark.parametrize("name,params,count,mode,seeds,rows", [
         ("control", CONTROL, 4, "analytic", "random:8", [4]),
         ("s_wave", S_WAVE, 2, "analytic", "random:8", [9]),
-        ("s_wave", S_WAVE, 4, "finite_difference", "random:1", [81]),
+        ("s_wave", S_WAVE, 4, "finite_difference", "random:1", [78]),
     ])
     def test_connection_gets_one_row_per_distinct_jet(self, monkeypatch, name, params, count, mode, seeds, rows):
         # control depends on a point only through x1, which takes 4 values on the 4^4 grid, all in
         # one block of 256 points; s_wave depends on x1 - x3 and x2 - x4, which take 3 x 3 values on
-        # the 2^4 grid.  The 256 points of the 4^4 grid hold 81 distinct finite-difference jets, which
-        # blocks of 64 points would split into 135 rows over four calls.
+        # the 2^4 grid.  The 256 points of the 4^4 grid hold 78 distinct finite-difference jets, which
+        # blocks of 64 points would split into 140 rows over four calls.
         seen = []
         original = curvature._connection
 
@@ -264,23 +264,33 @@ class TestDistinctJets:
 
 
 def _loop_fd_jet(spec, v):
-    """Reference: the finite-difference jet as one scalar coeffs_at call per stencil point."""
+    """Reference: the finite-difference jet from one scalar evaluation per stencil point p + FD_STEP u, each wave's
+    sines there taken from its phases theta at p and their shifts delta = FD_STEP u . lin^T modes^T."""
     v = np.asarray(v, dtype=float)
     k = fields.FD_STEP
-    e = k * np.eye(4)
+    _, base, waves = fields._FAMILIES[spec.family]
+    e = np.eye(4)
 
-    def f(p):
-        return np.array(coeffs_at(spec, p))
+    def f(u):
+        values = np.take(spec.params, base)
+        for amp, lin, modes, divisors, direction in waves:
+            theta, delta = v @ lin.T @ modes.T, k * (u @ lin.T @ modes.T)
+            terms = (np.sin(theta) * np.cos(delta) + np.cos(theta) * np.sin(delta)) / divisors
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            values = values + spec.params[amp] * total * direction
+        return values
 
-    f0 = f(v)
+    f0 = f(np.zeros(4))
     grads, hess = np.zeros((3, 4)), np.zeros((3, 4, 4))
     for i in range(4):
-        grads[:, i] = (f(v + e[i]) - f(v - e[i])) / (2 * k)
+        grads[:, i] = (f(e[i]) - f(-e[i])) / (2 * k)
         for j in range(i, 4):
             if i == j:
-                d2 = (f(v + e[i]) - 2 * f0 + f(v - e[i])) / k**2
+                d2 = (f(e[i]) - 2 * f0 + f(-e[i])) / k**2
             else:
-                d2 = (f(v + e[i] + e[j]) - f(v + e[i] - e[j]) - f(v - e[i] + e[j]) + f(v - e[i] - e[j])) / (4 * k**2)
+                d2 = (f(e[i] + e[j]) - f(e[i] - e[j]) - f(-e[i] + e[j]) + f(-e[i] - e[j])) / (4 * k**2)
             hess[:, i, j] = d2
             hess[:, j, i] = d2
     return grads, hess

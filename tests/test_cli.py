@@ -502,11 +502,8 @@ class TestParseTimeValidationExitCode:
         assert "grid.min" in capsys.readouterr().err
 
 
-# The three configs of test_contract whose points no run can evaluate, two variants, and the line each prints.
+# The two configs of test_contract whose points no run can evaluate, three variants, and the line each prints.
 _UNEVALUABLE = {
-    "fd-step": (FD_STEP_LOST, "points[0] = [10000000000000.0, 0.2, 0.1, 0.4]: x1 +- 0.0003, the finite-difference "
-                "step, rounds to x1 = 10000000000000.0, so its finite differences read 0 (need a smaller |x1| or "
-                "analytic mode)"),
     "grid-span": (GRID_SPAN, "grid axis 0 spans min -1e+308 to max 1e+308, and max - min overflows a float "
                   "(need it finite)"),
     "grid-span-one-point": ({**GRID_SPAN, "grid": {**GRID_SPAN["grid"], "count": [1, 1, 1, 1]}},
@@ -537,11 +534,47 @@ class TestUnevaluablePointExitCode:
         assert (captured.out, captured.err) == ("", f"config error: {reason}\n")
         assert out.read_bytes() == b'{"earlier": "report"}\r\n'
 
-    def test_curvature_point_flag_is_refused_in_fd_mode(self, tmp_path, capsys):
+    def test_curvature_point_flag_is_evaluated_in_both_modes(self, tmp_path, capsys):
+        # x1 +- FD_STEP rounds to x1 = 1e13, but the finite-difference stencil shifts the wave's phase, not x1.
         cfg = write_config(tmp_path, family={"name": "control", "params": [4.0, 0.5, 1.0, 2.0]})
-        assert main(["curvature", "--config", cfg, "--mode", "fd", "--point", "1e13,0.2,0.1,0.4"]) == 2
-        assert capsys.readouterr().err == f"config error: {_UNEVALUABLE['fd-step'][1]}\n"
-        assert main(["curvature", "--config", cfg, "--mode", "analytic", "--point", "1e13,0.2,0.1,0.4"]) == 0
+        residuals = []
+        for mode in ("fd", "analytic"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["curvature", "--config", cfg, "--mode", mode, "--point", "1e13,0.2,0.1,0.4"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            residuals.append(json.loads(captured.out)["points"][0]["nabla_q_residual"])
+        assert residuals[0] == pytest.approx(residuals[1], rel=1e-6) and residuals[1] > 1e-3
+
+
+class TestFiniteDifferencesFarFromTheOrigin:
+    """In fd mode a coordinate far from the origin costs the finite differences no digits: the stencil shifts each
+    wave's phase, not the chart point."""
+
+    @staticmethod
+    def verify(tmp_path, capsys, config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, json.loads(captured.out)["summary"]
+
+    @pytest.mark.parametrize("x1", [1e4, 1e6, 1e9, 2.0**43])
+    def test_s_wave_passes_every_criterion(self, tmp_path, capsys, x1):
+        code, summary = self.verify(tmp_path, capsys, {**FD_STEP_LOST, "points": [[x1, 0.2, 0.1, 0.4]],
+                                                       "family": {"name": "s_wave", "params": [2.0, 0.1, 3.0, 1.0]}})
+        assert code == 0 and summary["status"] == "pass"
+        assert set(summary["criteria"].values()) == {"pass"}
+
+    @pytest.mark.parametrize("x1", [1e4, 1e6, 1e9, 2.0**43, 1e13])
+    def test_control_fails_nabla_q_zero(self, tmp_path, capsys, x1):
+        # At x1 = 1e13, FD_STEP_LOST's own point, x1 +- FD_STEP rounds to x1.
+        code, summary = self.verify(tmp_path, capsys, {**FD_STEP_LOST, "points": [[x1, 0.2, 0.1, 0.4]]})
+        assert code == 1 and summary["criteria"]["nabla_q_zero"] == "fail"
 
 
 class TestSectionValidationExitCode:

@@ -33,6 +33,7 @@ from circulant4 import (
     coeffs_at,
     det_qorbit,
     eval_jet,
+    identity_suite,
     inner,
     is_admissible,
     make_family,
@@ -43,6 +44,7 @@ from circulant4 import (
     parallel_residual,
     pyramid_report,
     q_invariance_residual,
+    q_section_curvatures,
     qbase_polynomial,
     qbase_predicate,
     riemann,
@@ -69,8 +71,9 @@ UNDERFLOW = {"family": {"name": "constant", "params": [3e-3, 1e-3, 2e-3]}, "poin
 LIST_NAME = {"family": {"name": ["s_wave"], "params": [2.0, 0.1, 3.0, 1.0]}, "points": [[0, 0, 0, 0]],
              "seeds": [[1, 0.2, -0.3, 0.4]]}
 EDGE_OVERFLOW = ["pyramid", "--coeffs", "1e308,1e307,5e307", "--seed-vector", "1,0,0,0"]
-# Three configs that parse to points no run can evaluate: at x1 = 1e13 the finite-difference step rounds away, a
-# grid whose span max - min overflows, and a wave phase x1 - x3 that overflows.
+# A finite-difference config at x1 = 1e13, where x1 +- FD_STEP rounds to x1; its stencil shifts the wave's phase, not
+# x1, so the control is found non-parallel.  Then two configs that parse to points no run can evaluate: a grid whose
+# span max - min overflows, and a wave phase x1 - x3 that overflows.
 FD_STEP_LOST = {"family": {"name": "control", "params": [4.0, 0.5, 1.0, 2.0]}, "points": [[1e13, 0.2, 0.1, 0.4]],
                 "seeds": "random:8", "rng_seed": 7, "derivative_mode": "fd"}
 GRID_SPAN = {"family": {"name": "constant", "params": [3.0, 1.0, 2.0]},
@@ -155,7 +158,7 @@ def test_every_run_exits_0_or_1_with_its_output_or_2_with_one_line():
     @example(run=(["curvature", "--mode", "analytic"], UNDERFLOW, 2))
     @example(run=(["verify", "--format", "json"], LIST_NAME, 2))
     @example(run=(EDGE_OVERFLOW, None, 2))
-    @example(run=(["verify", "--format", "json"], FD_STEP_LOST, 2))
+    @example(run=(["verify", "--format", "json"], FD_STEP_LOST, 1))
     @example(run=(["verify", "--format", "csv"], GRID_SPAN, 2))
     @example(run=(["curvature", "--mode", "finite_difference"], PHASE_OVERFLOW, 2))
     @example(run=(["verify", "--format", "json"], SUBNORMAL, 2))
@@ -196,9 +199,7 @@ def test_every_run_exits_0_or_1_with_its_output_or_2_with_one_line():
 
 
 # The public library functions, each called on drawn generators c, make_family arguments spec, a chart point p and
-# drawn vectors x, y, z, u.  q_section_curvatures and identity_suite are left out: on a metric near the float
-# limits, seed_checks' projection of R onto a seed's orbit can overflow with a numpy warning (no config reaches
-# it, as RunConfig's float-scale rule refuses the family and seeds first).
+# drawn vectors x, y, z, u.
 LIBRARY = {
     "inner": lambda c, spec, p, x, y, z, u: inner(c, x, y),
     "apply_q": lambda c, spec, p, x, y, z, u: apply_q(x, 3),
@@ -223,7 +224,15 @@ LIBRARY = {
     "sectional": lambda c, spec, p, x, y, z, u: sectional(make_family(*spec), p, x, y),
     "symmetry_residuals": lambda c, spec, p, x, y, z, u: symmetry_residuals(riemann(make_family(*spec), p)),
     "q_invariance_residual": lambda c, spec, p, x, y, z, u: q_invariance_residual(make_family(*spec), p, [x, y, z, u]),
+    "q_section_curvatures": lambda c, spec, p, x, y, z, u: q_section_curvatures(make_family(*spec), p, x),
+    "identity_suite": lambda c, spec, p, x, y, z, u: identity_suite(make_family(*spec), p, x),
 }
+# s_wave x 2^622, a metric near the float limits, and a seed x on which seed_checks' projection of R onto x's
+# q-orbit overflows.
+PROJECTION_OVERFLOW = ("q_section_curvatures", (
+    DEFAULTS["constant"], ("s_wave", tuple(p * 2.0**622 for p in DEFAULTS["s_wave"]), "analytic"),
+    (1.469, 1.679, -3.239, 0.362), (4.107453199822084e-232, 1.0540699340434818, 1.0948433917352924e-255,
+                                    -2.287328692957867e+50), *SEEDS[:3]))
 
 
 def scaled(defaults):
@@ -252,6 +261,7 @@ def test_every_library_call_returns_or_raises_value_error():
     @seed(20261021)
     @settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(call=library_calls())
+    @example(call=PROJECTION_OVERFLOW)
     def check(call):
         name, arguments = call
         with warnings.catch_warnings():

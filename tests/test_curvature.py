@@ -247,6 +247,21 @@ class TestQSections:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 check(spec, [0.3, -0.2, 0.5, 0.1], [1e77, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("check,index", [
+        (q_section_curvatures, 0),
+        (identity_suite, 0),
+        (lambda spec, p, x: PointGeometry.from_field(spec, np.array([p])).seed_checks([[1.0, 0.2, -0.3, 0.4], x]), 1),
+    ], ids=["q_section_curvatures", "identity_suite", "second-seed"])
+    def test_rejects_seed_whose_projection_overflows_without_a_warning(self, check, index):
+        # On s_wave x 2^622, R projected onto this seed's q-orbit overflows to inf in seed_checks' matmul.
+        spec = make_family("s_wave", [p * 2.0**622 for p in S_WAVE])
+        seed = [4.107453199822084e-232, 1.0540699340434818, 1.0948433917352924e-255, -2.287328692957867e+50]
+        message = f"seeds[{index}] = {seed}: R on its q-orbit overflows a float"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(spec, [1.469, 1.679, -3.239, 0.362], seed)
+
     def test_denominators_positive(self):
         spec = make_family("s_wave", S_WAVE)
         rng = np.random.default_rng(50)

@@ -370,6 +370,19 @@ class TestSeveralWaves:
         assert np.max(np.abs(analytic[1] - fd[1])) <= 1e-8
         assert np.max(np.abs(analytic[2] - fd[2])) <= 1e-6
 
+    @pytest.mark.parametrize("scale", [1e4, 1e9, 2.0**43, 1e15])
+    def test_finite_differences_hold_far_from_the_origin(self, monkeypatch, scale):
+        # The stencil shifts each wave's phase, not the point, so x +- FD_STEP rounding to x costs no digits.
+        monkeypatch.setitem(fields._FAMILIES, "s_wave", _two_wave_row())
+        rng = np.random.default_rng(39)
+        points = rng.uniform(-3, 3, size=(40, 4)) + scale * rng.choice([-1.0, 0.0, 1.0], size=(40, 4))
+        points[0] = [scale, 0.2, 0.1, 0.4]
+        analytic = eval_jets(make_family("s_wave", TWO_WAVES), points)
+        fd = eval_jets(make_family("s_wave", TWO_WAVES, derivative_mode="finite_difference"), points)
+        assert np.array_equal(analytic[0], fd[0])
+        assert np.max(np.abs(analytic[1] - fd[1])) <= 1e-8
+        assert np.max(np.abs(analytic[2] - fd[2])) <= 1e-6
+
     @pytest.mark.parametrize("field,value", [("divisors", [2.0]), ("direction", [0.0, 0.0, 1.0])])
     def test_a_planted_second_wave_fault_is_caught(self, monkeypatch, field, value):
         monkeypatch.setitem(fields._FAMILIES, "s_wave", _two_wave_row(**{field: value}))
@@ -434,9 +447,10 @@ class TestFiniteDifferenceRule:
         assert summary["status"] == "pass"
         assert summary["max_identity_residual"] <= DEFAULT_TOLERANCES["section_tol"] / 5
 
-    @pytest.mark.parametrize("x1", [1.0, 1e3, 1e6, 1e9, 1e12])
-    def test_control_fails_nabla_q_zero_short_of_the_refused_range(self, x1):
-        # Below 2^42 the step moves x1, so the control's finite differences see its wave and it stays non-parallel.
+    @pytest.mark.parametrize("x1", [1.0, 1e3, 1e6, 1e9, 1e12, 2.0**43, 1e15])
+    def test_control_fails_nabla_q_zero_at_any_x1(self, x1):
+        # The stencil shifts the wave's phase, not x1, so the control's finite differences see its wave at any x1,
+        # even where x1 +- FD_STEP rounds to x1, and it stays non-parallel.
         report = run_verify(RunConfig({
             "family": {"name": "control", "params": [4.0, 0.5, 1.0, 2.0]}, "points": [[x1, 0.2, 0.1, 0.4]],
             "seeds": "random:8", "rng_seed": 7, "derivative_mode": "fd",
@@ -444,12 +458,9 @@ class TestFiniteDifferenceRule:
         assert report["summary"]["criteria"]["nabla_q_zero"] == "fail"
 
 
-STEP_REASON = "x{} +- 0.0003, the finite-difference step, rounds to x{} = {}, so its finite differences read 0"
-
-
 class TestUnevaluablePoints:
-    """eval_jets refuses, naming the first such point, a wave phase that overflows and, in finite_difference mode,
-    a coordinate that a wave reads and that FD_STEP leaves as it is; with warnings as errors, so none is made."""
+    """eval_jets refuses, naming the first such point, a wave phase that overflows; with warnings as errors, so none
+    is made."""
 
     @staticmethod
     def refusal(name, params, mode, points):
@@ -476,22 +487,31 @@ class TestUnevaluablePoints:
         assert str(info.value) == f"point {point}: a wave phase of s_wave overflows a float"
 
     @pytest.mark.parametrize("point", [[1e13, 0.2, 0.1, 0.4], [0.1, 0.2, 0.3, 2.0**60]])
-    def test_coeffs_at_takes_no_step_rule(self, point):
-        # coeffs_at takes no difference, so a coordinate that FD_STEP leaves as it is is no reason to refuse.
+    def test_coeffs_at_is_the_same_in_both_modes(self, point):
         spec = make_family("s_wave", S_WAVE, "finite_difference")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert coeffs_at(spec, point) == coeffs_at(make_family("s_wave", S_WAVE), point)
 
-    @pytest.mark.parametrize("name,params,point,axis", [
-        ("control", (4.0, 0.5, 1.0, 2.0), [1e13, 0.2, 0.1, 0.4], 1),
-        ("control", CONTROL, [-(2.0**42), 0.2, 0.1, 0.4], 1),
-        ("s_wave", S_WAVE, [0.1, 0.2, 0.3, 2.0**60], 4),
+    @pytest.mark.parametrize("name,params,point,status", [
+        ("control", (4.0, 0.5, 1.0, 2.0), [1e13, 0.2, 0.1, 0.4], "fail"),
+        ("control", CONTROL, [-(2.0**42), 0.2, 0.1, 0.4], "fail"),
+        ("s_wave", S_WAVE, [0.1, 0.2, 0.3, 2.0**60], "pass"),
     ])
-    def test_coordinate_the_step_leaves_as_it_is(self, name, params, point, axis):
-        text = self.refusal(name, params, "finite_difference", [point])
-        assert text == f"points[0] = {point}: " + STEP_REASON.format(axis, axis, point[axis - 1]) + (
-            f" (need a smaller |x{axis}| or analytic mode)")
+    def test_coordinate_that_the_step_leaves_as_it_is_is_evaluated(self, name, params, point, status):
+        # x +- FD_STEP rounds to x here, but the stencil shifts each wave's phase, not the point: the finite-difference
+        # jet is the closed-form one's, and the control is still found non-parallel.
+        config = {"family": {"name": name, "params": list(params)}, "points": [point], "seeds": "random:8",
+                  "rng_seed": 7, "derivative_mode": "fd"}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analytic = eval_jets(make_family(name, params), np.array([point]))
+            fd = eval_jets(make_family(name, params, "finite_difference"), np.array([point]))
+            summary = run_verify(RunConfig(config))["summary"]
+        assert np.max(np.abs(analytic[1] - fd[1])) <= 1e-8
+        assert np.max(np.abs(analytic[2] - fd[2])) <= 1e-6
+        assert summary["status"] == status
+        assert summary["criteria"]["nabla_q_zero"] == ("fail" if name == "control" else "pass")
 
     @pytest.mark.parametrize("name,params,mode,point", [
         ("control", CONTROL, "finite_difference", [np.nextafter(2.0**42, 0.0), 0.2, 0.1, 0.4]),
