@@ -187,29 +187,24 @@ def _mode_sum(terms: np.ndarray, axis: int) -> np.ndarray:
     return functools.reduce(np.add, np.moveaxis(terms, axis, 0))
 
 
-def _phases(spec: FieldFamilySpec, pts: np.ndarray) -> list:
-    """Each wave's phases modes . (lin x), (..., M), at chart points (..., 4); one that overflows is unwarned."""
+def _phases(spec: FieldFamilySpec, pts: np.ndarray, error: type = ValueError, where: str = "points[{i}] = {p}") -> list:
+    """Each wave's phases modes . (lin x), (..., M), at chart points (..., 4), made without numpy warnings; ``error``
+    naming the first point, as ``where`` with its index i and coordinates p, whose phase overflows a float (its
+    sine would be NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [pts @ lin.T @ modes.T for _, lin, modes, _, _ in _FAMILIES[spec.family].waves]
+        phases = [pts @ lin.T @ modes.T for _, lin, modes, _, _ in _FAMILIES[spec.family].waves]
+    for theta in phases:
+        for i in np.flatnonzero(~np.isfinite(theta).all(axis=-1))[:1]:
+            point = where.format(i=i, p=pts.reshape(-1, 4)[i].tolist())
+            raise error(f"{point}: a wave phase of {spec.family} overflows a float")
+    return phases
 
 
-def _first_unevaluable(spec: FieldFamilySpec, points: np.ndarray) -> Optional[Tuple[int, str]]:
-    """None if every chart point (N, 4) has finite wave phases, else the first point that does not and a text saying
-    why: a phase that overflows makes sin NaN."""
-    if spec.family == "custom":
-        return None
-    for theta in _phases(spec, points):
-        for n in np.flatnonzero(~np.isfinite(theta).all(axis=-1))[:1]:
-            return int(n), f"a wave phase of {spec.family} overflows a float"
-    return None
-
-
-def _values(spec: FieldFamilySpec, pts: np.ndarray, sines: Optional[Iterable] = None) -> np.ndarray:
+def _values(spec: FieldFamilySpec, pts: np.ndarray, sines: Iterable) -> np.ndarray:
     """Field values (..., 3) of (A, B, C) of a built-in family at chart points (..., 4), from the sines of each wave's
-    _phases there if given, whose leading axes may broadcast against those of ``pts``."""
+    _phases there, whose leading axes may broadcast against those of ``pts``."""
     _, base, waves = _FAMILIES[spec.family]
     values = np.broadcast_to(np.take(spec.params, base), pts.shape[:-1] + (3,))
-    sines = map(np.sin, _phases(spec, pts)) if sines is None else sines
     for (amp, _, _, divisors, direction), sine in zip(waves, sines):
         f = spec.params[amp] * _mode_sum(sine / divisors, -1)
         values = values + f[..., None] * direction
@@ -218,11 +213,10 @@ def _values(spec: FieldFamilySpec, pts: np.ndarray, sines: Optional[Iterable] = 
 
 def coeffs_at(spec: FieldFamilySpec, p) -> CirculantCoeffs:
     """Field values (A, B, C) at a chart point (no admissibility check); else ValueError, naming the point, where
-    a wave phase overflows (see _first_unevaluable)."""
+    a wave phase overflows (see _phases)."""
     p = as_vector4(p)
-    if broken := _first_unevaluable(spec, p[None]):
-        raise ValueError(f"point {p.tolist()}: {broken[1]}")
-    values = spec.value_fn(p) if spec.family == "custom" else _values(spec, p)
+    values = spec.value_fn(p) if spec.family == "custom" else _values(
+        spec, p, map(np.sin, _phases(spec, p, where="point {p}")))
     return CirculantCoeffs(*np.asarray(values, dtype=float).tolist())
 
 
@@ -261,14 +255,17 @@ def _stencil_jet(spec: FieldFamilySpec, pts: np.ndarray) -> Tuple[np.ndarray, np
     return f[0], grads, hessians
 
 
-def eval_jets(spec: FieldFamilySpec, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eval_jets(spec: FieldFamilySpec, points) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values (N, 3), gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of (A, B, C) at chart points (N, 4).
 
-    Raises, naming the first such point and why, if a point is one that
-    _first_unevaluable refuses or a value breaks the admissibility chain.
+    Raises ValueError, naming the first such point and why, if a coordinate
+    is not finite, a wave phase overflows (see _phases) or a value breaks the
+    admissibility chain.
     """
-    if broken := _first_unevaluable(spec, points):
-        raise ValueError(f"points[{broken[0]}] = {points[broken[0]].tolist()}: {broken[1]}")
+    if (points := np.asarray(points, dtype=float)).shape[1:] != (4,):
+        raise ValueError(f"points must be an (N, 4) array of chart points, got shape {points.shape}")
+    for i in np.flatnonzero(~np.isfinite(points).all(axis=1))[:1]:
+        raise ValueError(f"points[{i}] = {points[i].tolist()}: a coordinate is not finite")
     if spec.family == "custom":
         jets = [(spec.value_fn(p), spec.grad_fn(p), spec.hess_fn(p)) for p in points]
         values, grads, hessians = (np.array(part, dtype=float) for part in zip(*jets))

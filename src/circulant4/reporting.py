@@ -36,7 +36,7 @@ import orjson
 from . import __version__
 from .algebra import _first_degenerate, metric_eigenvalues
 from .curvature import _BLOCK_PAIRS, IDENTITY_NAMES, SYMMETRY_NAMES, PointGeometry, random_qbase_seeds
-from .fields import FieldFamilySpec, _chart_bounds, _first_unevaluable, gradient_residual, make_family
+from .fields import FieldFamilySpec, _chart_bounds, _phases, gradient_residual, make_family
 from .frames import spectral_frame_residuals
 
 __all__ = ["ConfigError", "RunConfig", "run_verify", "report_to_csv", "report_json"]
@@ -85,8 +85,7 @@ class RunConfig:
             raise ConfigError(f"family: {exc}") from exc
 
         self.points = self._parse_points(raw)
-        if broken := _first_unevaluable(self.family, self.points):
-            raise ConfigError(f"points[{broken[0]}] = {self.points[broken[0]].tolist()}: {broken[1]}")
+        _phases(self.family, self.points, ConfigError)
         self.rng_seed: Optional[int] = raw.get("rng_seed")
         # bool is an int subclass; np.random.default_rng takes neither floats nor negatives.
         if self.rng_seed is not None and not (type(self.rng_seed) is int and self.rng_seed >= 0):

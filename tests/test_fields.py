@@ -427,7 +427,8 @@ class TestFiniteDifferenceRule:
 
         def one_sided(spec, pts):
             values, _, hessians = central(spec, pts)
-            ahead = fields._values(spec, pts[:, None] + fields.FD_STEP * np.eye(4))
+            shifted = pts[:, None] + fields.FD_STEP * np.eye(4)
+            ahead = fields._values(spec, shifted, map(np.sin, fields._phases(spec, shifted)))
             return values, np.swapaxes((ahead - values[:, None]) / fields.FD_STEP, 1, 2), hessians
 
         monkeypatch.setattr(fields, "_stencil_jet", one_sided)
@@ -525,3 +526,88 @@ class TestUnevaluablePoints:
             warnings.simplefilter("error")
             values, _, _ = eval_jets(make_family(name, params, mode), np.array([point]))
         assert np.isfinite(values).all()
+
+
+FAMILIES = [("constant", (3.0, 1.0, 2.0)), ("s_wave", S_WAVE), ("control", CONTROL)]
+MODES = ["analytic", "finite_difference"]
+
+
+class TestEvalJetsPoints:
+    """eval_jets takes chart points as any array-like and refuses, with warnings as errors, any that do not form an
+    (N, 4) array of finite floats."""
+
+    @staticmethod
+    def refusal(name, params, mode, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                eval_jets(make_family(name, params, mode), points)
+        return str(info.value)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name,params", FAMILIES)
+    def test_list_of_lists_is_the_array(self, name, params, mode):
+        points = [[0.1, 0.2, 0.3, 0.4], [-0.5, 0.6, 0.7, -0.8]]
+        spec = make_family(name, params, mode)
+        for got, want in zip(eval_jets(spec, points), eval_jets(spec, np.array(points))):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name,params", FAMILIES)
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 4, 1), ()])
+    def test_points_of_another_shape_are_refused(self, name, params, mode, shape):
+        text = self.refusal(name, params, mode, np.full(shape, 0.1))
+        assert text == f"points must be an (N, 4) array of chart points, got shape {shape}"
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name,params", FAMILIES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_is_refused_by_name(self, name, params, mode, bad):
+        # control's wave reads x1 alone and constant has none, so the refusal cannot wait for a phase.
+        point = [0.1, bad, 0.3, 0.4]
+        text = self.refusal(name, params, mode, [[0.1, 0.2, 0.3, 0.4], point])
+        assert text == f"points[1] = {point}: a coordinate is not finite"
+
+
+class TestOnePhasePass:
+    """Each wave phase is made once per call, in _phases, which also refuses an overflowing one."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from circulant4 import reporting
+
+        made, original = [], fields._phases
+
+        def counting(*args, **kwargs):
+            made.append(args[1].shape)
+            return original(*args, **kwargs)
+
+        for module in (fields, reporting):
+            if hasattr(module, "_phases"):
+                monkeypatch.setattr(module, "_phases", counting)
+        return made
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_eval_jets(self, calls, mode):
+        eval_jets(make_family("s_wave", S_WAVE, mode), np.array([[0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]]))
+        assert calls == [(2, 4)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_coeffs_at(self, calls, mode):
+        coeffs_at(make_family("s_wave", S_WAVE, mode), [0.1, 0.2, 0.3, 0.4])
+        assert calls == [(4,)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_config_parse(self, calls, mode):
+        RunConfig({"family": {"name": "s_wave", "params": list(S_WAVE)}, "derivative_mode": mode,
+                   "grid": {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [2] * 4}, "seeds": [[1.0, 2.0, 3.0, 5.0]]})
+        assert calls == [(16, 4)]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_block_run_verify(self, calls, mode):
+        config = RunConfig({"family": {"name": "s_wave", "params": list(S_WAVE)}, "derivative_mode": mode,
+                            "grid": {"min": [-1.0] * 4, "max": [1.0] * 4, "count": [2] * 4}, "seeds": "random:4",
+                            "rng_seed": 7})
+        calls.clear()
+        run_verify(config)
+        assert calls == [(16, 4)]
